@@ -4,11 +4,15 @@ A graph on nv vertices is a list `adjacency` of nv ints; bit u of
 adjacency[v] means {u,v} is an edge.  Candidate sets, chosen sets and clique
 classes are all vertex-index bitmasks, so the inner loops are word ops.
 
-Two engines:
+Two engines, both run on explicit stacks so that search depth is not bounded
+by the interpreter's recursion limit:
 
-* max_independent_set_masks: optimisation branch and bound (max-degree
-  branching, greedy clique-cover upper bound) with an optional early-exit
-  target, used on sampled subgraphs and clique-union graphs.
+* max_independent_set_masks: optimisation branch and bound with an optional
+  early-exit target, used on sampled subgraphs and clique-union graphs.
+  Colour-ordered branching (Tomita & Seki's MCQ, in the bitset form of San
+  Segundo et al.'s BBMC) with cliques of G as the colour classes: each node
+  builds one greedy clique cover and branches on its vertices in reverse
+  cover order, cutting as soon as the classes left cannot beat the incumbent.
 * enumerate_maximum_independent_sets: every independent set whose size equals
   the (certified) independence number, used for uniqueness checks.  Accepts an
   optional static clique partition (from a 1-factorisation / Baranyai split)
@@ -23,57 +27,32 @@ of returning an approximation.
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_CAP = 5_000_000
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
+def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
+    """Greedy partition of cand into cliques, as class member masks.
 
-def greedy_clique_cover_count(cand: int, adjacency: Sequence[int]) -> int:
-    """First-fit partition of cand into cliques; class count bounds alpha."""
-    commons: list[int] = []
-    count = 0
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        placed = False
-        for idx in range(count):
-            if (commons[idx] >> v) & 1:
-                commons[idx] &= adjacency[v]
-                placed = True
-                break
-        if not placed:
-            commons.append(adjacency[v])
-            count += 1
-    return count
-
-
-def greedy_clique_cover_classes(cand: int, adjacency: Sequence[int]) -> list[int]:
-    """First-fit clique partition of cand, returning the class member masks."""
-    commons: list[int] = []
-    members: list[int] = []
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        placed = False
-        for idx in range(len(members)):
-            if (commons[idx] >> v) & 1:
-                commons[idx] &= adjacency[v]
-                members[idx] |= low
-                placed = True
-                break
-        if not placed:
-            commons.append(adjacency[v])
-            members.append(low)
-    return members
+    Each class starts at the lowest uncovered vertex and takes every later
+    uncovered vertex adjacent to all members so far, one AND per vertex; this
+    is first-fit in ascending vertex order.  An independent set meets each
+    class at most once, so the class count bounds alpha of cand.
+    """
+    classes: list[int] = []
+    while cand:
+        members = 0
+        fits = cand
+        while fits:
+            low = fits & -fits
+            members |= low
+            fits = (fits ^ low) & adjacency[low.bit_length() - 1]
+        cand ^= members
+        classes.append(members)
+    return classes
 
 
 def greedy_independent_set(adjacency: Sequence[int]) -> int:
@@ -100,21 +79,6 @@ def _isolated_vertices(cand: int, adjacency: Sequence[int]) -> int:
     return iso
 
 
-def _max_degree_vertex(cand: int, adjacency: Sequence[int]) -> int:
-    """Candidate vertex of maximum degree within cand, ties to lowest index."""
-    best_v = -1
-    best_d = -1
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        d = (adjacency[v] & cand).bit_count()
-        if d > best_d:
-            best_d, best_v = d, v
-        m ^= low
-    return best_v
-
-
 def max_independent_set_masks(
     adjacency: Sequence[int],
     *,
@@ -131,29 +95,22 @@ def max_independent_set_masks(
     upper_bound: externally certified bound on alpha; search stops when reached.
     """
     nv = len(adjacency)
-    full = (1 << nv) - 1
     best_mask = initial
     best = initial.bit_count()
     greedy = greedy_independent_set(adjacency)
     if greedy.bit_count() > best:
         best, best_mask = greedy.bit_count(), greedy
-    nodes = 0
-    done = False
-
-    def satisfied() -> bool:
-        if stop_at is not None and best >= stop_at:
-            return True
-        if upper_bound is not None and best >= upper_bound:
-            return True
-        return False
-
-    if satisfied():
+    # stop once the incumbent reaches goal; nv + 1 is never reached
+    goal = min((t for t in (stop_at, upper_bound) if t is not None), default=nv + 1)
+    if best >= goal:
         return best, best_mask, 0
 
-    def rec(size: int, chosen: int, cand: int) -> None:
-        nonlocal best, best_mask, nodes, done
-        if done:
-            return
+    nodes = 0
+    # One frame per open node: [size, chosen, cand, cover classes not yet
+    # exhausted].  cand shrinks as its vertices are branched on.
+    stack: list[list] = []
+    size, chosen, cand = 0, 0, (1 << nv) - 1
+    while True:
         nodes += 1
         if nodes > node_cap:
             raise SearchBudgetExceeded(
@@ -165,30 +122,35 @@ def max_independent_set_masks(
             cand ^= iso
         if size > best:
             best, best_mask = size, chosen
-            if satisfied():
-                done = True
-                return
-        if not cand or size + cand.bit_count() <= best:
-            return
-        if size + greedy_clique_cover_count(cand, adjacency) <= best:
-            return
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = _max_degree_vertex(cand, adjacency)
-            bit = 1 << v
-            rec(size + 1, chosen | bit, cand & ~adjacency[v] & ~bit)
-            if done:
-                return
-            cand ^= bit
-
-    rec(0, 0, full)
+            if best >= goal:
+                break
+        if size + cand.bit_count() > best:
+            stack.append([size, chosen, cand, greedy_clique_cover(cand, adjacency)])
+        # Descend from the deepest open node into its next vertex, taking the
+        # classes last first.  The vertices left in classes 1..c are covered by
+        # c cliques, so once size + c <= best (best read live, after every
+        # child returns) no set through this node can beat the incumbent.
+        while stack:
+            frame = stack[-1]
+            size, chosen, cand, classes = frame
+            if size + len(classes) <= best:
+                stack.pop()
+                continue
+            members = classes[-1]
+            low = members & -members
+            if members == low:
+                classes.pop()
+            else:
+                classes[-1] = members ^ low
+            frame[2] = cand ^ low
+            size += 1
+            chosen |= low
+            cand &= ~adjacency[low.bit_length() - 1] & ~low
+            break
+        else:
+            break  # every node is closed: best is alpha
     return best, best_mask, nodes
 
-
-# Recomputed greedy cover is only worth its cost when the cheap popcount
-# bound is within this margin of pruning already.
-_DYNAMIC_BOUND_MARGIN = 12
 
 # Branch over a closed neighbourhood when the locally sparsest candidate has
 # at most this many candidate neighbours.
@@ -210,7 +172,7 @@ def enumerate_maximum_independent_sets(
     reduction is only sound at that target).  clique_classes: optional clique
     partition of the vertex set; the number of classes meeting the candidate
     set is then the pruning bound.  Without it a greedy cover is recomputed at
-    near-critical nodes.  containment_groups: optional vertex masks with an
+    every node.  containment_groups: optional vertex masks with an
     external guarantee that every maximum independent set lies inside one of
     them; prefixes contained in no group are then pruned.  Returns (sorted
     solution masks, node count).
@@ -233,7 +195,7 @@ def enumerate_maximum_independent_sets(
                     if len(members) > needed:
                         return None
             return members
-        members = greedy_clique_cover_classes(cand, adjacency)
+        members = greedy_clique_cover(cand, adjacency)
         return None if len(members) > needed else members
 
     def emit(mask: int) -> None:
@@ -242,11 +204,8 @@ def enumerate_maximum_independent_sets(
             raise SearchBudgetExceeded(
                 f"enumeration exceeded solution cap {solution_cap}")
 
-    def rec(size: int, chosen: int, cand: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchBudgetExceeded(f"enumeration exceeded node cap {node_cap}")
+    def children(size: int, chosen: int, cand: int) -> list[tuple[int, int, int]]:
+        """Close one node; return its child nodes in search order."""
         if groups is not None and chosen:
             restriction = 0
             confined = False
@@ -255,7 +214,7 @@ def enumerate_maximum_independent_sets(
                     restriction |= g
                     confined = True
             if not confined:
-                return
+                return []
             cand &= restriction
         while True:
             iso = _isolated_vertices(cand, adjacency)
@@ -265,17 +224,17 @@ def enumerate_maximum_independent_sets(
                 cand ^= iso
             if size == alpha:
                 emit(chosen)
-                return
+                return []
             if size > alpha:
-                return  # unreachable when alpha is the true independence number
+                return []  # unreachable when alpha is the true independence number
             needed = alpha - size
             if not cand or cand.bit_count() < needed:
-                return
+                return []
             members = cover_members(cand, needed)
             if members is None:
                 break  # more classes than needed: bound cannot prune or force
             if len(members) < needed:
-                return
+                return []
             # Exactly `needed` nonempty cliques cover cand, so a solution takes
             # one vertex per clique; singleton cliques are forced moves.
             forced = 0
@@ -303,6 +262,9 @@ def enumerate_maximum_independent_sets(
         # complete.  In locally sparse regions a minimum-degree v keeps that
         # branch factor tiny; in dense regions an ascending include/exclude
         # loop with bound rechecks fans out less.
+        # No check between siblings depends on what an earlier sibling found,
+        # so all children are listed at once.
+        kids = []
         v = _min_degree_vertex(cand, adjacency)
         local_degree = (adjacency[v] & cand).bit_count()
         if local_degree <= _SPARSE_BRANCH_DEGREE:
@@ -312,24 +274,31 @@ def enumerate_maximum_independent_sets(
             while m:
                 low = m & -m
                 w = low.bit_length() - 1
-                rec(size + 1, chosen | low, cand & ~adjacency[w] & ~low & ~banned)
+                kids.append((size + 1, chosen | low,
+                             cand & ~adjacency[w] & ~low & ~banned))
                 banned |= low
                 m ^= low
-            return
+            return kids
         while cand:
             needed = alpha - size
             if cand.bit_count() < needed:
-                return
+                break
             if classes is not None:
                 members = cover_members(cand, needed)
                 if members is not None and len(members) < needed:
-                    return
+                    break
             low = cand & -cand
             w = low.bit_length() - 1
-            rec(size + 1, chosen | low, cand & ~adjacency[w] & ~low)
+            kids.append((size + 1, chosen | low, cand & ~adjacency[w] & ~low))
             cand ^= low
+        return kids
 
-    rec(0, 0, full)
+    stack = [(0, 0, full)]
+    while stack:
+        nodes += 1
+        if nodes > node_cap:
+            raise SearchBudgetExceeded(f"enumeration exceeded node cap {node_cap}")
+        stack.extend(reversed(children(*stack.pop())))
     return sorted(solutions), nodes
 
 

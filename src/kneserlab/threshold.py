@@ -193,7 +193,7 @@ def _run_trial(tp: ThresholdParams, trial_index: int) -> tuple[bool, int]:
     return ekr_holds(sample).holds, count_superstars(sample)
 
 
-def _worker_chunk(args: tuple) -> tuple[int, int, float, float]:
+def _worker_chunk(args: tuple) -> tuple[int, int, float]:
     tp, lo, hi = args
     successes = 0
     x_sum = 0
@@ -209,7 +209,7 @@ def _worker_chunk(args: tuple) -> tuple[int, int, float, float]:
         successes += ok
         x_sum += x
         x_sumsq += float(x) * x
-    return successes, x_sum, x_sumsq, 0.0
+    return successes, x_sum, x_sumsq
 
 
 def wilson_interval(successes: int, trials: int,

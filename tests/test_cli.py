@@ -101,6 +101,17 @@ def test_simulate_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_simulate_pinned_successes(capsys):
+    # determinism checks alone would pass an engine that is consistently
+    # wrong, so the success counts are pinned
+    code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "2",
+                           "--p", "0.5,0.6,0.7", "--trials", "64", "--seed", "1961")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert [(row[0], row[2]) for row in rows] == [
+        ("0.5", "8"), ("0.6", "53"), ("0.7", "62")]
+
+
 def test_simulate_worker_flag_does_not_change_output(capsys):
     base = ("simulate", "--n", "12", "--k", "2", "--p", "0.55",
             "--trials", "32", "--seed", "4")

@@ -1,6 +1,9 @@
 """mis: exact solver and enumeration engines against the brute-force oracle."""
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -8,7 +11,7 @@ from kneserlab.errors import SearchBudgetExceeded
 from kneserlab.mis import (
     brute_force_maximum,
     enumerate_maximum_independent_sets,
-    greedy_clique_cover_count,
+    greedy_clique_cover,
     greedy_independent_set,
     max_independent_set_masks,
 )
@@ -60,9 +63,7 @@ def test_enumeration_with_static_classes_agrees():
     adjacency = random_graph(12, 0.5, 3)
     best, sols = brute_force_maximum(adjacency)
     # any clique partition works; use first-fit on the full vertex set
-    from kneserlab.mis import greedy_clique_cover_classes
-
-    classes = greedy_clique_cover_classes((1 << 12) - 1, adjacency)
+    classes = greedy_clique_cover((1 << 12) - 1, adjacency)
     masks, _ = enumerate_maximum_independent_sets(adjacency, best,
                                                   clique_classes=classes)
     assert masks == sorted(sols)
@@ -72,7 +73,7 @@ def test_greedy_and_cover_are_valid_bounds():
     adjacency = random_graph(14, 0.3, 9)
     best, _ = brute_force_maximum(adjacency)
     greedy = greedy_independent_set(adjacency).bit_count()
-    cover = greedy_clique_cover_count((1 << 14) - 1, adjacency)
+    cover = len(greedy_clique_cover((1 << 14) - 1, adjacency))
     assert greedy <= best <= cover
 
 
@@ -108,3 +109,100 @@ def test_empty_graph_and_complete_graph():
     assert size == 1
     masks, _ = enumerate_maximum_independent_sets(full, 1)
     assert len(masks) == 5
+
+
+def recursive_search(adjacency, stop_at=None):
+    """The solver's search written recursively: (size, node count)."""
+    best = greedy_independent_set(adjacency).bit_count()
+    goal = stop_at if stop_at is not None else len(adjacency) + 1
+    if best >= goal:
+        return best, 0
+    nodes = 0
+
+    def visit(size, cand):
+        nonlocal best, nodes
+        nodes += 1
+        iso = sum(1 << v for v in range(len(adjacency))
+                  if (cand >> v) & 1 and not adjacency[v] & cand)
+        size += iso.bit_count()
+        cand ^= iso
+        if size > best:
+            best = size
+            if best >= goal:
+                return True
+        if size + cand.bit_count() <= best:
+            return False
+        classes = greedy_clique_cover(cand, adjacency)
+        for c in range(len(classes), 0, -1):
+            members = classes[c - 1]
+            while members:
+                if size + c <= best:
+                    return False
+                low = members & -members
+                members ^= low
+                if visit(size + 1, cand & ~adjacency[low.bit_length() - 1] & ~low):
+                    return True
+                cand ^= low
+        return False
+
+    visit(0, (1 << len(adjacency)) - 1)
+    return best, nodes
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_explicit_stack_visits_the_recursive_search_tree(seed):
+    # equal node counts mean every cut reads the incumbent as it stands after
+    # the previous sibling's subtree, as the recursive form does
+    adjacency = random_graph(28 + seed, [0.15, 0.3, 0.5][seed % 3], 300 + seed)
+    alpha, _ = recursive_search(adjacency)
+    for stop_at in (None, alpha, alpha - 1):
+        size, mask, nodes = max_independent_set_masks(adjacency, stop_at=stop_at)
+        assert (size, nodes) == recursive_search(adjacency, stop_at)
+        assert is_independent(mask, adjacency) and mask.bit_count() == size
+
+
+def test_targets_and_incumbent_against_oracle():
+    bounded_nodes = free_nodes = 0
+    for seed in range(8):
+        adjacency = random_graph(14 + seed % 5, 0.3, 200 + seed)
+        alpha, sols = brute_force_maximum(adjacency)
+        # a target above alpha is never reached, so the search runs to the end
+        size, mask, _ = max_independent_set_masks(adjacency, stop_at=alpha + 1)
+        assert size == alpha == mask.bit_count()
+        assert is_independent(mask, adjacency)
+        # a certified bound ends the search as soon as it is met ...
+        free_size, free_mask, nodes = max_independent_set_masks(adjacency)
+        size, _, bounded = max_independent_set_masks(adjacency, upper_bound=alpha)
+        assert size == free_size == alpha and bounded <= nodes
+        bounded_nodes += bounded
+        free_nodes += nodes
+        # ... at once when the incumbent already meets it
+        other = next((s for s in sols if s != free_mask), sols[0])
+        assert max_independent_set_masks(
+            adjacency, initial=other, upper_bound=alpha) == (alpha, other, 0)
+        # an incumbent the search cannot beat is returned as the witness
+        assert max_independent_set_masks(adjacency, initial=other)[:2] == (alpha, other)
+    assert bounded_nodes < free_nodes
+
+
+def test_import_keeps_recursion_limit_and_deep_search_runs():
+    script = textwrap.dedent("""
+        import sys
+        limit = sys.getrecursionlimit()
+        import kneserlab, kneserlab.cli
+        assert sys.getrecursionlimit() == limit, sys.getrecursionlimit()
+        from kneserlab.mis import max_independent_set_masks
+        sys.setrecursionlimit(200)
+        # 300 disjoint paths a-b-c, each centre b at the path's lowest index:
+        # the greedy takes the 300 centres and the search must go 300 deep
+        adjacency = [0] * 900
+        for b in range(0, 900, 3):
+            for end in (b + 1, b + 2):
+                adjacency[b] |= 1 << end
+                adjacency[end] |= 1 << b
+        print(max_independent_set_masks(adjacency)[0])
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["600"]
