@@ -2,8 +2,9 @@
 
 G_S denotes the family of all k-sets meeting a centre set S; its indicator is
 max_{i in S} x_i.  Distances |F delta G_S| reduce to miss counts
-#{A in F : A cap S = empty}, which for |S| <= 2 come from the degree and
-co-degree tables in O(1) per centre set.
+#{A in F : A cap S = empty} = sum_{T subset S, |T| <= k} (-1)^|T| c_T, read
+from the family's subset-count table c_T = #{A in F : T subset A}, so each
+centre set costs sum_{t <= k} C(|S|,t) lookups whatever the family's size.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .families import (
     degree_profile,
     disjoint_pairs,
     family_stats,
+    subset_counts,
 )
-from .spectral import FLOAT_TOL, decompose_affine
+from .spectral import decompose_affine
 
 CENTER_ENUM_GUARD = 1_000_000
 CENTER_SET_SEARCH_GUARD = 2_000_000
@@ -49,32 +51,26 @@ def union_size(params, s: int) -> int:
     return params.slice_size - math.comb(params.n - s, params.k)
 
 
+def _miss(table: dict[int, int], centres: Iterable[int], k: int) -> int:
+    """#{A in F : A cap S = empty} for distinct centres S, from c_T over T subset S."""
+    bits = [1 << (c - 1) for c in centres]
+    total = 0
+    for t in range(min(k, len(bits)) + 1):
+        sign = -1 if t & 1 else 1
+        for combo in combinations(bits, t):
+            total += sign * table.get(sum(combo), 0)
+    return total
+
+
 def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
     """|F delta G_S| by the miss-count identity."""
     params = family.params
-    smask = 0
     for c in centres:
         if not (1 <= c <= params.n):
             raise DomainError(f"centre {c} out of range 1..{params.n}")
-        smask |= 1 << (c - 1)
-    miss = sum(1 for m in family.members if not m & smask)
-    return union_size(params, len(set(centres))) - len(family) + 2 * miss
-
-
-def _pair_degrees(family: SetFamily) -> dict[tuple[int, int], int]:
-    """Co-degree table d_ij = #{A : i, j in A}, keys i < j (1-based)."""
-    table: dict[tuple[int, int], int] = {}
-    for mask in family.members:
-        elems = []
-        m = mask
-        while m:
-            low = m & -m
-            elems.append(low.bit_length())
-            m ^= low
-        for i, a in enumerate(elems):
-            for b in elems[i + 1:]:
-                table[(a, b)] = table.get((a, b), 0) + 1
-    return table
+    distinct = set(centres)
+    miss = _miss(subset_counts(family), distinct, params.k)
+    return union_size(params, len(distinct)) - len(family) + 2 * miss
 
 
 def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], int]:
@@ -87,29 +83,12 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
         raise DomainError(f"l={ell} exceeds n={params.n}")
     if math.comb(params.n, ell) > CENTER_ENUM_GUARD:
         raise GuardError(f"C({params.n},{ell}) centre sets exceed the guard")
-    size = len(family)
-    base = union_size(params, ell) - size
+    table = subset_counts(family)
+    base = union_size(params, ell) - len(family)
     best_s: tuple[int, ...] | None = None
     best_d = None
-    if ell <= 2:
-        degrees = degree_profile(family)
-        pairs = _pair_degrees(family) if ell == 2 else {}
-        for combo in combinations(range(1, params.n + 1), ell):
-            if ell == 1:
-                miss = size - degrees[combo[0] - 1]
-            else:
-                i, j = combo
-                miss = size - degrees[i - 1] - degrees[j - 1] + pairs.get((i, j), 0)
-            d = base + 2 * miss
-            if best_d is None or d < best_d:
-                best_d, best_s = d, combo
-        return best_s, best_d
     for combo in combinations(range(1, params.n + 1), ell):
-        smask = 0
-        for c in combo:
-            smask |= 1 << (c - 1)
-        miss = sum(1 for m in family.members if not m & smask)
-        d = base + 2 * miss
+        d = base + 2 * _miss(table, combo, params.k)
         if best_d is None or d < best_d:
             best_d, best_s = d, combo
     return best_s, best_d
@@ -153,29 +132,28 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     """Search for a small centre set S with f or 1-f close to max_{i in S} x_i.
 
     s_bound = max(1, ceil(C n sqrt(eps)/k)); all centre sets of size
-    0..s_bound are tried on both branches; holds = (closeness <= C * eps).
+    0..s_bound are tried on both branches; holds = (closeness <= C * eps),
+    decided in rationals.
     """
     params = family.params
     n, k = params.n, params.k
     if not (n >= 2 * k and k >= 2):
         raise DomainError("centre-set check needs n >= 2k >= 4")
-    eps_in = decompose_affine(family).f2_norm_sq
+    eps_exact = decompose_affine(family).f2_norm_sq_exact
+    eps_in = float(eps_exact)
     s_bound = max(1, math.ceil(cfg.c_const * n * math.sqrt(max(eps_in, 0.0)) / k))
     s_bound = min(s_bound, n)
     total_candidates = sum(math.comb(n, s) for s in range(s_bound + 1))
     if total_candidates > CENTER_SET_SEARCH_GUARD:
         raise GuardError(
             f"centre-set search over {total_candidates} sets exceeds the guard")
+    table = subset_counts(family)
     size = len(family)
-    slice_size = params.slice_size
-    best = None  # (closeness, branch_rank, s, S)
+    best = None  # (distance, branch_rank, s, S)
     for s in range(s_bound + 1):
         gs = union_size(params, s)
         for combo in combinations(range(1, n + 1), s):
-            smask = 0
-            for c in combo:
-                smask |= 1 << (c - 1)
-            miss = sum(1 for m in family.members if not m & smask)
+            miss = _miss(table, combo, k)
             d_direct = gs - size + 2 * miss
             # complement branch: |F delta complement(G_S)| with
             # |complement(G_S)| = C(n-s,k) and F cap complement(G_S) = misses
@@ -185,32 +163,34 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
                 if best is None or key < best:
                     best = key
     dist, rank, s, combo = best
-    closeness = dist / slice_size
     return CenterSetReport(
         eps_in=eps_in,
         s_bound=s_bound,
         best_s=combo,
-        closeness=closeness,
+        closeness=dist / params.slice_size,
         branch="direct" if rank == 0 else "complement",
-        holds=closeness <= cfg.c_const * eps_in + FLOAT_TOL,
-        eps_within_range=eps_in < k / (128.0 * n),
+        holds=Fraction(dist, params.slice_size) <= Fraction(cfg.c_const) * eps_exact,
+        eps_within_range=eps_exact < Fraction(k, 128 * n),
     )
 
 
 CASE_LABELS = ("(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)")
 
 
-def case_classify(family: SetFamily, cfg: RemovalConfig) -> str:
-    """Which of the six approximant cases the best centre set realises."""
-    report = center_set_check(family, cfg)
+def _case_label(report: CenterSetReport, ell: int) -> str:
     s = len(report.best_s)
     if report.branch == "direct":
-        if s == cfg.ell:
+        if s == ell:
             return "(vi)"
-        return "(i)" if s < cfg.ell else "(ii)"
+        return "(i)" if s < ell else "(ii)"
     if s == 0:
         return "(iii)"
     return "(v)" if s == 1 else "(iv)"
+
+
+def case_classify(family: SetFamily, cfg: RemovalConfig) -> str:
+    """Which of the six approximant cases the best centre set realises."""
+    return _case_label(center_set_check(family, cfg), cfg.ell)
 
 
 def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
@@ -226,8 +206,8 @@ def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
     lo = (ell - 0.25) * star
     hi = (ell + 0.25) * star
     report = center_set_check(family, cfg)
-    realized = case_classify(family, cfg)
-    eps = decompose_affine(family).f2_norm_sq
+    realized = _case_label(report, ell)
+    eps = report.eps_in
     rows = []
 
     def row(label, description, size_val, extra=None):
@@ -309,7 +289,8 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
     stats = family_stats(family, ell)
     eps_exact = ((2 * ell - 1) * stats.alpha + 2 * stats.beta) * Fraction(k, n - 2 * k)
     centres, distance = nearest_union_exact(family, ell)
-    bound = cfg.c_const * float(removal_bound_base(stats))
+    base = removal_bound_base(stats)
+    bound = cfg.c_const * float(base)
     preconditions = (n > 2 * k * ell * ell) and stats.removal_precondition_met(cfg.c_const)
     try:
         label = case_classify(family, cfg)
@@ -322,7 +303,7 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
         distance=distance,
         bound=bound,
         preconditions_met=preconditions,
-        holds=distance <= bound + FLOAT_TOL,
+        holds=distance <= Fraction(cfg.c_const) * base,
         case_label=label,
         c_const=cfg.c_const,
     )

@@ -22,8 +22,6 @@ from fractions import Fraction
 from .errors import DomainError
 from .families import GroundParams, SetFamily, degree_profile, family_stats
 
-FLOAT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class KneserEigenvalue:
@@ -142,10 +140,8 @@ def residual_bound_check(family: SetFamily, ell: int) -> ResidualBoundReport:
     dec = decompose_affine(family)
     n, k = params.n, params.k
     rhs_exact = ((2 * ell - 1) * stats.alpha + 2 * stats.beta) * Fraction(k, n - 2 * k)
-    lhs = float(dec.f2_norm_sq_exact)
-    rhs = float(rhs_exact)
-    holds = lhs <= rhs + FLOAT_TOL
-    return ResidualBoundReport(lhs=lhs, rhs=rhs, holds=holds)
+    return ResidualBoundReport(lhs=float(dec.f2_norm_sq_exact), rhs=float(rhs_exact),
+                               holds=dec.f2_norm_sq_exact <= rhs_exact)
 
 
 def residual_min_eigenvalue(params: GroundParams) -> int:

@@ -20,6 +20,9 @@ from .graphs import KneserGraph, build_graph
 from .mis import DEFAULT_NODE_CAP, max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
+# _SampleContext keeps one Python tuple per edge of K(n,k), and a trial draws
+# one double per edge; K(64,2)'s 1.9M edges take ~0.2 GB.  Refuse more edges.
+EDGE_GUARD = 2_000_000
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 
@@ -45,6 +48,11 @@ class _SampleContext:
     """Per-(n,k) immutable data shared by all trials."""
 
     def __init__(self, params: GroundParams) -> None:
+        edge_count = params.slice_size * params.kneser_degree // 2
+        if edge_count > EDGE_GUARD:
+            raise GuardError(
+                f"K({params.n},{params.k}) has {edge_count} edges, over the "
+                f"sampling guard {EDGE_GUARD}")
         self.params = params
         self.graph: KneserGraph = build_graph(params)
         edges: list[tuple[int, int]] = []

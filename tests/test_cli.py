@@ -1,5 +1,6 @@
 """cli: payload shapes, determinism, exit codes, output routing."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -118,6 +119,34 @@ def test_simulate_worker_flag_does_not_change_output(capsys):
     _, out1, _ = run_cli(capsys, *base, "--workers", "1")
     _, out2, _ = run_cli(capsys, *base, "--workers", "2")
     assert out1 == out2
+
+
+def test_removal_pinned_output(capsys):
+    # byte-for-byte output of the removal report before its statistics were
+    # rewritten onto the subset-count table, in both formats
+    args = ("removal", "--n", "10", "--k", "2", "--family", "random:20:3", "--l", "1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["dp"], payload["distance"], payload["best_centers"]) == (124, 17, [10])
+    assert (payload["holds"], payload["case_label"]) == (True, "(iv)")
+    assert payload["center_set"]["best_s"] == [1, 2, 6, 7, 9]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "721f79149280df845bb04d9247e7205020522234cb59804671721790d352d73c"
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[5] == \
+        "(iv),complement of G_s, s >= 2 (at s=5),10,6.75,11.25,True,True"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ac9d45351ba000ef63afdf459e2e0cccc24028fcc61d18a52fc3e380c6b49280"
+
+
+def test_simulate_edge_guard_exit_code(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "20", "--k", "5",
+                             "--p", "0.5", "--trials", "30")
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
 
 
 def test_threshold_payload(capsys):

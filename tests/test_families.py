@@ -1,12 +1,13 @@
 """family_core: constructors, statistics, and the (alpha, beta) parametrisation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from kneserlab.errors import DomainError
+from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import (
     GroundParams,
     SetFamily,
@@ -128,6 +129,30 @@ def test_disjoint_pairs_numpy_path_matches_loop():
     fam = build_family(params, "random:150:21")  # > 128 members: vector path
     assert len(fam) > 128
     assert disjoint_pairs(fam) == dp_oracle(fam)
+
+
+def test_subset_table_guard_raises_before_allocating():
+    # one 31-set: m * 2^k = 2^31 submasks, over the table guard
+    fam = SetFamily(GroundParams(64, 31), ((1 << 31) - 1,))
+    tracemalloc.start()
+    try:
+        for stat in (disjoint_pairs, degree_profile):
+            with pytest.raises(GuardError):
+                stat(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_membership_matches_member_scan():
+    params = GroundParams(8, 3)
+    fam = build_family(params, "random:20:5")
+    for mask in enumerate_masks(8, 3):
+        assert (mask in fam) == any(m == mask for m in fam.members)
+    assert 0 not in fam and (1 << 8) not in fam
+    assert fam.member_set is fam.member_set
+    assert fam.member_set == frozenset(fam.members)
 
 
 def test_dp_plus_intersecting_is_all_pairs():

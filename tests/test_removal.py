@@ -25,6 +25,7 @@ from kneserlab.removal import (
     nearest_union_heuristic,
     removal_bound_check,
     union_distance,
+    union_size,
 )
 
 
@@ -75,6 +76,44 @@ def test_nearest_union_exact_matches_oracle(n, k, ell, seed):
     m = (seed * 23 + 9) % params.slice_size + 1
     fam = build_family(params, f"random:{m}:{seed}")
     assert nearest_union_exact(fam, ell) == exhaustive_union_oracle(fam, ell)
+
+
+def miss_scan(family, centres):
+    """#{A in F : A cap S = empty} by a direct scan of the members."""
+    smask = sum(1 << (c - 1) for c in centres)
+    return sum(1 for m in family.members if not m & smask)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n,k,seed", [(9, 2, 11), (10, 3, 12), (11, 4, 13)])
+def test_nearest_union_exact_matches_member_scan(n, k, ell, seed):
+    params = GroundParams(n, k)
+    fam = build_family(params, f"random:{params.slice_size // 3}:{seed}")
+    base = union_size(params, ell) - len(fam)
+    dist, centres = min((base + 2 * miss_scan(fam, combo), combo)
+                        for combo in combinations(range(1, n + 1), ell))
+    assert nearest_union_exact(fam, ell) == (centres, dist)
+
+
+@pytest.mark.parametrize("n,k,m,seed", [(9, 2, 12, 21), (10, 3, 40, 22),
+                                        (11, 4, 60, 23), (12, 3, 70, 24)])
+def test_center_set_check_matches_member_scan(n, k, m, seed):
+    params = GroundParams(n, k)
+    fam = build_family(params, f"random:{m}:{seed}")
+    rep = center_set_check(fam, RemovalConfig(1, 2.0))
+    best = None
+    for s in range(rep.s_bound + 1):
+        for combo in combinations(range(1, n + 1), s):
+            miss = miss_scan(fam, combo)
+            for rank, dist in ((0, union_size(params, s) - m + 2 * miss),
+                               (1, m + math.comb(n - s, k) - 2 * miss)):
+                key = (dist, rank, s, combo)
+                if best is None or key < best:
+                    best = key
+    dist, rank, _, combo = best
+    assert rep.best_s == combo
+    assert rep.branch == ("direct", "complement")[rank]
+    assert rep.closeness == dist / params.slice_size
 
 
 def test_nearest_union_heuristic_examples():

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from kneserlab.errors import DomainError
+from kneserlab import threshold
+from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.mis import brute_force_maximum
 from kneserlab.threshold import (
@@ -43,6 +44,18 @@ def test_critical_probabilities_asymptotic_agreement():
     assert abs(crit["p_c"] - crit["p_0"]) / crit["p_c"] < 0.15
     crit64 = critical_probabilities(GroundParams(64, 2))
     assert abs(crit64["p_c"] - crit64["p_0"]) / crit64["p_c"] < 0.15
+
+
+def test_sampling_context_guards_edges(monkeypatch):
+    # (20,5) passes the vertex guard (15,504 vertices) but has ~23.3M edges
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph must not be built")
+
+    monkeypatch.setattr(threshold, "build_graph", no_build)
+    params = GroundParams(20, 5)
+    with pytest.raises(GuardError):
+        threshold._context(params)
+    assert params not in threshold._CONTEXTS
 
 
 def test_sample_trivial_probabilities():
