@@ -152,9 +152,6 @@ class SetFamily:
             tuple(m for m in enumerate_masks(self.params.n, self.params.k) if m not in mine),
         )
 
-    def element_sets(self) -> list[tuple[int, ...]]:
-        return [elements_from_mask(m) for m in self.members]
-
 
 # ── constructors ─────────────────────────────────────────────────────────
 
@@ -298,13 +295,8 @@ def save_family(family: SetFamily, path: Path) -> None:
 # ── combinatorial statistics ─────────────────────────────────────────────
 
 @functools.lru_cache(maxsize=1)
-def subset_counts(family: SetFamily) -> dict[int, int]:
-    """c_S = #{A in F : S subset of A} for every S contained in some member.
-
-    Keyed by mask; subsets of no member are absent (c_S = 0).  Every
-    statistic of the family is read from this one table, which is memoised
-    for the most recent family only.  Callers must not mutate it.
-    """
+def _subset_table(family: SetFamily) -> tuple[dict[int, int], int]:
+    """The subset-count table and dp, built once for the most recent family."""
     m, k = len(family), family.params.k
     if m << k > SUBSET_TABLE_GUARD:
         raise GuardError(
@@ -317,17 +309,28 @@ def subset_counts(family: SetFamily) -> dict[int, int]:
         rest ^= low
         subs = np.concatenate((subs, subs | low[:, None]), axis=1)
     keys, counts = np.unique(subs, return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
+    table = dict(zip(keys.tolist(), counts.tolist()))
+    ordered = sum(-c * c if s.bit_count() & 1 else c * c for s, c in table.items())
+    return table, ordered // 2
+
+
+def subset_counts(family: SetFamily) -> dict[int, int]:
+    """c_S = #{A in F : S subset of A} for every S contained in some member.
+
+    Keyed by mask; subsets of no member are absent (c_S = 0).  Every
+    statistic of the family is read from this one table, which is memoised
+    for the most recent family only.  Callers must not mutate it.
+    """
+    return _subset_table(family)[0]
 
 
 def disjoint_pairs(family: SetFamily) -> int:
     """dp(F): unordered pairs {A,B} with A AND B == 0.
 
     By inclusion-exclusion, sum_S (-1)^|S| c_S^2 counts ordered disjoint
-    pairs; it is summed in Python ints, so it is exact.
+    pairs; it is summed in Python ints, so it is exact, once per table build.
     """
-    table = subset_counts(family)
-    return sum(-c * c if s.bit_count() & 1 else c * c for s, c in table.items()) // 2
+    return _subset_table(family)[1]
 
 
 def sym_diff_size(f: SetFamily, g: SetFamily) -> int:

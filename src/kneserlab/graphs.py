@@ -11,6 +11,7 @@ honest enumeration, guarded by a vertex cap.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -47,6 +48,18 @@ class KneserGraph:
     @property
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adjacency) // 2
+
+    @functools.cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shared int32 endpoints (u, v), u < v, by u then v; do not write."""
+        width = (self.vertex_count + 7) // 8
+        later = []  # per u, the neighbours v > u
+        for u, row in enumerate(self.adjacency):
+            bits = np.frombuffer((row >> (u + 1)).to_bytes(width, "little"), np.uint8)
+            later.append(np.flatnonzero(np.unpackbits(bits, bitorder="little")) + u + 1)
+        u = np.repeat(np.arange(self.vertex_count, dtype=np.int32), [len(w) for w in later])
+        v = np.concatenate(later).astype(np.int32)
+        return u, v
 
     def vertex_index(self, mask: int) -> int:
         i = bisect.bisect_left(self.vertices, mask)
@@ -96,14 +109,8 @@ def build_graph(params: GroundParams, *, guard: int = BUILD_GUARD) -> KneserGrap
 def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
     """Edge list `u v` with a `# kneser n=<n> k=<k>` header, canonical order."""
     stream.write(f"# kneser n={graph.params.n} k={graph.params.k}\n")
-    for u in range(graph.vertex_count):
-        m = graph.adjacency[u] >> (u + 1)
-        v = u + 1
-        while m:
-            if m & 1:
-                stream.write(f"{u} {v}\n")
-            m >>= 1
-            v += 1
+    u, v = graph.edges
+    stream.writelines(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
 
 
 # ── exact independence ───────────────────────────────────────────────────
@@ -114,7 +121,6 @@ class MISResult:
     witness: SetFamily
     node_count: int
     method: str
-    is_unique_up_to_stars: bool | None = None
 
 
 def ratio_bound(params: GroundParams) -> int:
@@ -296,12 +302,8 @@ def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
         raise GuardError(f"spectrum check guarded to C(n,k) <= {SPECTRUM_GUARD}")
     graph = build_graph(params)
     dense = np.zeros((nv, nv), dtype=np.float64)
-    for u in range(nv):
-        m = graph.adjacency[u]
-        while m:
-            low = m & -m
-            dense[u, low.bit_length() - 1] = 1.0
-            m ^= low
+    u, v = graph.edges
+    dense[u, v] = dense[v, u] = 1.0
     computed = np.sort(np.linalg.eigvalsh(dense))
     expected = []
     for i in range(params.k + 1):

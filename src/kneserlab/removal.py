@@ -9,6 +9,7 @@ centre set costs sum_{t <= k} C(|S|,t) lookups whatever the family's size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,12 +129,14 @@ class CenterSetReport:
         }
 
 
+@functools.lru_cache(maxsize=1)
 def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     """Search for a small centre set S with f or 1-f close to max_{i in S} x_i.
 
     s_bound = max(1, ceil(C n sqrt(eps)/k)); all centre sets of size
     0..s_bound are tried on both branches; holds = (closeness <= C * eps),
-    decided in rationals.
+    decided in rationals.  The report for the most recent (family, cfg) is
+    memoised, so the bound check, the case table and the CLI share one search.
     """
     params = family.params
     n, k = params.n, params.k

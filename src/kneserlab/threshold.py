@@ -2,28 +2,39 @@
 
 Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
-how trials are scheduled across workers.  Analytic evaluators work in
-log-space: the exponents reach C(n-1,k-1) and overflow doubles quickly.
+how trials are scheduled across workers.  A trial is one numpy pass over
+the edge arrays of K(n,k), one uniform per edge: it packs the retained edges
+into adjacency bitsets and ORs each vertex's retained neighbours into the
+elements blocked for it.  The unblocked ones certify superstars, which give
+the superstar count, star survival and a search-free EKR failure.  Analytic
+evaluators work in log-space: the exponents reach C(n-1,k-1) and overflow
+doubles quickly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams
-from .graphs import KneserGraph, build_graph
-from .mis import DEFAULT_NODE_CAP, max_independent_set_masks
+from .graphs import build_graph, is_star
+from .mis import (
+    DEFAULT_NODE_CAP,
+    enumerate_maximum_independent_sets,
+    max_independent_set_masks,
+)
 
 DEFAULT_EPSILON = 0.1
-# _SampleContext keeps one Python tuple per edge of K(n,k), and a trial draws
-# one double per edge; K(64,2)'s 1.9M edges take ~0.2 GB.  Refuse more edges.
+# _SampleContext keeps two int32 endpoints per edge of K(n,k) and a trial
+# draws one double per edge: 15 MB each for K(64,2)'s 1.9M edges, whose
+# context build peaks at +44 MB RSS.  Refuse more edges.
 EDGE_GUARD = 2_000_000
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
+CI_MIN_TRIALS = 30
 
 
 @dataclass(frozen=True)
@@ -34,8 +45,6 @@ class ThresholdParams:
     p: float
     trials: int
     master_seed: int
-    zeta: float = 1.0 + DEFAULT_EPSILON
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
@@ -53,24 +62,10 @@ class _SampleContext:
             raise GuardError(
                 f"K({params.n},{params.k}) has {edge_count} edges, over the "
                 f"sampling guard {EDGE_GUARD}")
-        self.params = params
-        self.graph: KneserGraph = build_graph(params)
-        edges: list[tuple[int, int]] = []
-        for u in range(self.graph.vertex_count):
-            m = self.graph.adjacency[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    edges.append((u, v))
-                m >>= 1
-                v += 1
-        self.edges = tuple(edges)
-        # vertices avoiding each element, for the superstar scan
-        self.avoiding: tuple[tuple[int, ...], ...] = tuple(
-            tuple(i for i, mask in enumerate(self.graph.vertices)
-                  if not (mask >> x) & 1)
-            for x in range(params.n)
-        )
+        self.graph = build_graph(params)
+        self.u, self.v = self.graph.edges
+        self.element_masks = np.array(self.graph.vertices, dtype=np.uint64)
+        self.all_elements = np.uint64((1 << params.n) - 1)
 
 
 _CONTEXTS: dict[GroundParams, _SampleContext] = {}
@@ -91,29 +86,29 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSample:
-    """A sampled subgraph: retained edge flags plus derived adjacency masks."""
+    """A sampled subgraph: adjacency masks plus its superstar certificate.
+
+    unblocked[f] has bit x-1 set iff x is not in vertex f and no retained
+    edge joins f to the star S_x, that is, iff (S_x, f) is a superstar.
+    """
 
     params: GroundParams
     p: float
     trial_index: int
-    retained_flags: tuple[bool, ...]
     adjacency: tuple[int, ...]
+    unblocked: np.ndarray
 
     @property
     def retained_count(self) -> int:
-        return sum(self.retained_flags)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        edges = _context(self.params).edges
-        return frozenset(e for e, keep in zip(edges, self.retained_flags) if keep)
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
     """The trial's uniform draws, one per K(n,k) edge (for coupled sampling)."""
     ctx = _context(tp.params)
-    return trial_rng(tp.master_seed, trial_index).random(len(ctx.edges))
+    return trial_rng(tp.master_seed, trial_index).random(len(ctx.u))
 
 
 def sample_subgraph(tp: ThresholdParams, trial_index: int,
@@ -127,41 +122,40 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     if uniforms is None:
         uniforms = trial_uniforms(tp, trial_index)
     keep = uniforms < tp.p
-    adjacency = [0] * ctx.graph.vertex_count
-    for (u, v), flag in zip(ctx.edges, keep):
-        if flag:
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
+    # each retained edge twice, as (row, column) and (column, row); int32
+    # indices suffice, since nv * width < 2^31 under the graph build guard
+    u, v = ctx.u[keep], ctx.v[keep]
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    nv = ctx.graph.vertex_count
+    width = (nv + 7) // 8
+    packed = np.zeros(nv * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, rows * width + (cols >> 3),
+                     np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
+    buf = memoryview(packed)  # read in place: a copy adds nv^2/8 bytes to the peak
+    blocked = np.zeros(nv, dtype=np.uint64)
+    np.bitwise_or.at(blocked, rows, ctx.element_masks[cols])
     return EdgeSample(
         params=tp.params,
         p=tp.p,
         trial_index=trial_index,
-        retained_flags=tuple(bool(b) for b in keep),
-        adjacency=tuple(adjacency),
+        adjacency=tuple(int.from_bytes(buf[i:i + width], "little")
+                        for i in range(0, len(buf), width)),
+        unblocked=ctx.all_elements & ~(blocked | ctx.element_masks),
     )
 
 
 def count_superstars(sample: EdgeSample) -> int:
     """Pairs (star S_x, F not containing x) with no retained edge between them."""
-    ctx = _context(sample.params)
-    count = 0
-    for x in range(sample.params.n):
-        star_mask = ctx.graph.star_vertex_masks[x]
-        for f in ctx.avoiding[x]:
-            if not sample.adjacency[f] & star_mask:
-                count += 1
-    return count
+    return int(np.unpackbits(sample.unblocked.view(np.uint8)).sum())
 
 
 def star_survives(sample: EdgeSample, centre: int) -> bool:
     """True iff the star at `centre` is maximal independent in the sample
     (it admits no superstar extension)."""
-    ctx = _context(sample.params)
-    star_mask = ctx.graph.star_vertex_masks[centre - 1]
-    for f in ctx.avoiding[centre - 1]:
-        if not sample.adjacency[f] & star_mask:
-            return False
-    return True
+    n = sample.params.n
+    if not (1 <= centre <= n):
+        raise DomainError(f"centre {centre} out of range 1..{n}")
+    return not (sample.unblocked & np.uint64(1 << (centre - 1))).any()
 
 
 @dataclass(frozen=True)
@@ -176,17 +170,17 @@ def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False,
 
     Removing edges can only create independent sets, so alpha >= C(n-1,k-1)
     always (the stars persist); equality fails exactly when some independent
-    set of size C(n-1,k-1)+1 exists.
+    set of size C(n-1,k-1)+1 exists.  A superstar (S_x, F) is one, so a
+    sample with one fails without a search.
     """
+    if sample.unblocked.any():
+        return EkrSampleResult(holds=False)
     target = sample.params.star_size + 1
     size, _, _ = max_independent_set_masks(
         sample.adjacency, stop_at=target, node_cap=node_cap)
     holds = size < target
     if not holds or not uniqueness:
         return EkrSampleResult(holds=holds)
-    from .graphs import is_star
-    from .mis import enumerate_maximum_independent_sets
-
     ctx = _context(sample.params)
     masks, _ = enumerate_maximum_independent_sets(
         sample.adjacency, sample.params.star_size, node_cap=node_cap)
@@ -233,17 +227,16 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def estimate_probability(tp: ThresholdParams, *, workers: int = 1,
-                         ci_min_trials: int = 30) -> dict:
+def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
     """Fraction of trials with the EKR property, with a Wilson 95% interval.
 
     Deterministic for fixed (params, p, trials, master_seed) regardless of
     worker count: each trial derives its stream from its own index and the
     aggregation is a commutative reduce.
     """
-    if tp.trials < ci_min_trials:
+    if tp.trials < CI_MIN_TRIALS:
         raise DomainError(
-            f"need at least {ci_min_trials} trials for the interval, got {tp.trials}")
+            f"need at least {CI_MIN_TRIALS} trials for the interval, got {tp.trials}")
     _context(tp.params)  # build before forking so children inherit it
     if workers <= 1:
         chunks = [_worker_chunk((tp, 0, tp.trials))]
@@ -372,8 +365,6 @@ class BoundReport:
     epsilon: float
 
     def to_json_dict(self) -> dict:
-        from dataclasses import asdict
-
         payload = asdict(self)
         for key, value in payload.items():
             if isinstance(value, float) and math.isinf(value):

@@ -141,6 +141,37 @@ def test_removal_pinned_output(capsys):
         "ac9d45351ba000ef63afdf459e2e0cccc24028fcc61d18a52fc3e380c6b49280"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("simulate --n 12 --k 2 --p 0.4,0.6,0.8 --trials 200 --seed 1961",
+     "0df4f5f231093f3cbefca805f587d6acbd00cc13957f1b56e3428350363cf728"),
+    ("simulate --n 8 --k 3 --p 0.3,0.6 --trials 40 --seed 3",
+     "6b25b245e86193b94d84c31c09e9c995a1de1c7729231913b6c9e4a0c022d293"),
+    ("threshold --n 10 --k 2 --trials 60 --seed 5",
+     "731b8332f76245eb9a0d6457a89517649f67d7b1e321f4a3f2f6b93aa244e7fd"),
+])
+def test_sampling_pinned_output(capsys, argv, digest):
+    # byte-for-byte output of the per-edge Python sampler that the numpy
+    # sampling pass replaced
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_removal_runs_one_centre_set_search(capsys, monkeypatch):
+    from kneserlab import removal
+
+    calls = []
+    real = removal.decompose_affine
+    monkeypatch.setattr(removal, "decompose_affine",
+                        lambda family: calls.append(1) or real(family))
+    removal.center_set_check.cache_clear()
+    code, out, _ = run_cli(capsys, "removal", "--n", "12", "--k", "2",
+                           "--family", "random:30:4", "--l", "1")
+    assert code == 0
+    assert json.loads(out)["center_set"]["best_s"]
+    assert len(calls) == 1
+
+
 def test_simulate_edge_guard_exit_code(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "20", "--k", "5",
                              "--p", "0.5", "--trials", "30")

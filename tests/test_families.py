@@ -131,6 +131,18 @@ def test_disjoint_pairs_numpy_path_matches_loop():
     assert disjoint_pairs(fam) == dp_oracle(fam)
 
 
+def test_dp_summed_once_per_family():
+    # family_stats at l = 1 and 2 and dp itself read one table build, and
+    # the dp sum is made inside that build
+    from kneserlab import families
+
+    fam = build_family(GroundParams(11, 3), "random:60:5")
+    families._subset_table.cache_clear()
+    stats = [family_stats(fam, ell) for ell in (1, 2, 1)]
+    assert {st.dp for st in stats} == {disjoint_pairs(fam)} == {dp_oracle(fam)}
+    assert families._subset_table.cache_info().misses == 1
+
+
 def test_subset_table_guard_raises_before_allocating():
     # one 31-set: m * 2^k = 2^31 submasks, over the table guard
     fam = SetFamily(GroundParams(64, 31), ((1 << 31) - 1,))

@@ -1,0 +1,171 @@
+"""The numpy sampling pass against a per-edge reference sampler.
+
+The reference walks every edge of K(n,k) in Python: it lists the edges by a
+bit-walk over the adjacency rows, sets adjacency bits edge by edge, and scans
+every (centre, set avoiding the centre) pair for superstars.
+"""
+
+import io
+import math
+
+import pytest
+
+from kneserlab import threshold
+from kneserlab.errors import DomainError
+from kneserlab.families import GroundParams
+from kneserlab.graphs import build_graph, export_edges
+from kneserlab.mis import brute_force_maximum
+from kneserlab.threshold import (
+    ThresholdParams,
+    count_superstars,
+    ekr_holds,
+    sample_subgraph,
+    star_survives,
+    trial_uniforms,
+)
+
+ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4)]
+ORACLE_PS = [0.0, 0.3, 0.5, 1.0]
+
+
+def reference_edges(graph):
+    """(u, v) with u < v in canonical order, by a bit-walk over each row."""
+    edges = []
+    for u in range(graph.vertex_count):
+        m = graph.adjacency[u] >> (u + 1)
+        v = u + 1
+        while m:
+            if m & 1:
+                edges.append((u, v))
+            m >>= 1
+            v += 1
+    return edges
+
+
+def reference_adjacency(graph, uniforms, p):
+    adjacency = [0] * graph.vertex_count
+    for (u, v), x in zip(reference_edges(graph), uniforms):
+        if x < p:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return tuple(adjacency)
+
+
+def reference_star_survives(graph, adjacency, centre):
+    star_mask = graph.star_vertex_masks[centre - 1]
+    for f, mask in enumerate(graph.vertices):
+        if not (mask >> (centre - 1)) & 1 and not adjacency[f] & star_mask:
+            return False
+    return True
+
+
+def reference_superstars(graph, adjacency):
+    count = 0
+    for x in range(graph.params.n):
+        star_mask = graph.star_vertex_masks[x]
+        for f, mask in enumerate(graph.vertices):
+            if not (mask >> x) & 1 and not adjacency[f] & star_mask:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,k", ORACLE_PARAMS)
+def test_sampling_pass_matches_reference(n, k):
+    params = GroundParams(n, k)
+    graph = build_graph(params)
+    for p in ORACLE_PS:
+        tp = ThresholdParams(params, p, 1, 1000 * n + k)
+        for t in range(3):
+            uniforms = trial_uniforms(tp, t)
+            assert len(uniforms) == graph.edge_count
+            sample = sample_subgraph(tp, t, uniforms)
+            expected = reference_adjacency(graph, uniforms, p)
+            assert sample.adjacency == expected
+            assert sample_subgraph(tp, t).adjacency == expected
+            assert count_superstars(sample) == reference_superstars(graph, expected)
+            for centre in range(1, n + 1):
+                assert star_survives(sample, centre) == \
+                    reference_star_survives(graph, expected, centre)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 3), (12, 2)])
+def test_edge_enumeration_matches_bit_walk(n, k):
+    graph = build_graph(GroundParams(n, k))
+    u, v = graph.edges
+    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
+    buf = io.StringIO()
+    export_edges(graph, buf)
+    assert buf.getvalue().splitlines()[1:] == [f"{a} {b}" for a, b in reference_edges(graph)]
+    ctx = threshold._context(graph.params)
+    assert ctx.u.tolist() == u.tolist() and ctx.v.tolist() == v.tolist()
+
+
+def test_star_survives_rejects_centre_out_of_range():
+    sample = sample_subgraph(ThresholdParams(GroundParams(5, 2), 0.5, 1, 0), 0)
+    for centre in (0, 6):
+        with pytest.raises(DomainError):
+            star_survives(sample, centre)
+    star_survives(sample, 1)
+    star_survives(sample, 5)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 2)])
+def test_ekr_decision_matches_brute_force(n, k):
+    params = GroundParams(n, k)
+    seen_superstar = seen_search = 0
+    for p in (0.2, 0.5, 0.7, 0.9):
+        tp = ThresholdParams(params, p, 1, 17)
+        for t in range(8):
+            sample = sample_subgraph(tp, t)
+            best, _ = brute_force_maximum(list(sample.adjacency))
+            assert ekr_holds(sample).holds == (best == params.star_size)
+            if count_superstars(sample) > 0:
+                seen_superstar += 1
+            else:
+                seen_search += 1
+    assert seen_superstar > 0 and seen_search > 0
+
+
+def test_superstar_certificate_skips_search(monkeypatch):
+    calls = []
+    real = threshold.max_independent_set_masks
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", counting)
+    tp = ThresholdParams(GroundParams(12, 2), 0.4, 1, 1961)
+    certified = 0
+    for t in range(30):
+        sample = sample_subgraph(tp, t)
+        before = len(calls)
+        holds = ekr_holds(sample).holds
+        if count_superstars(sample) > 0:
+            certified += 1
+            assert not holds
+            assert len(calls) == before
+    assert certified > 0
+    # without a superstar the decision still searches
+    full = sample_subgraph(ThresholdParams(GroundParams(12, 2), 1.0, 1, 0), 0)
+    assert ekr_holds(full).holds and calls
+
+
+def test_sample_memory_is_packed_at_15_7():
+    import tracemalloc
+
+    params = GroundParams(15, 7)
+    nv = math.comb(15, 7)
+    tp = ThresholdParams(params, 0.5, 1, 3)
+    uniforms = trial_uniforms(tp, 0)
+    tracemalloc.start()
+    try:
+        sample = sample_subgraph(tp, 0, uniforms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense nv x nv byte matrix would take 41 MB; the packed adjacency
+    # (one bit per vertex pair) takes 5.2 MB
+    packed = nv * ((nv + 7) // 8)
+    assert peak < 3 * packed < nv * nv, (peak, packed)
+    assert sample.retained_count == sum(uniforms < 0.5)
