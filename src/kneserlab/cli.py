@@ -29,10 +29,9 @@ from .removal import RemovalConfig, case_table, center_set_check, removal_bound_
 from .spectral import decompose_affine, kneser_eigenvalue, residual_bound_check
 from .threshold import (
     DEFAULT_EPSILON,
-    ThresholdParams,
     analytic_bounds,
     critical_probabilities,
-    estimate_probability,
+    estimate_probabilities,
     find_threshold,
 )
 
@@ -205,20 +204,11 @@ def _cmd_simulate(args) -> tuple[list, int]:
         ps = [float(tok) for tok in str(args.p).split(",") if tok]
     except ValueError:
         raise DomainError(f"bad probability list {args.p!r}") from None
-    rows = []
-    for p in ps:
-        tp = ThresholdParams(params, p, args.trials, args.seed)
-        est = estimate_probability(tp, workers=args.workers)
-        rows.append({
-            "p": p,
-            "trials": est["trials"],
-            "successes": est["successes"],
-            "fraction": est["fraction"],
-            "ci_lo": est["ci_lo"],
-            "ci_hi": est["ci_hi"],
-            "mean_X": est["mean_x"],
-        })
-    return rows, args.seed
+    ests = estimate_probabilities(params, ps, args.trials, args.seed,
+                                  workers=args.workers)
+    columns = ("trials", "successes", "fraction", "ci_lo", "ci_hi")
+    return [{"p": p, **{c: est[c] for c in columns}, "mean_X": est["mean_x"]}
+            for p, est in zip(ps, ests)], args.seed
 
 
 def _cmd_threshold(args) -> tuple[dict, int | None]:

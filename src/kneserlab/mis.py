@@ -115,17 +115,20 @@ def max_independent_set_masks(
         if nodes > node_cap:
             raise SearchBudgetExceeded(
                 f"max_independent_set exceeded node cap {node_cap}")
-        iso = _isolated_vertices(cand, adjacency)
-        if iso:
-            size += iso.bit_count()
-            chosen |= iso
-            cand ^= iso
-        if size > best:
-            best, best_mask = size, chosen
-            if best >= goal:
-                break
+        # Isolated vertices are singleton classes of the first-fit cover; forcing
+        # them in keeps size + cand.bit_count() and every other class.
         if size + cand.bit_count() > best:
-            stack.append([size, chosen, cand, greedy_clique_cover(cand, adjacency)])
+            classes = greedy_clique_cover(cand, adjacency)
+            iso = sum(c for c in classes if not c & (c - 1)
+                      and not adjacency[c.bit_length() - 1] & cand)
+            if iso:
+                size, chosen, cand = size + iso.bit_count(), chosen | iso, cand ^ iso
+                classes = [c for c in classes if not c & iso]
+            if size > best:
+                best, best_mask = size, chosen
+                if best >= goal:
+                    break
+            stack.append([size, chosen, cand, classes])
         # Descend from the deepest open node into its next vertex, taking the
         # classes last first.  The vertices left in classes 1..c are covered by
         # c cliques, so once size + c <= best (best read live, after every

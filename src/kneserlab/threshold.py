@@ -2,13 +2,15 @@
 
 Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
-how trials are scheduled across workers.  A trial is one numpy pass over
+how trials are scheduled across workers.  A sample is one numpy pass over
 the edge arrays of K(n,k), one uniform per edge: it packs the retained edges
 into adjacency bitsets and ORs each vertex's retained neighbours into the
 elements blocked for it.  The unblocked ones certify superstars, which give
-the superstar count, star survival and a search-free EKR failure.  Analytic
-evaluators work in log-space: the exponents reach C(n-1,k-1) and overflow
-doubles quickly.
+the superstar count, star survival and a search-free EKR failure.  EKR is
+monotone in p under this coupling, so a trial walks its p values ascending:
+a search proving EKR settles every larger p, and a refuting witness every p
+up to its least edge uniform.  Analytic evaluators work in log-space: the
+exponents reach C(n-1,k-1) and overflow doubles quickly.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from .mis import (
 DEFAULT_EPSILON = 0.1
 # _SampleContext keeps two int32 endpoints per edge of K(n,k) and a trial
 # draws one double per edge: 15 MB each for K(64,2)'s 1.9M edges, whose
-# context build peaks at +44 MB RSS.  Refuse more edges.
+# context build peaks at +44 MB RSS.  Refuse more edges.  The graph and each
+# trial also hold nv * ceil(nv/8) bytes of adjacency rows: K(18,9) has 24,310
+# edges but 295 MB of rows, (16,8) 20.7 MB.  Refuse over ROW_GUARD bytes.
 EDGE_GUARD = 2_000_000
+ROW_GUARD = 32 << 20
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 CI_MIN_TRIALS = 30
 
@@ -57,11 +62,13 @@ class _SampleContext:
     """Per-(n,k) immutable data shared by all trials."""
 
     def __init__(self, params: GroundParams) -> None:
-        edge_count = params.slice_size * params.kneser_degree // 2
-        if edge_count > EDGE_GUARD:
-            raise GuardError(
-                f"K({params.n},{params.k}) has {edge_count} edges, over the "
-                f"sampling guard {EDGE_GUARD}")
+        nv = params.slice_size if params.n >= 2 * params.k else 0  # n < 2k has no graph
+        self.width = (nv + 7) // 8  # bytes per packed adjacency row
+        edge_count = nv * params.kneser_degree // 2
+        if edge_count > EDGE_GUARD or nv * self.width > ROW_GUARD:
+            raise GuardError(f"K({params.n},{params.k}) has {edge_count} edges and "
+                             f"{nv * self.width} bytes of adjacency rows, over the "
+                             f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
         self.graph = build_graph(params)
         self.u, self.v = self.graph.edges
         self.element_masks = np.array(self.graph.vertices, dtype=np.uint64)
@@ -126,8 +133,7 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     # indices suffice, since nv * width < 2^31 under the graph build guard
     u, v = ctx.u[keep], ctx.v[keep]
     rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    nv = ctx.graph.vertex_count
-    width = (nv + 7) // 8
+    nv, width = ctx.graph.vertex_count, ctx.width
     packed = np.zeros(nv * width, dtype=np.uint8)
     np.bitwise_or.at(packed, rows * width + (cols >> 3),
                      np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
@@ -162,6 +168,7 @@ def star_survives(sample: EdgeSample, centre: int) -> bool:
 class EkrSampleResult:
     holds: bool
     only_stars: bool | None = None
+    witness: int = 0  # the search's best independent set, as a vertex mask
 
 
 def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False,
@@ -176,42 +183,54 @@ def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False,
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
     target = sample.params.star_size + 1
-    size, _, _ = max_independent_set_masks(
+    size, witness, _ = max_independent_set_masks(
         sample.adjacency, stop_at=target, node_cap=node_cap)
     holds = size < target
     if not holds or not uniqueness:
-        return EkrSampleResult(holds=holds)
+        return EkrSampleResult(holds=holds, witness=witness)
     ctx = _context(sample.params)
     masks, _ = enumerate_maximum_independent_sets(
         sample.adjacency, sample.params.star_size, node_cap=node_cap)
     only = all(is_star(ctx.graph.family_from_vertex_mask(m)) for m in masks)
-    return EkrSampleResult(holds=True, only_stars=only)
+    return EkrSampleResult(holds=True, only_stars=only, witness=witness)
 
 
 # ── probability estimation ───────────────────────────────────────────────
 
-def _run_trial(tp: ThresholdParams, trial_index: int) -> tuple[bool, int]:
-    sample = sample_subgraph(tp, trial_index)
-    return ekr_holds(sample).holds, count_superstars(sample)
+_OPEN = (-math.inf, math.inf)  # (fails_upto, holds_from) before any search
 
 
-def _worker_chunk(args: tuple) -> tuple[int, int, float]:
-    tp, lo, hi = args
-    successes = 0
-    x_sum = 0
-    x_sumsq = 0.0
-    for t in range(lo, hi):
-        try:
-            ok, x = _run_trial(tp, t)
-        except GuardError as exc:
-            raise GuardError(
-                f"trial {t} aborted ({exc}); partial results: "
-                f"{t - lo} trials of [{lo},{hi}) done, "
-                f"{successes} successes, X sum {x_sum}") from exc
-        successes += ok
-        x_sum += x
-        x_sumsq += float(x) * x
-    return successes, x_sum, x_sumsq
+def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
+    """Decide trials lo, lo+1, ... at every p of tps (ascending) and update
+    their brackets; per p, [successes, X sum, X^2 sum] in trial order."""
+    tps, lo, brackets = args
+    ctx = _context(tps[0].params)
+    sums = [[0, 0, 0.0] for _ in tps]
+    for t, (fails_upto, holds_from) in enumerate(brackets, lo):
+        uniforms = trial_uniforms(tps[0], t)
+        for tp, acc in zip(tps, sums):
+            if tp.p >= holds_from:  # EKR holds here and at every later p
+                break
+            sample = sample_subgraph(tp, t, uniforms)
+            x = count_superstars(sample)
+            acc[1] += x
+            acc[2] += float(x) * x
+            if x or tp.p <= fails_upto:
+                continue
+            try:
+                ekr = ekr_holds(sample)
+            except GuardError as exc:
+                raise GuardError(f"trial {t} at p={tp.p} aborted ({exc})") from exc
+            if ekr.holds:
+                holds_from = tp.p
+            else:  # the witness stays independent up to its least edge uniform
+                inside = np.unpackbits(np.frombuffer(ekr.witness.to_bytes(
+                    ctx.width, "little"), np.uint8), bitorder="little").view(bool)
+                fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
+        for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
+            acc[0] += tp.p >= holds_from
+        brackets[t - lo] = (fails_upto, holds_from)
+    return sums, brackets
 
 
 def wilson_interval(successes: int, trials: int,
@@ -227,6 +246,37 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[dict]:
+    """Estimates at each p of tps (one params, trials, seed); updates brackets."""
+    trials = tps[0].trials
+    ascending = sorted(set(tps), key=lambda tp: tp.p)
+    if trials < CI_MIN_TRIALS:
+        raise DomainError(
+            f"need at least {CI_MIN_TRIALS} trials for the interval, got {trials}")
+    _context(tps[0].params)  # build before forking so children inherit it
+    if workers <= 1:
+        chunks = [_sweep_chunk((ascending, 0, brackets))]
+    else:
+        bounds = [trials * w // workers for w in range(workers + 1)]
+        jobs = [(ascending, bounds[w], brackets[bounds[w]:bounds[w + 1]])
+                for w in range(workers) if bounds[w] < bounds[w + 1]]
+        with get_context("fork").Pool(processes=workers) as pool:
+            chunks = pool.map(_sweep_chunk, jobs)
+    brackets[:] = [b for _, part in chunks for b in part]
+    estimates = {}
+    for tp, per_chunk in zip(ascending, zip(*(sums for sums, _ in chunks))):
+        successes, x_sum, x_sumsq = (sum(col) for col in zip(*per_chunk))
+        lo, hi = wilson_interval(successes, trials)
+        mean_x = x_sum / trials
+        var_x = max(0.0, x_sumsq / trials - mean_x * mean_x)
+        estimates[tp] = {
+            "n": tp.params.n, "k": tp.params.k, "p": tp.p, "trials": trials,
+            "successes": successes, "fraction": successes / trials,
+            "ci_lo": lo, "ci_hi": hi, "mean_x": mean_x,
+            "std_x": math.sqrt(var_x), "seed": tp.master_seed}
+    return [estimates[tp] for tp in tps]
+
+
 def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
     """Fraction of trials with the EKR property, with a Wilson 95% interval.
 
@@ -234,38 +284,14 @@ def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
     worker count: each trial derives its stream from its own index and the
     aggregation is a commutative reduce.
     """
-    if tp.trials < CI_MIN_TRIALS:
-        raise DomainError(
-            f"need at least {CI_MIN_TRIALS} trials for the interval, got {tp.trials}")
-    _context(tp.params)  # build before forking so children inherit it
-    if workers <= 1:
-        chunks = [_worker_chunk((tp, 0, tp.trials))]
-    else:
-        bounds = [tp.trials * w // workers for w in range(workers + 1)]
-        jobs = [(tp, bounds[w], bounds[w + 1]) for w in range(workers)
-                if bounds[w] < bounds[w + 1]]
-        with get_context("fork").Pool(processes=workers) as pool:
-            chunks = pool.map(_worker_chunk, jobs)
-    successes = sum(c[0] for c in chunks)
-    x_sum = sum(c[1] for c in chunks)
-    x_sumsq = sum(c[2] for c in chunks)
-    fraction = successes / tp.trials
-    lo, hi = wilson_interval(successes, tp.trials)
-    mean_x = x_sum / tp.trials
-    var_x = max(0.0, x_sumsq / tp.trials - mean_x * mean_x)
-    return {
-        "n": tp.params.n,
-        "k": tp.params.k,
-        "p": tp.p,
-        "trials": tp.trials,
-        "successes": successes,
-        "fraction": fraction,
-        "ci_lo": lo,
-        "ci_hi": hi,
-        "mean_x": mean_x,
-        "std_x": math.sqrt(var_x),
-        "seed": tp.master_seed,
-    }
+    return _estimate([tp], [_OPEN] * tp.trials, workers)[0]
+
+
+def estimate_probabilities(params: GroundParams, ps: list[float], trials: int,
+                           master_seed: int, *, workers: int = 1) -> list[dict]:
+    """estimate_probability at every p of ps, in their order, from one pass."""
+    tps = [ThresholdParams(params, p, trials, master_seed) for p in ps]
+    return _estimate(tps, [_OPEN] * trials, workers) if tps else []
 
 
 def critical_probabilities_raw(n: int, k: int) -> dict:
@@ -288,20 +314,21 @@ def find_threshold(params: GroundParams, trials: int, seed: int, *,
                    max_iter: int = 30) -> dict:
     """Bisection for the p where the EKR-property frequency crosses 1/2.
 
-    Each evaluation is an estimate_probability call; the bracket moves only
-    when the Wilson interval separates from 1/2, and the search stops at an
-    undecided midpoint (flagged) or once the bracket is narrower than
-    width_tol.  Reported alongside p_c and p_0 for comparison.
+    Each midpoint is estimated with every trial's bracket kept from earlier
+    midpoints; the p bracket moves only when the Wilson interval separates
+    from 1/2, and the search stops at an undecided midpoint (flagged) or once
+    it is narrower than width_tol.  Reported alongside p_c and p_0.
     """
     crit = critical_probabilities(params)
     lo, hi = 0.0, 1.0
     iterations = 0
     separated = True
     evaluations = []
+    brackets = [_OPEN] * trials
     while hi - lo > width_tol and iterations < max_iter:
         mid = 0.5 * (lo + hi)
-        est = estimate_probability(
-            ThresholdParams(params, mid, trials, seed), workers=workers)
+        est = _estimate([ThresholdParams(params, mid, trials, seed)],
+                        brackets, workers)[0]
         evaluations.append({"p": mid, "fraction": est["fraction"],
                             "ci_lo": est["ci_lo"], "ci_hi": est["ci_hi"]})
         iterations += 1

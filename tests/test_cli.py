@@ -157,6 +157,32 @@ def test_sampling_pinned_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("simulate --n 14 --k 2 --p 0.7,0.5,0.6,0.5 --trials 30 --seed 4",
+     "bfc36ddfc10ebe9b18bd37c2daf89b9b18bdec53066043bda7d2ce6a4a23b9fb"),
+    ("simulate --n 12 --k 2 --p 0.5,0.6,0.7 --trials 64 --seed 7 --workers 2",
+     "672ca90cedff0e7da02927e188247e369afb690dac63b09fb4f7dfb3220f8b67"),
+    ("threshold --n 12 --k 2 --trials 200",
+     "592c421d113d4425f286d5af74bbeb5e8512f0a82a33398a6796d05f77e7fff8"),
+])
+def test_sweep_pinned_output(capsys, argv, digest):
+    # byte-for-byte output of the per-p estimates that the coupled sweep
+    # replaced: unsorted and repeated p, two workers, and a bisection
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,message", [
+    ("1.5", "error: p must lie in [0,1], got 1.5\n"),
+    ("0.5", "error: need at least 30 trials for the interval, got 5\n"),
+])
+def test_simulate_validation_errors(capsys, p, message):
+    code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",
+                             "--p", p, "--trials", "5")
+    assert (code, out, err) == (1, "", message)
+
+
 def test_removal_runs_one_centre_set_search(capsys, monkeypatch):
     from kneserlab import removal
 
@@ -178,6 +204,15 @@ def test_simulate_edge_guard_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "guard" in err
+
+
+def test_simulate_row_guard_exit_code(capsys):
+    # K(18,9) passes the edge guard but its adjacency rows take 295 MB
+    code, out, err = run_cli(capsys, "simulate", "--n", "18", "--k", "9",
+                             "--p", "0.5", "--trials", "30")
+    assert code == 2
+    assert out == ""
+    assert "adjacency rows" in err
 
 
 def test_threshold_payload(capsys):

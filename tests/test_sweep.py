@@ -1,0 +1,145 @@
+"""The coupled p-sweep against independent per-p decisions.
+
+The reference decides every (trial, p) on its own: a fresh sample_subgraph,
+count_superstars and ekr_holds, with no bracket carried between values of p
+or between bisection steps.
+"""
+
+from collections import Counter
+
+import pytest
+
+from kneserlab import threshold
+from kneserlab.families import GroundParams
+from kneserlab.threshold import (
+    ThresholdParams,
+    count_superstars,
+    ekr_holds,
+    estimate_probabilities,
+    find_threshold,
+    sample_subgraph,
+    wilson_interval,
+)
+
+TRIALS = 30
+SEED = 1961
+
+
+def reference_counts(params, p, trials, seed):
+    """(successes, X sum) from an independent decision per trial."""
+    tp = ThresholdParams(params, p, trials, seed)
+    successes = x_sum = 0
+    for t in range(trials):
+        sample = sample_subgraph(tp, t)
+        successes += ekr_holds(sample).holds
+        x_sum += count_superstars(sample)
+    return successes, x_sum
+
+
+# Each list is unsorted, repeats a value and holds 0; all but (9,4) hold 1,
+# where a search of the full K(9,4) exceeds the node cap.
+@pytest.mark.parametrize("n,k,ps", [
+    (5, 2, [1.0, 0.0, 0.85, 0.9, 0.85, 0.7]),
+    (8, 2, [0.7, 0.0, 1.0, 0.6, 0.7, 0.75]),
+    (12, 2, [0.7, 0.5, 1.0, 0.6, 0.0, 0.5]),
+    (8, 3, [0.7, 1.0, 0.5, 0.0, 0.75, 0.7]),
+    (9, 4, [0.3, 0.0, 0.6, 0.45, 0.6, 0.5]),
+])
+def test_sweep_matches_independent_decisions(n, k, ps):
+    params = GroundParams(n, k)
+    rows = estimate_probabilities(params, ps, TRIALS, SEED)
+    assert [row["p"] for row in rows] == ps
+    reference = {p: reference_counts(params, p, TRIALS, SEED) for p in set(ps)}
+    for p, row in zip(ps, rows):
+        successes, x_sum = reference[p]
+        assert row["successes"] == successes, p
+        assert row["mean_x"] == x_sum / TRIALS, p
+    assert reference[0.0][0] == 0
+    assert 1.0 not in reference or reference[1.0] == (TRIALS, 0)
+
+
+def test_sweep_rows_independent_of_workers():
+    ps = [0.7, 0.5, 0.6, 0.5, 0.55]
+    rows = [estimate_probabilities(GroundParams(12, 2), ps, 40, 7, workers=w)
+            for w in (1, 2)]
+    assert rows[0] == rows[1]
+
+
+def reference_bisection(params, trials, seed, width_tol=0.02, max_iter=30):
+    """find_threshold's bisection with an independent estimate per midpoint."""
+    lo, hi = 0.0, 1.0
+    evaluations = []
+    while hi - lo > width_tol and len(evaluations) < max_iter:
+        mid = 0.5 * (lo + hi)
+        successes, _ = reference_counts(params, mid, trials, seed)
+        ci_lo, ci_hi = wilson_interval(successes, trials)
+        evaluations.append({"p": mid, "fraction": successes / trials,
+                            "ci_lo": ci_lo, "ci_hi": ci_hi})
+        if ci_lo > 0.5:
+            hi = mid
+        elif ci_hi < 0.5:
+            lo = mid
+        else:
+            lo = hi = mid
+            break
+    return evaluations, 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n,trials", [(8, 60), (10, 200)])
+def test_find_threshold_matches_bracket_free_bisection(n, trials):
+    params = GroundParams(n, 2)
+    rep = find_threshold(params, trials=trials, seed=5)
+    evaluations, p_half = reference_bisection(params, trials, 5)
+    assert rep["evaluations"] == evaluations
+    assert rep["p_half"] == p_half
+    assert len(evaluations) >= 4
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(trial, p, EKR held) for each search, in call order."""
+    log = []
+    current = []
+    real_sample, real_search = threshold.sample_subgraph, threshold.max_independent_set_masks
+
+    def sample(tp, trial_index, uniforms=None):
+        current[:] = [trial_index, tp.p]
+        return real_sample(tp, trial_index, uniforms)
+
+    def search(adjacency, *, stop_at=None, **kwargs):
+        result = real_search(adjacency, stop_at=stop_at, **kwargs)
+        log.append((*current, result[0] < stop_at))
+        return result
+
+    monkeypatch.setattr(threshold, "sample_subgraph", sample)
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    return log
+
+
+def assert_no_settled_search(log):
+    """No search at a p that an earlier search of the same trial settled:
+    EKR holding at p' settles every p >= p', and a witness found at p'
+    settles every p <= p'."""
+    seen = {}
+    for trial, p, held in log:
+        for earlier_p, earlier_held in seen.get(trial, []):
+            assert not (p >= earlier_p if earlier_held else p <= earlier_p), (
+                trial, p, earlier_p)
+        seen.setdefault(trial, []).append((p, held))
+
+
+def test_each_trial_proves_ekr_at_most_once_in_a_sweep(searches):
+    ps = [0.8, 0.5, 0.7, 0.6, 0.9]
+    rows = estimate_probabilities(GroundParams(12, 2), ps, TRIALS, SEED)
+    proofs = Counter(trial for trial, _, held in searches if held)
+    assert sum(row["successes"] for row in rows) > len(proofs) > 0
+    assert max(proofs.values()) == 1
+    assert len(searches) < TRIALS * len(ps) // 2
+    assert_no_settled_search(searches)
+
+
+def test_bisection_searches_only_open_brackets(searches):
+    rep = find_threshold(GroundParams(10, 2), trials=200, seed=5)
+    assert rep["iterations"] >= 4
+    assert any(held for *_, held in searches) and not all(held for *_, held in searches)
+    assert_no_settled_search(searches)

@@ -58,6 +58,23 @@ def test_sampling_context_guards_edges(monkeypatch):
     assert params not in threshold._CONTEXTS
 
 
+def test_sampling_context_guards_adjacency_rows(monkeypatch):
+    # at n = 2k, K(n,k) is a perfect matching: (18,9) has 24,310 edges, but
+    # its 48,620 packed adjacency rows take 295 MB
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph must not be built")
+
+    monkeypatch.setattr(threshold, "build_graph", no_build)
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    params = GroundParams(18, 9)
+    with pytest.raises(GuardError, match="adjacency rows"):
+        threshold._context(params)
+    assert params not in threshold._CONTEXTS
+    for n, k in ((16, 8), (15, 7)):  # 20.7 MB and 5.2 MB of rows
+        with pytest.raises(AssertionError, match="must not be built"):
+            threshold._context(GroundParams(n, k))
+
+
 def test_sample_trivial_probabilities():
     empty = sample_subgraph(ThresholdParams(P5, 0.0, 1, 0), 0)
     assert empty.retained_count == 0
