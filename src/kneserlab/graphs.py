@@ -20,11 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams, SetFamily, elements_from_mask, enumerate_masks
-from .mis import (
-    DEFAULT_NODE_CAP,
-    enumerate_maximum_independent_sets,
-    max_independent_set_masks,
-)
+from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
@@ -146,7 +142,6 @@ def max_independent_set(
     graph: KneserGraph,
     *,
     adjacency: Sequence[int] | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> MISResult:
     """Exact maximum independent set of K(n,k) or of an edge-subgraph of it.
 
@@ -166,11 +161,10 @@ def max_independent_set(
                 method="ratio-bound",
             )
         size, mask, nodes = max_independent_set_masks(
-            graph.adjacency, initial=star0, upper_bound=upper, node_cap=node_cap)
+            graph.adjacency, initial=star0, upper_bound=upper)
         return MISResult(size, graph.family_from_vertex_mask(mask), nodes,
                          "branch-and-bound")
-    size, mask, nodes = max_independent_set_masks(list(adjacency),
-                                                  node_cap=node_cap)
+    size, mask, nodes = max_independent_set_masks(list(adjacency))
     return MISResult(size, graph.family_from_vertex_mask(mask), nodes,
                      "branch-and-bound")
 
@@ -214,9 +208,7 @@ def _pair_mask(graph: KneserGraph, a: int, b: int) -> int:
     return 1 << graph.vertex_index((1 << a) | (1 << b))
 
 
-def enumerate_maximum(graph: KneserGraph, *, node_cap: int = DEFAULT_NODE_CAP,
-                      solution_cap: int = 1_000_000,
-                      vertex_guard: int = ENUMERATION_VERTEX_GUARD,
+def enumerate_maximum(graph: KneserGraph, *,
                       spectral_prune: bool = True) -> list[SetFamily]:
     """All maximum independent sets of K(n,k), by exhaustive enumeration.
 
@@ -230,19 +222,17 @@ def enumerate_maximum(graph: KneserGraph, *, node_cap: int = DEFAULT_NODE_CAP,
     applied at n = 2k.)  The unpruned search is kept reachable for
     cross-validation; the two agree on every instance small enough to run both.
     """
-    if graph.vertex_count > vertex_guard:
+    if graph.vertex_count > ENUMERATION_VERTEX_GUARD:
         raise GuardError(
-            f"all-solutions enumeration guarded to {vertex_guard} vertices, "
-            f"graph has {graph.vertex_count}")
+            f"all-solutions enumeration guarded to {ENUMERATION_VERTEX_GUARD} "
+            f"vertices, graph has {graph.vertex_count}")
     alpha = max_independent_set(graph).size
     classes = solver_clique_partition(graph)
     groups = None
     if spectral_prune and graph.params.n > 2 * graph.params.k:
         groups = graph.star_vertex_masks
     masks, _ = enumerate_maximum_independent_sets(
-        graph.adjacency, alpha, clique_classes=classes,
-        containment_groups=groups,
-        node_cap=node_cap, solution_cap=solution_cap)
+        graph.adjacency, alpha, clique_classes=classes, containment_groups=groups)
     return [graph.family_from_vertex_mask(m) for m in masks]
 
 
@@ -258,9 +248,7 @@ def is_star(family: SetFamily) -> bool:
     return common.bit_count() >= 1
 
 
-def verify_ekr(params: GroundParams, *, uniqueness: str = "auto",
-               node_cap: int = DEFAULT_NODE_CAP,
-               vertex_guard: int = ENUMERATION_VERTEX_GUARD) -> dict:
+def verify_ekr(params: GroundParams, *, uniqueness: str = "auto") -> dict:
     """alpha(K(n,k)) vs C(n-1,k-1), and whether the stars are the only maxima.
 
     uniqueness: 'auto' enumerates when the vertex count allows it and reports
@@ -268,7 +256,7 @@ def verify_ekr(params: GroundParams, *, uniqueness: str = "auto",
     enumerates.
     """
     graph = build_graph(params)
-    result = max_independent_set(graph, node_cap=node_cap)
+    result = max_independent_set(graph)
     alpha = result.size
     report = {
         "n": params.n,
@@ -282,8 +270,7 @@ def verify_ekr(params: GroundParams, *, uniqueness: str = "auto",
     if uniqueness == "skip":
         return report
     try:
-        families = enumerate_maximum(graph, node_cap=node_cap,
-                                     vertex_guard=vertex_guard)
+        families = enumerate_maximum(graph)
     except GuardError:
         if uniqueness == "force":
             raise
@@ -423,20 +410,14 @@ def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     extend exactly one slot, and each partial set S must absorb the element in
     exactly C(n-m-1, k-|S|-1) of its occurrences; the fractional solution
     sends (k-|S|)/(n-m) per slot, and an integral flow of the same value
-    always exists.  A backtracking fallback covers tiny cases defensively.
+    always exists.
     """
     n, k = params.n, params.k
     if n % k != 0:
         raise DomainError(f"Baranyai partition needs k | n, got n={n} k={k}")
     if params.slice_size > BUILD_GUARD:
         raise GuardError("slice too large for Baranyai construction")
-    try:
-        classes = _baranyai_flow(n, k)
-    except AssertionError:
-        if n <= 8:
-            classes = _baranyai_backtrack(n, k)
-        else:
-            raise
+    classes = _baranyai_flow(n, k)
     partition = BaranyaiPartition(
         params, tuple(SetFamily.from_masks(params, cls) for cls in classes))
     partition.validate()
@@ -496,43 +477,6 @@ def _baranyai_flow(n: int, k: int) -> list[list[int]]:
     return classes
 
 
-def _baranyai_backtrack(n: int, k: int) -> list[list[int]]:
-    """Exact backtracking 1-factorisation of the slice; de-risks the flow path."""
-    all_masks = list(enumerate_masks(n, k))
-    full = (1 << n) - 1
-    unused = set(all_masks)
-    classes: list[list[int]] = []
-
-    def extend(current: list[int], union: int) -> bool:
-        if union == full:
-            classes.append(current.copy())
-            for mask in current:
-                unused.discard(mask)
-            if not unused:
-                return True
-            nxt: list[int] = []
-            if extend(nxt, 0):
-                return True
-            for mask in current:
-                unused.add(mask)
-            classes.pop()
-            return False
-        for mask in sorted(unused):
-            if mask & union:
-                continue
-            if current and mask < current[-1]:
-                continue
-            current.append(mask)
-            if extend(current, union | mask):
-                return True
-            current.pop()
-        return False
-
-    if not extend([], 0):
-        raise AssertionError("backtracking failed to factorise the slice")
-    return classes
-
-
 def export_partition(partition: BaranyaiPartition, stream: IO[str]) -> None:
     """One class per line; sets comma-joined, separated by `|`."""
     for fam in partition.classes:
@@ -540,8 +484,7 @@ def export_partition(partition: BaranyaiPartition, stream: IO[str]) -> None:
                               for m in fam.members) + "\n")
 
 
-def extremal_subgraph(params: GroundParams,
-                      *, node_cap: int = DEFAULT_NODE_CAP) -> dict:
+def extremal_subgraph(params: GroundParams) -> dict:
     """Clique-union subgraph from the Baranyai partition, with exact alpha.
 
     The classes become cliques of size n/k; the subgraph is (n-k)/k-regular
@@ -559,7 +502,7 @@ def extremal_subgraph(params: GroundParams,
             cm |= 1 << i
         for i in idxs:
             adjacency[i] |= cm & ~(1 << i)
-    size, mask, nodes = max_independent_set_masks(adjacency, node_cap=node_cap)
+    size, mask, nodes = max_independent_set_masks(adjacency)
     degrees = {a.bit_count() for a in adjacency}
     return {
         "n": n,

@@ -1,37 +1,38 @@
-"""Exact maximum-independent-set machinery on bit-vector adjacency lists.
+"""Exact maximum-independent-set search on bit-vector adjacency lists.
 
 A graph on nv vertices is a list `adjacency` of nv ints; bit u of
 adjacency[v] means {u,v} is an edge.  Candidate sets, chosen sets and clique
 classes are all vertex-index bitmasks, so the inner loops are word ops.
 
-Two engines, both run on explicit stacks so that search depth is not bounded
-by the interpreter's recursion limit:
+One branch and bound, run on an explicit stack so that search depth is not
+bounded by the interpreter's recursion limit.  It branches in colour order
+(Tomita & Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC) with
+cliques of G as the colour classes: each node partitions its candidates into
+cliques, forces in the vertices isolated among them, and branches on the rest
+in reverse class order, cutting as soon as the classes left cannot beat the
+incumbent.  Two entry points run it:
 
-* max_independent_set_masks: optimisation branch and bound with an optional
-  early-exit target, used on sampled subgraphs and clique-union graphs.
-  Colour-ordered branching (Tomita & Seki's MCQ, in the bitset form of San
-  Segundo et al.'s BBMC) with cliques of G as the colour classes: each node
-  builds one greedy clique cover and branches on its vertices in reverse
-  cover order, cutting as soon as the classes left cannot beat the incumbent.
+* max_independent_set_masks: optimisation from a greedy incumbent with an
+  optional early-exit target, used on sampled subgraphs and clique-union
+  graphs.
 * enumerate_maximum_independent_sets: every independent set whose size equals
-  the (certified) independence number, used for uniqueness checks.  Accepts an
-  optional static clique partition (from a 1-factorisation / Baranyai split)
-  whose hit count is a much cheaper bound than a recomputed cover on dense
-  Kneser graphs.
+  the (certified) independence number alpha, used for uniqueness checks.  The
+  incumbent is held at alpha - 1, so each set that reaches alpha is recorded
+  and none tightens the cut.  An optional static clique partition (from a
+  1-factorisation / Baranyai split) replaces the per-node greedy cover; its
+  hit count is a much cheaper bound on dense Kneser graphs.
 
-Both engines apply two reductions that are safe when chasing maximum sets:
-vertices isolated inside the candidate set are forced into the solution, and
-an edgeless candidate set closes the node in O(1).  Node caps raise instead
-of returning an approximation.
+Node and solution caps raise instead of returning an approximation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import SearchBudgetExceeded
 
 DEFAULT_NODE_CAP = 5_000_000
+SOLUTION_CAP = 1_000_000
 
 
 def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
@@ -67,16 +68,77 @@ def greedy_independent_set(adjacency: Sequence[int]) -> int:
     return taken
 
 
-def _isolated_vertices(cand: int, adjacency: Sequence[int]) -> int:
-    """Mask of candidate vertices with no neighbour inside cand."""
-    iso = 0
-    m = cand
-    while m:
-        low = m & -m
-        if not adjacency[low.bit_length() - 1] & cand:
-            iso |= low
-        m ^= low
-    return iso
+def _branch_and_bound(
+    adjacency: Sequence[int],
+    cand: int,
+    best: int,
+    best_mask: int,
+    goal: int,
+    node_cap: int,
+    cover: Callable[[int, Sequence[int]], list[int]],
+    found: set[int] | None = None,
+) -> tuple[int, int, int]:
+    """Search the independent sets inside the root candidate mask cand.
+
+    cover(cand, adjacency) partitions cand into cliques.  The incumbent
+    (best, best_mask) rises with each larger set found until it reaches goal.
+    With a `found` set the incumbent stays fixed instead, and every set larger
+    than it is added to found.  Returns (best, best_mask, node_count).
+    """
+    nodes = 0
+    # One frame per open node: [size, chosen, cand, cover classes not yet
+    # exhausted].  cand shrinks as its vertices are branched on.
+    stack: list[list] = []
+    size, chosen = 0, 0
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            raise SearchBudgetExceeded(f"search exceeded node cap {node_cap}")
+        # An isolated candidate is a singleton class of any clique partition;
+        # forcing it in keeps size + cand.bit_count() and every other class.
+        if size + cand.bit_count() > best:
+            classes = cover(cand, adjacency)
+            iso = sum(c for c in classes if not c & (c - 1)
+                      and not adjacency[c.bit_length() - 1] & cand)
+            if iso:
+                size, chosen, cand = size + iso.bit_count(), chosen | iso, cand ^ iso
+                classes = [c for c in classes if not c & iso]
+            if size > best:
+                if found is None:
+                    best, best_mask = size, chosen
+                    if best >= goal:
+                        break
+                else:
+                    found.add(chosen)
+                    if len(found) > SOLUTION_CAP:
+                        raise SearchBudgetExceeded(
+                            f"enumeration exceeded solution cap {SOLUTION_CAP}")
+            if classes:  # else a leaf: nothing left to branch on
+                stack.append([size, chosen, cand, classes])
+        # Descend from the deepest open node into its next vertex, taking the
+        # classes last first.  The vertices left in classes 1..c are covered by
+        # c cliques, so once size + c <= best (best read live, after every
+        # child returns) no set through this node can beat the incumbent.
+        while stack:
+            frame = stack[-1]
+            size, chosen, cand, classes = frame
+            if size + len(classes) <= best:
+                stack.pop()
+                continue
+            members = classes[-1]
+            low = members & -members
+            if members == low:
+                classes.pop()
+            else:
+                classes[-1] = members ^ low
+            frame[2] = cand ^ low
+            size += 1
+            chosen |= low
+            cand &= ~adjacency[low.bit_length() - 1] & ~low
+            break
+        else:
+            break  # every node is closed: nothing beats best
+    return best, best_mask, nodes
 
 
 def max_independent_set_masks(
@@ -104,60 +166,8 @@ def max_independent_set_masks(
     goal = min((t for t in (stop_at, upper_bound) if t is not None), default=nv + 1)
     if best >= goal:
         return best, best_mask, 0
-
-    nodes = 0
-    # One frame per open node: [size, chosen, cand, cover classes not yet
-    # exhausted].  cand shrinks as its vertices are branched on.
-    stack: list[list] = []
-    size, chosen, cand = 0, 0, (1 << nv) - 1
-    while True:
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchBudgetExceeded(
-                f"max_independent_set exceeded node cap {node_cap}")
-        # Isolated vertices are singleton classes of the first-fit cover; forcing
-        # them in keeps size + cand.bit_count() and every other class.
-        if size + cand.bit_count() > best:
-            classes = greedy_clique_cover(cand, adjacency)
-            iso = sum(c for c in classes if not c & (c - 1)
-                      and not adjacency[c.bit_length() - 1] & cand)
-            if iso:
-                size, chosen, cand = size + iso.bit_count(), chosen | iso, cand ^ iso
-                classes = [c for c in classes if not c & iso]
-            if size > best:
-                best, best_mask = size, chosen
-                if best >= goal:
-                    break
-            stack.append([size, chosen, cand, classes])
-        # Descend from the deepest open node into its next vertex, taking the
-        # classes last first.  The vertices left in classes 1..c are covered by
-        # c cliques, so once size + c <= best (best read live, after every
-        # child returns) no set through this node can beat the incumbent.
-        while stack:
-            frame = stack[-1]
-            size, chosen, cand, classes = frame
-            if size + len(classes) <= best:
-                stack.pop()
-                continue
-            members = classes[-1]
-            low = members & -members
-            if members == low:
-                classes.pop()
-            else:
-                classes[-1] = members ^ low
-            frame[2] = cand ^ low
-            size += 1
-            chosen |= low
-            cand &= ~adjacency[low.bit_length() - 1] & ~low
-            break
-        else:
-            break  # every node is closed: best is alpha
-    return best, best_mask, nodes
-
-
-# Branch over a closed neighbourhood when the locally sparsest candidate has
-# at most this many candidate neighbours.
-_SPARSE_BRANCH_DEGREE = 10
+    return _branch_and_bound(adjacency, (1 << nv) - 1, best, best_mask, goal,
+                             node_cap, greedy_clique_cover)
 
 
 def enumerate_maximum_independent_sets(
@@ -167,185 +177,31 @@ def enumerate_maximum_independent_sets(
     clique_classes: Sequence[int] | None = None,
     containment_groups: Sequence[int] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    solution_cap: int = 1_000_000,
 ) -> tuple[list[int], int]:
     """All independent sets of size exactly alpha, where alpha = alpha(G).
 
-    The caller must pass the true independence number (the forced-inclusion
-    reduction is only sound at that target).  clique_classes: optional clique
-    partition of the vertex set; the number of classes meeting the candidate
-    set is then the pruning bound.  Without it a greedy cover is recomputed at
-    every node.  containment_groups: optional vertex masks with an
-    external guarantee that every maximum independent set lies inside one of
-    them; prefixes contained in no group are then pruned.  Returns (sorted
-    solution masks, node count).
+    The caller must pass the true independence number: a set found at alpha
+    is then maximal, so the search records it and goes no deeper.
+    clique_classes: optional clique partition of the vertex set; the classes
+    meeting the candidate set then replace the greedy cover recomputed at
+    every node.  containment_groups: optional vertex masks with an external
+    guarantee that every maximum independent set lies inside one of them;
+    each group is then searched as its own root.  Returns (sorted solution
+    masks, node count); more than SOLUTION_CAP solutions raise.
     """
-    nv = len(adjacency)
-    full = (1 << nv) - 1
-    solutions: list[int] = []
+    full = (1 << len(adjacency)) - 1
+    if clique_classes is None:
+        cover = greedy_clique_cover
+    else:
+        classes = tuple(clique_classes)
+
+        def cover(cand: int, _adjacency: Sequence[int]) -> list[int]:
+            return [c & cand for c in classes if c & cand]
+    roots = [full] if containment_groups is None else [
+        g & full for g in containment_groups]
+    found: set[int] = set()
     nodes = 0
-    classes = tuple(clique_classes) if clique_classes is not None else None
-    groups = tuple(containment_groups) if containment_groups is not None else None
-
-    def cover_members(cand: int, needed: int) -> list[int] | None:
-        """Nonempty clique-class member masks, or None once count > needed."""
-        if classes is not None:
-            members = []
-            for cm in classes:
-                mem = cm & cand
-                if mem:
-                    members.append(mem)
-                    if len(members) > needed:
-                        return None
-            return members
-        members = greedy_clique_cover(cand, adjacency)
-        return None if len(members) > needed else members
-
-    def emit(mask: int) -> None:
-        solutions.append(mask)
-        if len(solutions) > solution_cap:
-            raise SearchBudgetExceeded(
-                f"enumeration exceeded solution cap {solution_cap}")
-
-    def children(size: int, chosen: int, cand: int) -> list[tuple[int, int, int]]:
-        """Close one node; return its child nodes in search order."""
-        if groups is not None and chosen:
-            restriction = 0
-            confined = False
-            for g in groups:
-                if chosen & ~g == 0:
-                    restriction |= g
-                    confined = True
-            if not confined:
-                return []
-            cand &= restriction
-        while True:
-            iso = _isolated_vertices(cand, adjacency)
-            if iso:
-                size += iso.bit_count()
-                chosen |= iso
-                cand ^= iso
-            if size == alpha:
-                emit(chosen)
-                return []
-            if size > alpha:
-                return []  # unreachable when alpha is the true independence number
-            needed = alpha - size
-            if not cand or cand.bit_count() < needed:
-                return []
-            members = cover_members(cand, needed)
-            if members is None:
-                break  # more classes than needed: bound cannot prune or force
-            if len(members) < needed:
-                return []
-            # Exactly `needed` nonempty cliques cover cand, so a solution takes
-            # one vertex per clique; singleton cliques are forced moves.
-            forced = 0
-            for mem in members:
-                if mem & (mem - 1) == 0:
-                    forced |= mem
-            if not forced:
-                break
-            progressed = False
-            m = forced
-            while m:
-                low = m & -m
-                m ^= low
-                if not cand & low:
-                    continue  # died when an earlier forced vertex was included
-                size += 1
-                chosen |= low
-                cand &= ~adjacency[low.bit_length() - 1] & ~low
-                progressed = True
-            if not progressed:
-                break
-        # Every maximum independent set extending `chosen` inside cand meets
-        # the closed candidate neighbourhood of any candidate vertex (else it
-        # could be enlarged), so branching over N[v] with sibling exclusion is
-        # complete.  In locally sparse regions a minimum-degree v keeps that
-        # branch factor tiny; in dense regions an ascending include/exclude
-        # loop with bound rechecks fans out less.
-        # No check between siblings depends on what an earlier sibling found,
-        # so all children are listed at once.
-        kids = []
-        v = _min_degree_vertex(cand, adjacency)
-        local_degree = (adjacency[v] & cand).bit_count()
-        if local_degree <= _SPARSE_BRANCH_DEGREE:
-            branch = (adjacency[v] & cand) | (1 << v)
-            banned = 0
-            m = branch
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                kids.append((size + 1, chosen | low,
-                             cand & ~adjacency[w] & ~low & ~banned))
-                banned |= low
-                m ^= low
-            return kids
-        while cand:
-            needed = alpha - size
-            if cand.bit_count() < needed:
-                break
-            if classes is not None:
-                members = cover_members(cand, needed)
-                if members is not None and len(members) < needed:
-                    break
-            low = cand & -cand
-            w = low.bit_length() - 1
-            kids.append((size + 1, chosen | low, cand & ~adjacency[w] & ~low))
-            cand ^= low
-        return kids
-
-    stack = [(0, 0, full)]
-    while stack:
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchBudgetExceeded(f"enumeration exceeded node cap {node_cap}")
-        stack.extend(reversed(children(*stack.pop())))
-    return sorted(solutions), nodes
-
-
-def _min_degree_vertex(cand: int, adjacency: Sequence[int]) -> int:
-    """Candidate vertex of minimum degree within cand, ties to lowest index."""
-    best_v = -1
-    best_d = 1 << 60
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        d = (adjacency[v] & cand).bit_count()
-        if d < best_d:
-            best_d, best_v = d, v
-            if d == 1:
-                break  # isolated vertices were already forced in
-        m ^= low
-    return best_v
-
-
-def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
-    """2^nv subset scan: (alpha, all maximum independent sets).  Test oracle."""
-    nv = len(adjacency)
-    if nv > 22:
-        raise SearchBudgetExceeded("brute force oracle limited to 22 vertices")
-    best = 0
-    sols: list[int] = []
-    for mask in range(1 << nv):
-        size = mask.bit_count()
-        if size < best:
-            continue
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            if adjacency[low.bit_length() - 1] & mask:
-                ok = False
-                break
-            m ^= low
-        if not ok:
-            continue
-        if size > best:
-            best = size
-            sols = [mask]
-        else:
-            sols.append(mask)
-    return best, sols
+    for root in roots:
+        nodes += _branch_and_bound(adjacency, root, alpha - 1, 0, alpha,
+                                   node_cap - nodes, cover, found)[2]
+    return sorted(found), nodes

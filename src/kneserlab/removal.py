@@ -20,7 +20,6 @@ from .errors import DomainError, GuardError
 from .families import (
     FamilyStats,
     SetFamily,
-    degree_profile,
     disjoint_pairs,
     family_stats,
     subset_counts,
@@ -93,16 +92,6 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
         if best_d is None or d < best_d:
             best_d, best_s = d, combo
     return best_s, best_d
-
-
-def nearest_union_heuristic(family: SetFamily, ell: int) -> tuple[tuple[int, ...], int]:
-    """Top-l-degree centre set (ties to smallest element) and its exact distance."""
-    if ell > family.params.n:
-        raise DomainError(f"l={ell} exceeds n={family.params.n}")
-    degrees = degree_profile(family)
-    order = sorted(range(1, family.params.n + 1), key=lambda i: (-degrees[i - 1], i))
-    centres = tuple(sorted(order[:ell]))
-    return centres, union_distance(family, centres)
 
 
 # ── bound checks ─────────────────────────────────────────────────

@@ -116,12 +116,6 @@ def decompose_affine(family: SetFamily) -> SpectralDecomposition:
     )
 
 
-def quadratic_form(family: SetFamily) -> int:
-    """f^T A f via an explicit double sum over ordered disjoint pairs."""
-    mem = family.members
-    return sum(1 for a in mem for b in mem if not a & b)
-
-
 @dataclass(frozen=True)
 class ResidualBoundReport:
     lhs: float
@@ -142,10 +136,3 @@ def residual_bound_check(family: SetFamily, ell: int) -> ResidualBoundReport:
     rhs_exact = ((2 * ell - 1) * stats.alpha + 2 * stats.beta) * Fraction(k, n - 2 * k)
     return ResidualBoundReport(lhs=float(dec.f2_norm_sq_exact), rhs=float(rhs_exact),
                                holds=dec.f2_norm_sq_exact <= rhs_exact)
-
-
-def residual_min_eigenvalue(params: GroundParams) -> int:
-    """Most negative eigenvalue on the non-affine part: lambda_3 when k >= 3, else 0."""
-    if params.k < 3:
-        return 0
-    return -math.comb(params.n - params.k - 3, params.k - 3)

@@ -24,11 +24,7 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .families import GroundParams
 from .graphs import build_graph, is_star
-from .mis import (
-    DEFAULT_NODE_CAP,
-    enumerate_maximum_independent_sets,
-    max_independent_set_masks,
-)
+from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
 # _SampleContext keeps two int32 endpoints per edge of K(n,k) and a trial
@@ -171,8 +167,7 @@ class EkrSampleResult:
     witness: int = 0  # the search's best independent set, as a vertex mask
 
 
-def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False,
-              node_cap: int = DEFAULT_NODE_CAP) -> EkrSampleResult:
+def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False) -> EkrSampleResult:
     """alpha(K_p) == C(n-1,k-1)?  Decided by searching for a larger set.
 
     Removing edges can only create independent sets, so alpha >= C(n-1,k-1)
@@ -183,14 +178,13 @@ def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False,
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
     target = sample.params.star_size + 1
-    size, witness, _ = max_independent_set_masks(
-        sample.adjacency, stop_at=target, node_cap=node_cap)
+    size, witness, _ = max_independent_set_masks(sample.adjacency, stop_at=target)
     holds = size < target
     if not holds or not uniqueness:
         return EkrSampleResult(holds=holds, witness=witness)
     ctx = _context(sample.params)
     masks, _ = enumerate_maximum_independent_sets(
-        sample.adjacency, sample.params.star_size, node_cap=node_cap)
+        sample.adjacency, sample.params.star_size)
     only = all(is_star(ctx.graph.family_from_vertex_mask(m)) for m in masks)
     return EkrSampleResult(holds=True, only_stars=only, witness=witness)
 
@@ -207,7 +201,8 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
     ctx = _context(tps[0].params)
     sums = [[0, 0, 0.0] for _ in tps]
     for t, (fails_upto, holds_from) in enumerate(brackets, lo):
-        uniforms = trial_uniforms(tps[0], t)
+        # a trial settled at the lowest p of the call takes no sample
+        uniforms = trial_uniforms(tps[0], t) if tps[0].p < holds_from else None
         for tp, acc in zip(tps, sums):
             if tp.p >= holds_from:  # EKR holds here and at every later p
                 break

@@ -38,7 +38,7 @@ from kneserlab.removal import (
     nearest_union_exact,
     removal_bound_base,
 )
-from kneserlab.spectral import decompose_affine, residual_bound_check, quadratic_form
+from kneserlab.spectral import decompose_affine, residual_bound_check
 from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
@@ -48,6 +48,7 @@ from kneserlab.threshold import (
     sample_subgraph,
     star_survives,
 )
+from oracles import quadratic_form
 
 SEED = 1961
 

@@ -9,7 +9,6 @@ from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import (
     BaranyaiPartition,
-    _baranyai_backtrack,
     baranyai_partition,
     build_graph,
     enumerate_maximum,
@@ -23,7 +22,7 @@ from kneserlab.graphs import (
     spectrum_cross_check,
     verify_ekr,
 )
-from kneserlab.mis import brute_force_maximum
+from oracles import baranyai_backtrack, brute_force_maximum
 
 
 def test_build_graph_examples():
@@ -178,7 +177,7 @@ def test_baranyai_rejects_non_divisible():
 
 
 def test_baranyai_backtracking_fallback_agrees_on_shape():
-    classes = _baranyai_backtrack(6, 2)
+    classes = baranyai_backtrack(6, 2)
     params = GroundParams(6, 2)
     from kneserlab.families import SetFamily
 

@@ -7,14 +7,15 @@ import textwrap
 
 import pytest
 
+from kneserlab import mis
 from kneserlab.errors import SearchBudgetExceeded
 from kneserlab.mis import (
-    brute_force_maximum,
     enumerate_maximum_independent_sets,
     greedy_clique_cover,
     greedy_independent_set,
     max_independent_set_masks,
 )
+from oracles import brute_force_maximum
 
 
 def random_graph(nv, p, seed):
@@ -90,6 +91,29 @@ def test_node_cap_raises_instead_of_approximating():
     adjacency = random_graph(18, 0.5, 11)
     with pytest.raises(SearchBudgetExceeded):
         max_independent_set_masks(adjacency, node_cap=1)
+
+
+def perfect_matching(nv):
+    return [1 << (v ^ 1) for v in range(nv)]
+
+
+def test_enumeration_solution_cap_raises_instead_of_truncating(monkeypatch):
+    adjacency = perfect_matching(24)  # alpha 12, one endpoint per edge: 4,096 sets
+    monkeypatch.setattr(mis, "SOLUTION_CAP", 4096)
+    masks, nodes = enumerate_maximum_independent_sets(adjacency, 12)
+    assert len(masks) == 4096 and nodes > 1000
+    # the cap is checked as each set is found, long before the search ends
+    monkeypatch.setattr(mis, "SOLUTION_CAP", 100)
+    with pytest.raises(SearchBudgetExceeded, match="solution cap 100"):
+        enumerate_maximum_independent_sets(adjacency, 12, node_cap=1000)
+
+
+def test_enumeration_node_cap_raises_instead_of_truncating():
+    adjacency = random_graph(18, 0.5, 11)
+    alpha = max_independent_set_masks(adjacency)[0]
+    assert enumerate_maximum_independent_sets(adjacency, alpha)[1] > 1
+    with pytest.raises(SearchBudgetExceeded, match="node cap 1$"):
+        enumerate_maximum_independent_sets(adjacency, alpha, node_cap=1)
 
 
 def test_containment_groups_prune_soundly():

@@ -22,11 +22,11 @@ from kneserlab.removal import (
     case_table,
     center_set_check,
     nearest_union_exact,
-    nearest_union_heuristic,
     removal_bound_check,
     union_distance,
     union_size,
 )
+from oracles import nearest_union_heuristic
 
 
 def exhaustive_union_oracle(family, ell):

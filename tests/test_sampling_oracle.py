@@ -14,7 +14,6 @@ from kneserlab import threshold
 from kneserlab.errors import DomainError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import build_graph, export_edges
-from kneserlab.mis import brute_force_maximum
 from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
@@ -23,6 +22,7 @@ from kneserlab.threshold import (
     star_survives,
     trial_uniforms,
 )
+from oracles import brute_force_maximum
 
 ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4)]
 ORACLE_PS = [0.0, 0.3, 0.5, 1.0]

@@ -16,9 +16,8 @@ from kneserlab.spectral import (
     eigenvalue_multiplicity,
     kneser_eigenvalue,
     residual_bound_check,
-    quadratic_form,
-    residual_min_eigenvalue,
 )
+from oracles import quadratic_form, residual_min_eigenvalue
 
 TOL = 1e-9
 

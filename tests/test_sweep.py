@@ -143,3 +143,32 @@ def test_bisection_searches_only_open_brackets(searches):
     assert rep["iterations"] >= 4
     assert any(held for *_, held in searches) and not all(held for *_, held in searches)
     assert_no_settled_search(searches)
+
+
+def test_bisection_draws_only_for_trials_it_samples(monkeypatch):
+    # a trial whose bracket settles a midpoint as holding takes no sample
+    # there, so it must not draw its uniforms either
+    calls = []  # per sweep call: (trials that drew, trials that sampled)
+    real_chunk, real_draw, real_sample = (
+        threshold._sweep_chunk, threshold.trial_uniforms, threshold.sample_subgraph)
+
+    def chunk(args):
+        calls.append((Counter(), set()))
+        return real_chunk(args)
+
+    def draw(tp, trial_index):
+        calls[-1][0][trial_index] += 1
+        return real_draw(tp, trial_index)
+
+    def sample(tp, trial_index, uniforms=None):
+        calls[-1][1].add(trial_index)
+        return real_sample(tp, trial_index, uniforms)
+
+    monkeypatch.setattr(threshold, "_sweep_chunk", chunk)
+    monkeypatch.setattr(threshold, "trial_uniforms", draw)
+    monkeypatch.setattr(threshold, "sample_subgraph", sample)
+    rep = find_threshold(GroundParams(10, 2), trials=200, seed=5)
+    assert len(calls) == rep["iterations"] >= 4
+    for drawn, sampled in calls:
+        assert set(drawn) == sampled and max(drawn.values()) == 1
+    assert sum(len(drawn) for drawn, _ in calls) < 200 * len(calls)

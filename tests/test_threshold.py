@@ -7,7 +7,7 @@ import pytest
 from kneserlab import threshold
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
-from kneserlab.mis import brute_force_maximum, max_independent_set_masks
+from kneserlab.mis import max_independent_set_masks
 from kneserlab.threshold import (
     ThresholdParams,
     analytic_bounds,
@@ -22,6 +22,7 @@ from kneserlab.threshold import (
     trial_uniforms,
     wilson_interval,
 )
+from oracles import brute_force_maximum
 
 P12 = GroundParams(12, 2)
 P5 = GroundParams(5, 2)
