@@ -261,29 +261,83 @@ def _parse_int(tok: str, what: str) -> int:
 
 # ── file format: header `n=<n> k=<k>`, one comma-separated set per line ──
 
+_HEADER_RE = re.compile(r"^n=(\d+)\s+k=(\d+)$")
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)  # set bits per byte value
+
+
 def load_family(path: Path) -> SetFamily:
-    params = None
+    """Read a family file; blank lines and lines starting with # are skipped.
+
+    Sets written as save_family writes them are parsed and validated in bulk.
+    Any other line, valid or not, sends the file to a line-by-line parse,
+    which names the first bad line and the first fault in it.
+    """
+    lines = (line for line in map(str.strip, Path(path).read_text().splitlines())
+             if line and not line.startswith("#"))
+    header = next(lines, None)
+    if header is None:
+        raise DomainError(f"no header line in {path}")
+    hm = _HEADER_RE.match(header)
+    if not hm:
+        raise DomainError(f"first data line must be 'n=<n> k=<k>', got {header!r}")
+    params = GroundParams(int(hm.group(1)), int(hm.group(2)))
+    body = "\n".join(lines)
+    masks = _bulk_masks(body, params.n)
+    if masks is None:
+        masks = _line_masks(body.split("\n"), params.n, path)
+    return SetFamily.from_masks(params, masks)
+
+
+def _bulk_masks(body: str, n: int) -> list[int] | None:
+    """The set of each line of body, or None unless every line lists
+    distinct elements of 1..n as 1- or 2-digit decimals joined by commas,
+    and no set repeats."""
+    if not body:
+        return []
+    try:
+        text = np.frombuffer(f"\n{body}\n".encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        return None
+    # narrow dtypes: int64 arrays here add megabytes to the peak RSS of
+    # `removal` on a large file: family
+    digits = text - np.uint8(ord("0"))  # every other character wraps past 9
+    seps = np.flatnonzero(digits > 9).astype(np.int32)
+    newline = text == ord("\n")
+    if len(seps) != np.count_nonzero(newline) + np.count_nonzero(text == ord(",")):
+        return None  # a character other than digits and separators
+    gaps = np.diff(seps)  # token lengths plus one
+    if ((gaps < 2) | (gaps > 3)).any():
+        return None
+    two = gaps == 3
+    ends = seps[1:]
+    elements = digits[ends - 1]
+    elements[two] += 10 * digits[ends[two] - 2]
+    if ((elements < 1) | (elements > n)).any():
+        return None
+    line_ends = np.flatnonzero(newline[ends])  # index of each line's last token
+    counts = np.diff(line_ends, prepend=-1)
+    bits = (elements - np.uint8(1)).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    masks = np.bitwise_or.reduceat(bits, line_ends - counts + 1)
+    if (_POPCOUNT[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1) != counts).any():
+        return None  # a repeated element
+    masks.sort()
+    return None if (masks[1:] == masks[:-1]).any() else masks.tolist()  # a repeated set
+
+
+def _line_masks(lines: list[str], n: int, path: Path) -> list[int]:
+    """The set of each line, parsed line by line; raises at the first bad one."""
     masks: list[int] = []
     seen: set[int] = set()
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if params is None:
-            hm = re.match(r"^n=(\d+)\s+k=(\d+)$", line)
-            if not hm:
-                raise DomainError(f"first data line must be 'n=<n> k=<k>', got {line!r}")
-            params = GroundParams(int(hm.group(1)), int(hm.group(2)))
-            continue
+    for line in lines:
         elements = [_parse_int(tok.strip(), "element") for tok in line.split(",")]
-        mask = mask_from_elements(elements, params.n)
+        mask = mask_from_elements(elements, n)
         if mask in seen:
             raise DomainError(f"duplicate set {tuple(sorted(elements))} in {path}")
         seen.add(mask)
         masks.append(mask)
-    if params is None:
-        raise DomainError(f"no header line in {path}")
-    return SetFamily.from_masks(params, masks)
+    return masks
 
 
 def save_family(family: SetFamily, path: Path) -> None:

@@ -87,32 +87,31 @@ def decompose_affine(family: SetFamily) -> SpectralDecomposition:
     size = len(family)
     degrees = degree_profile(family)
 
-    mean = Fraction(size, total)
-    # b_i = E[f y_i]; the gauge solution is a_i = b_i * n(n-1) / (k(n-k)).
-    scale = Fraction(n * (n - 1), k * (n - k))
-    coeffs = [mean]
-    f1 = Fraction(0)
-    for d in degrees:
-        b = Fraction(d, total) - mean * Fraction(k, n)
-        a = b * scale
-        coeffs.append(a)
-        f1 += a * b
-    f2 = mean - mean * mean - f1
+    # b_i = E[f y_i] = b_num[i] / (total n), and the gauge solution is
+    # a_i = b_i n(n-1) / (k(n-k)) = b_num[i] (n-1) / (total k(n-k)).  Each
+    # quantity is an integer over a common denominator, and int / int true
+    # division rounds correctly, as float(Fraction) does.
+    b_num = [n * d - k * size for d in degrees]
+    a_den = total * k * (n - k)
+    f1_num = (n - 1) * sum(b * b for b in b_num)
+    f1_den = a_den * total * n
+    # f2 = mean - mean^2 - f1, over f1's denominator
+    f2_num = size * (total - size) * k * (n - k) * n - f1_num
 
-    f0_f = float(mean)
-    f1_f = float(f1)
-    f2_f = float(f2)
-    residual = abs(float(mean) - f0_f * f0_f - f1_f - f2_f)
+    f0_f = size / total
+    f1_f = f1_num / f1_den
+    f2_f = f2_num / f1_den
+    residual = abs(f0_f - f0_f * f0_f - f1_f - f2_f)
     return SpectralDecomposition(
         params=params,
         f0=f0_f,
-        affine_coeffs=tuple(float(a) for a in coeffs),
+        affine_coeffs=(f0_f, *(b * (n - 1) / a_den for b in b_num)),
         f1_norm_sq=f1_f,
         f2_norm_sq=f2_f,
         parseval_residual=residual,
-        f0_exact=mean,
-        f1_norm_sq_exact=f1,
-        f2_norm_sq_exact=f2,
+        f0_exact=Fraction(size, total),
+        f1_norm_sq_exact=Fraction(f1_num, f1_den),
+        f2_norm_sq_exact=Fraction(f2_num, f1_den),
     )
 
 

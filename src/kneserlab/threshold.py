@@ -3,18 +3,23 @@
 Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
 how trials are scheduled across workers.  A sample is one numpy pass over
-the edge arrays of K(n,k), one uniform per edge: it packs the retained edges
-into adjacency bitsets and ORs each vertex's retained neighbours into the
-elements blocked for it.  The unblocked ones certify superstars, which give
-the superstar count, star survival and a search-free EKR failure.  EKR is
-monotone in p under this coupling, so a trial walks its p values ascending:
-a search proving EKR settles every larger p, and a refuting witness every p
-up to its least edge uniform.  Analytic evaluators work in log-space: the
+the edge arrays of K(n,k), one uniform per edge: it keeps the retained edges
+and ORs each vertex's retained neighbours into the elements blocked for it.
+The unblocked ones certify superstars, which give the superstar count, star
+survival and a search-free EKR failure.  Without a superstar, EKR is decided
+by branch and bound on a copy of the sample relabelled by ascending degree
+(MCQ's initial vertex order, carried over to independent sets), packed from
+the retained edges; a star is its incumbent, so it looks only for a set one
+larger.  EKR is monotone in p under this coupling, so a trial walks its p
+values ascending: a search proving EKR settles every larger p, and a
+refuting witness, mapped back to the sample's vertex order, every p up to
+its least edge uniform.  Analytic evaluators work in log-space: the
 exponents reach C(n-1,k-1) and overflow doubles quickly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
@@ -69,6 +74,8 @@ class _SampleContext:
         self.u, self.v = self.graph.edges
         self.element_masks = np.array(self.graph.vertices, dtype=np.uint64)
         self.all_elements = np.uint64((1 << params.n) - 1)
+        # the star at centre 1, per vertex: independent in every K_p
+        self.star = (self.element_masks & np.uint64(1)).astype(bool)
 
 
 _CONTEXTS: dict[GroundParams, _SampleContext] = {}
@@ -89,10 +96,36 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
+    """Adjacency bitsets of the graph with edges (u[i], v[i])."""
+    # each edge twice, as (row, column) and (column, row); int32 indices
+    # suffice, since nv * width < 2^31 under the graph build guard
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    width = ctx.width
+    packed = np.zeros(ctx.graph.vertex_count * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, rows * width + (cols >> 3),
+                     np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
+    buf = memoryview(packed)  # read in place: a copy adds nv^2/8 bytes to the peak
+    return tuple(int.from_bytes(buf[i:i + width], "little")
+                 for i in range(0, len(buf), width))
+
+
+def _bits(mask: int, width: int) -> np.ndarray:
+    """A vertex mask as one bool per vertex, padded to 8 * width."""
+    return np.unpackbits(np.frombuffer(mask.to_bytes(width, "little"), np.uint8),
+                         bitorder="little").view(bool)
+
+
+def _mask(bits: np.ndarray) -> int:
+    """The vertex mask with bit i set iff bits[i]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeSample:
-    """A sampled subgraph: adjacency masks plus its superstar certificate.
+    """A sampled subgraph: its retained edges plus its superstar certificate.
 
+    edges holds the retained (u, v) endpoint arrays, a subset of K(n,k)'s.
     unblocked[f] has bit x-1 set iff x is not in vertex f and no retained
     edge joins f to the star S_x, that is, iff (S_x, f) is a superstar.
     """
@@ -100,12 +133,17 @@ class EdgeSample:
     params: GroundParams
     p: float
     trial_index: int
-    adjacency: tuple[int, ...]
+    edges: tuple[np.ndarray, np.ndarray]
     unblocked: np.ndarray
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Adjacency bitsets in K(n,k)'s vertex order, packed on first use."""
+        return _pack_rows(_context(self.params), *self.edges)
 
     @property
     def retained_count(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
+        return len(self.edges[0])
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
@@ -125,23 +163,15 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     if uniforms is None:
         uniforms = trial_uniforms(tp, trial_index)
     keep = uniforms < tp.p
-    # each retained edge twice, as (row, column) and (column, row); int32
-    # indices suffice, since nv * width < 2^31 under the graph build guard
     u, v = ctx.u[keep], ctx.v[keep]
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    nv, width = ctx.graph.vertex_count, ctx.width
-    packed = np.zeros(nv * width, dtype=np.uint8)
-    np.bitwise_or.at(packed, rows * width + (cols >> 3),
-                     np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
-    buf = memoryview(packed)  # read in place: a copy adds nv^2/8 bytes to the peak
-    blocked = np.zeros(nv, dtype=np.uint64)
-    np.bitwise_or.at(blocked, rows, ctx.element_masks[cols])
+    blocked = np.zeros(ctx.graph.vertex_count, dtype=np.uint64)
+    np.bitwise_or.at(blocked, np.concatenate((u, v)),
+                     ctx.element_masks[np.concatenate((v, u))])
     return EdgeSample(
         params=tp.params,
         p=tp.p,
         trial_index=trial_index,
-        adjacency=tuple(int.from_bytes(buf[i:i + width], "little")
-                        for i in range(0, len(buf), width)),
+        edges=(u, v),
         unblocked=ctx.all_elements & ~(blocked | ctx.element_masks),
     )
 
@@ -173,16 +203,30 @@ def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False) -> EkrSampleResul
     Removing edges can only create independent sets, so alpha >= C(n-1,k-1)
     always (the stars persist); equality fails exactly when some independent
     set of size C(n-1,k-1)+1 exists.  A superstar (S_x, F) is one, so a
-    sample with one fails without a search.
+    sample with one fails without a search.  Otherwise the search runs on a
+    copy relabelled by ascending degree in the sample (ties to index), the
+    vertex order of MCQ carried over to independent sets, with the star at
+    centre 1 as its incumbent, so it only looks for a set one larger.  Its
+    witness is mapped back to K(n,k)'s vertex indices.
     """
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
+    ctx = _context(sample.params)
+    u, v = sample.edges
+    nv = ctx.graph.vertex_count
+    # vertex r of the relabelled copy is vertex order[r] of the sample
+    order = np.argsort(np.bincount(np.concatenate((u, v)), minlength=nv), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(nv)
     target = sample.params.star_size + 1
-    size, witness, _ = max_independent_set_masks(sample.adjacency, stop_at=target)
+    size, found, _ = max_independent_set_masks(
+        _pack_rows(ctx, rank[u], rank[v]), stop_at=target, initial=_mask(ctx.star[order]))
+    inside = np.zeros(nv, dtype=bool)
+    inside[order] = _bits(found, ctx.width)[:nv]
+    witness = _mask(inside)
     holds = size < target
     if not holds or not uniqueness:
         return EkrSampleResult(holds=holds, witness=witness)
-    ctx = _context(sample.params)
     masks, _ = enumerate_maximum_independent_sets(
         sample.adjacency, sample.params.star_size)
     only = all(is_star(ctx.graph.family_from_vertex_mask(m)) for m in masks)
@@ -219,8 +263,7 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
             if ekr.holds:
                 holds_from = tp.p
             else:  # the witness stays independent up to its least edge uniform
-                inside = np.unpackbits(np.frombuffer(ekr.witness.to_bytes(
-                    ctx.width, "little"), np.uint8), bitorder="little").view(bool)
+                inside = _bits(ekr.witness, ctx.width)
                 fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
         for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
             acc[0] += tp.p >= holds_from

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 from kneserlab.errors import DomainError, SearchBudgetExceeded
-from kneserlab.families import GroundParams, SetFamily, degree_profile, enumerate_masks
+from kneserlab.families import (
+    GroundParams,
+    SetFamily,
+    degree_profile,
+    enumerate_masks,
+    mask_from_elements,
+)
 from kneserlab.removal import union_distance
+from kneserlab.spectral import SpectralDecomposition
 
 
 def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
@@ -97,3 +107,63 @@ def baranyai_backtrack(n: int, k: int) -> list[list[int]]:
     if not extend([], 0):
         raise AssertionError("backtracking failed to factorise the slice")
     return classes
+
+
+def load_family_by_line(path: Path) -> SetFamily:
+    """The family file parsed one line and one element at a time."""
+    params = None
+    masks: list[int] = []
+    seen: set[int] = set()
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if params is None:
+            hm = re.match(r"^n=(\d+)\s+k=(\d+)$", line)
+            if not hm:
+                raise DomainError(f"first data line must be 'n=<n> k=<k>', got {line!r}")
+            params = GroundParams(int(hm.group(1)), int(hm.group(2)))
+            continue
+        elements = []
+        for tok in line.split(","):
+            try:
+                elements.append(int(tok.strip()))
+            except ValueError:
+                raise DomainError(f"bad element: {tok.strip()!r}") from None
+        mask = mask_from_elements(elements, params.n)
+        if mask in seen:
+            raise DomainError(f"duplicate set {tuple(sorted(elements))} in {path}")
+        seen.add(mask)
+        masks.append(mask)
+    if params is None:
+        raise DomainError(f"no header line in {path}")
+    return SetFamily.from_masks(params, masks)
+
+
+def decompose_affine_fraction(family: SetFamily) -> SpectralDecomposition:
+    """The affine decomposition with every step in Fraction."""
+    params = family.params
+    n, k = params.n, params.k
+    total = params.slice_size
+    mean = Fraction(len(family), total)
+    scale = Fraction(n * (n - 1), k * (n - k))
+    coeffs = [mean]
+    f1 = Fraction(0)
+    for d in degree_profile(family):
+        b = Fraction(d, total) - mean * Fraction(k, n)
+        a = b * scale
+        coeffs.append(a)
+        f1 += a * b
+    f2 = mean - mean * mean - f1
+    f0_f, f1_f, f2_f = float(mean), float(f1), float(f2)
+    return SpectralDecomposition(
+        params=params,
+        f0=f0_f,
+        affine_coeffs=tuple(float(a) for a in coeffs),
+        f1_norm_sq=f1_f,
+        f2_norm_sq=f2_f,
+        parseval_residual=abs(float(mean) - f0_f * f0_f - f1_f - f2_f),
+        f0_exact=mean,
+        f1_norm_sq_exact=f1,
+        f2_norm_sq_exact=f2,
+    )

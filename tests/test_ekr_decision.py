@@ -1,0 +1,146 @@
+"""The EKR decision on a degree-ordered copy, against index-order searches.
+
+ekr_holds relabels each sample by ascending degree and seeds its search
+with a star; these tests check its verdicts against searches of the sample
+as drawn, and that its witness comes back in the sample's vertex order.
+"""
+
+import pytest
+
+from kneserlab import threshold
+from kneserlab.families import GroundParams
+from kneserlab.graphs import build_graph
+from kneserlab.mis import DEFAULT_NODE_CAP, max_independent_set_masks
+from kneserlab.threshold import (
+    ThresholdParams,
+    count_superstars,
+    ekr_holds,
+    sample_subgraph,
+)
+from oracles import brute_force_maximum
+
+SEED = 1961
+
+
+def is_independent(adjacency, mask):
+    m = mask
+    while m:
+        low = m & -m
+        if adjacency[low.bit_length() - 1] & mask:
+            return False
+        m ^= low
+    return True
+
+
+def check_witness(sample, result):
+    """A refuting search's witness is a set one larger than a star,
+    independent in the sample as drawn."""
+    if not result.holds and count_superstars(sample) == 0:
+        assert result.witness.bit_count() >= sample.params.star_size + 1
+        assert is_independent(sample.adjacency, result.witness)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 2)])
+def test_ordered_decision_matches_brute_force(n, k):
+    params = GroundParams(n, k)
+    searched = refuted = 0
+    for p in (0.3, 0.5, 0.7, 0.8, 0.9):
+        tp = ThresholdParams(params, p, 1, SEED)
+        for t in range(12):
+            sample = sample_subgraph(tp, t)
+            best, _ = brute_force_maximum(list(sample.adjacency))
+            result = ekr_holds(sample)
+            assert result.holds == (best == params.star_size), (p, t)
+            check_witness(sample, result)
+            if count_superstars(sample) == 0:
+                searched += 1
+                refuted += not result.holds
+    assert searched > refuted > 0
+
+
+@pytest.mark.parametrize("n,k", [(12, 2), (14, 2), (8, 3)])
+def test_ordered_decision_matches_index_order_search(n, k):
+    params = GroundParams(n, k)
+    target = params.star_size + 1
+    verdicts = set()
+    for p in (0.3, 0.5, 0.7):
+        tp = ThresholdParams(params, p, 1, SEED)
+        for t in range(10):
+            sample = sample_subgraph(tp, t)
+            size, _, _ = max_independent_set_masks(sample.adjacency, stop_at=target)
+            result = ekr_holds(sample)
+            assert result.holds == (size < target), (p, t)
+            check_witness(sample, result)
+            verdicts.add((result.holds, count_superstars(sample) > 0))
+    # proofs, superstar failures and (at (12,2) and (14,2)) refuting searches
+    assert {(True, False), (False, True)} <= verdicts
+    if k == 2:
+        assert (False, False) in verdicts
+
+
+def test_refuting_witnesses_come_back_in_sample_order():
+    # samples at (12,2), p = 0.5 with no superstar that still fail EKR; the
+    # witness of each is independent in the sample only after the map back
+    tp = ThresholdParams(GroundParams(12, 2), 0.5, 1, SEED)
+    refuted = 0
+    for t in range(200):
+        sample = sample_subgraph(tp, t)
+        if count_superstars(sample):
+            continue
+        result = ekr_holds(sample)
+        check_witness(sample, result)
+        refuted += not result.holds
+    assert refuted >= 3
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (9, 2), (8, 3), (9, 4), (10, 5)])
+def test_star_incumbent_is_independent_in_the_full_graph(n, k):
+    params = GroundParams(n, k)
+    ctx = threshold._context(params)
+    star = threshold._mask(ctx.star)
+    graph = build_graph(params)
+    assert star.bit_count() == params.star_size
+    assert is_independent(graph.adjacency, star)
+    full = sample_subgraph(ThresholdParams(params, 1.0, 1, 0), 0)
+    assert full.adjacency == tuple(graph.adjacency)
+    assert all(graph.vertices[v] & 1 for v in range(len(graph.vertices))
+               if star >> v & 1)
+
+
+def test_search_starts_from_the_star(monkeypatch):
+    # the star is the incumbent, so the search only looks for a larger set
+    seen = []
+    real = threshold.max_independent_set_masks
+
+    def search(adjacency, *, stop_at=None, initial=0, **kwargs):
+        seen.append((stop_at, initial.bit_count(), is_independent(adjacency, initial)))
+        return real(adjacency, stop_at=stop_at, initial=initial, **kwargs)
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    params = GroundParams(10, 2)
+    tp = ThresholdParams(params, 0.6, 1, SEED)
+    for t in range(20):
+        ekr_holds(sample_subgraph(tp, t))
+    assert seen
+    assert set(seen) == {(params.star_size + 1, params.star_size, True)}
+
+
+# K_p(9,4) at p = 0.85: trials with no superstar whose index-order search
+# runs past the default node cap; the ordered search decides each in under
+# 1% of it.
+@pytest.mark.parametrize("trial", [4, 9, 10])
+def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
+    nodes = []
+    real = threshold.max_independent_set_masks
+
+    def search(adjacency, **kwargs):
+        result = real(adjacency, **kwargs)
+        nodes.append(result[2])
+        return result
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    sample = sample_subgraph(ThresholdParams(GroundParams(9, 4), 0.85, 1, SEED), trial)
+    assert count_superstars(sample) == 0
+    assert ekr_holds(sample).holds
+    assert len(nodes) == 1 and nodes[0] < DEFAULT_NODE_CAP // 100
+

@@ -241,3 +241,99 @@ def test_union_of_stars_dp_benchmark():
         fam = build_family(params, "union:" + ",".join(map(str, range(1, ell + 1))))
         cap = math.comb(ell, 2) * params.star_size * params.star_disjoint_degree
         assert disjoint_pairs(fam) == dp_oracle(fam) <= cap
+
+
+def loaded_or_error(loader, path):
+    """The family a loader returns, or the DomainError message it raises."""
+    try:
+        return loader(path)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+FILE_CASES = {
+    "bad token": ("n=6 k=2\n1,2\n3,x\n4,y\n", "bad element: 'x'"),
+    "empty token": ("n=6 k=2\n1,2\n3,\n", "bad element: ''"),
+    "element out of range": ("n=6 k=2\n1,2\n3,7\n0,1\n", "element 7 out of range 1..6"),
+    "huge element": ("n=6 k=2\n1,99999999999999999999\n", "element 99999999999999999999 "
+                     "out of range 1..6"),
+    "repeated element": ("n=6 k=2\n1,2\n4,4\n", "repeated element 4"),
+    "repeated top element": ("n=64 k=3\n64,64,64\n", "repeated element 64"),
+    "duplicate set": ("n=6 k=2\n1,2\n3,4\n2,1\n", "duplicate set (1, 2) in {path}"),
+    "spaced duplicate set": ("n=6 k=2\n1,2\n3,4\n 2 , 1\n", "duplicate set (1, 2) in {path}"),
+    "missing header": ("# only a comment\n\n", "no header line in {path}"),
+    "header mismatch": ("1,2\nn=6 k=2\n", "first data line must be 'n=<n> k=<k>', got '1,2'"),
+    "wrong set size": ("n=6 k=2\n1,2,3\n", "member (1, 2, 3) is not a 2-set"),
+    # the first bad line decides the message, whatever comes after it
+    "range before token": ("n=6 k=2\n1,9\nx,1\n", "element 9 out of range 1..6"),
+    "token before repeat": ("n=6 k=2\n1,1,x\n", "bad element: 'x'"),
+    "repeat before duplicate": ("n=6 k=2\n1,2\n2,2\n1,2\n", "repeated element 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_bulk_family_file_errors_match_line_parse(case, tmp_path):
+    from oracles import load_family_by_line
+
+    text, message = FILE_CASES[case]
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError) as exc:
+        load_family(path)
+    assert str(exc.value) == message.format(path=path)
+    assert loaded_or_error(load_family_by_line, path) == f"DomainError: {exc.value}"
+
+
+def test_family_file_header_must_match_the_request(tmp_path):
+    path = tmp_path / "fam.txt"
+    save_family(build_family(GroundParams(7, 3), "random:10:1"), path)
+    with pytest.raises(DomainError, match="file header n=7 k=3 does not match "
+                                          "requested n=8 k=3"):
+        build_family(GroundParams(8, 3), f"file:{path}")
+
+
+def test_bulk_family_file_matches_line_parse_on_mutated_files(tmp_path, monkeypatch):
+    import random
+
+    from kneserlab import families
+    from oracles import load_family_by_line
+
+    line_parses = []
+    real_line_masks = families._line_masks
+
+    def line_masks(*args):
+        line_parses.append(1)
+        return real_line_masks(*args)
+
+    monkeypatch.setattr(families, "_line_masks", line_masks)
+    rng = random.Random(5)
+    outcomes = set()
+    for trial in range(400):
+        n, k = rng.choice([(6, 2), (9, 3), (40, 4), (64, 5)])
+        sets = sorted({tuple(sorted(rng.sample(range(1, n + 1), k)))
+                       for _ in range(rng.randint(0, 30))})
+        lines = [f"n={n} k={k}"] + [",".join(map(str, rng.sample(s, k))) for s in sets]
+        for _ in range(rng.randint(0, 2)):  # corrupt a line or two
+            at = rng.randrange(len(lines))
+            lines[at] = rng.choice([
+                lambda s: s + ",x", lambda s: s + ",", lambda s: s + f",{n + 1}",
+                lambda s: s + ",0", lambda s: s + "," + s.split(",")[0],
+                lambda s: s.rsplit(",", 1)[0], lambda s: "# " + s, lambda s: "",
+                lambda s: " " + s + "\t", lambda s: s + "\n" + s,
+                lambda s: s.replace(",", ",+"), lambda s: s.replace(",", ", "),
+                lambda s: s.replace(",", ",0"), lambda s: s.replace(",", ",00"),
+                lambda s: s.replace(",", ",,"), lambda s: s + "," + "9" * 20,
+            ])(lines[at])
+        path = tmp_path / f"fam{trial}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        before = len(line_parses)
+        got = loaded_or_error(load_family, path)
+        assert got == loaded_or_error(load_family_by_line, path), lines
+        parsed_by = "line" if len(line_parses) > before else "bulk"
+        outcomes.add((parsed_by, got.split(" ")[1] if isinstance(got, str) else "family"))
+    # the bulk parse accepts canonical files (header faults come before it,
+    # a wrong set size after it), and the line parse names every other fault
+    assert {("bulk", "family"), ("bulk", "member"), ("line", "family"), ("line", "bad"),
+            ("line", "element"), ("line", "repeated"), ("line", "duplicate")} <= outcomes
+    assert {what for by, what in outcomes if by == "bulk"} <= {
+        "family", "member", "first", "no"}, outcomes

@@ -169,3 +169,22 @@ def test_sample_memory_is_packed_at_15_7():
     packed = nv * ((nv + 7) // 8)
     assert peak < 3 * packed < nv * nv, (peak, packed)
     assert sample.retained_count == sum(uniforms < 0.5)
+
+
+def test_adjacency_is_packed_on_first_use_at_15_7():
+    import tracemalloc
+
+    params = GroundParams(15, 7)
+    nv = math.comb(15, 7)
+    packed = nv * ((nv + 7) // 8)
+    sample = sample_subgraph(ThresholdParams(params, 0.5, 1, 3), 0)
+    assert "adjacency" not in vars(sample)  # sampling alone packs nothing
+    tracemalloc.start()
+    try:
+        adjacency = sample.adjacency
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * packed < nv * nv, (peak, packed)
+    assert sample.adjacency is adjacency
+    assert sum(a.bit_count() for a in adjacency) == 2 * sample.retained_count

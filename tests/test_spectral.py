@@ -194,3 +194,21 @@ def test_decomposition_json_fields():
     assert set(payload) == {"f0", "affine_coeffs", "f1_norm_sq", "f2_norm_sq",
                             "parseval_residual"}
     assert len(payload["affine_coeffs"]) == 6
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (9, 4), (12, 2), (14, 3), (20, 4)])
+def test_integer_decomposition_matches_fraction_loop(n, k):
+    import json
+
+    from oracles import decompose_affine_fraction
+
+    params = GroundParams(n, k)
+    total = params.slice_size
+    specs = ["star:1", "union:1,2", "complement-of:star:2"] + [
+        f"random:{m}:{seed}" for seed, m in enumerate(
+            {1, 2, total // 3, total // 2, total - 1, total})]
+    for spec in specs:
+        fam = build_family(params, spec)
+        got, want = decompose_affine(fam), decompose_affine_fraction(fam)
+        assert got == want, spec
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
