@@ -25,7 +25,8 @@ from .graphs import (
     spectrum_cross_check,
     verify_ekr,
 )
-from .removal import RemovalConfig, case_table, center_set_check, removal_bound_check
+from .removal import (DEFAULT_C_CONST, RemovalConfig, case_table, center_set_check,
+                      removal_bound_check)
 from .spectral import decompose_affine, kneser_eigenvalue, residual_bound_check
 from .threshold import (
     DEFAULT_EPSILON,
@@ -36,7 +37,6 @@ from .threshold import (
 )
 
 DEFAULT_SEED = 1961  # fixed documented default; never time-based
-DEFAULT_C_CONST = 2.0
 
 
 def _default_workers() -> int:
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", default=None, help="optional family spec to decompose")
     common(sub.add_parser("removal", help="nearest union of stars and bound"),
            family=True, ell=True)
-    common(sub.add_parser("ekr", help="exact alpha and star uniqueness"))
+    common(sub.add_parser("ekr", help="exact alpha; are the stars the only maxima"))
     common(sub.add_parser("baranyai", help="perfect-matching partition (k | n)")
            ).add_argument("--partition-only", action="store_true",
                           help="skip the extremal subgraph statistics")

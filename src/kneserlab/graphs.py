@@ -4,8 +4,8 @@ Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
 disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
 against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
 which equals C(n-1,k-1) exactly; a branch-and-bound fallback covers any graph
-where the two differ.  Uniqueness of maximum independent sets is checked by
-honest enumeration, guarded by a vertex cap.
+where the two differ.  All maximum independent sets are enumerated, one root
+per star when n > 2k and under a vertex cap, to check that only stars occur.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class KneserGraph:
 
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shared int32 endpoints (u, v), u < v, by u then v; do not write."""
+        """Shared read-only int32 endpoints (u, v), u < v, by u then v."""
         width = (self.vertex_count + 7) // 8
         later = []  # per u, the neighbours v > u
         for u, row in enumerate(self.adjacency):
@@ -55,6 +55,7 @@ class KneserGraph:
             later.append(np.flatnonzero(np.unpackbits(bits, bitorder="little")) + u + 1)
         u = np.repeat(np.arange(self.vertex_count, dtype=np.int32), [len(w) for w in later])
         v = np.concatenate(later).astype(np.int32)
+        u.flags.writeable = v.flags.writeable = False  # every trial reads them
         return u, v
 
     def vertex_index(self, mask: int) -> int:
@@ -73,14 +74,14 @@ class KneserGraph:
         return SetFamily.from_masks(self.params, masks)
 
 
-def build_graph(params: GroundParams, *, guard: int = BUILD_GUARD) -> KneserGraph:
-    """Materialise K(n,k); requires n >= 2k and C(n,k) within the guard."""
+def build_graph(params: GroundParams) -> KneserGraph:
+    """Materialise K(n,k); requires n >= 2k and C(n,k) <= BUILD_GUARD."""
     n, k = params.n, params.k
     if n < 2 * k:
         raise DomainError(f"Kneser graph needs n >= 2k, got n={n} k={k}")
     nv = params.slice_size
-    if nv > guard:
-        raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {guard}")
+    if nv > BUILD_GUARD:
+        raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {BUILD_GUARD}")
     vertices = tuple(enumerate_masks(n, k))
     arr = np.array(vertices, dtype=np.uint64)
     adjacency: list[int] = []
@@ -138,74 +139,25 @@ def star_vertex_mask_checked(graph: KneserGraph, centre: int) -> int:
     return smask
 
 
-def max_independent_set(
-    graph: KneserGraph,
-    *,
-    adjacency: Sequence[int] | None = None,
-) -> MISResult:
-    """Exact maximum independent set of K(n,k) or of an edge-subgraph of it.
+def max_independent_set(graph: KneserGraph) -> MISResult:
+    """Exact maximum independent set of K(n,k).
 
-    For the full graph the verified star incumbent meets the ratio bound, so
-    the answer is certified without search; any gap falls back to branch and
-    bound.  Passing `adjacency` (edge subset, same vertex order) always runs
-    the search, since the ratio bound only applies to the regular full graph.
+    The verified star meets the ratio bound, which certifies it without a
+    search; any gap falls back to branch and bound, stopping at the bound.
     """
-    if adjacency is None:
-        star0 = star_vertex_mask_checked(graph, 1)
-        upper = ratio_bound(graph.params)
-        if star0.bit_count() == upper:
-            return MISResult(
-                size=upper,
-                witness=graph.family_from_vertex_mask(star0),
-                node_count=0,
-                method="ratio-bound",
-            )
-        size, mask, nodes = max_independent_set_masks(
-            graph.adjacency, initial=star0, upper_bound=upper)
-        return MISResult(size, graph.family_from_vertex_mask(mask), nodes,
-                         "branch-and-bound")
-    size, mask, nodes = max_independent_set_masks(list(adjacency))
+    star0 = star_vertex_mask_checked(graph, 1)
+    upper = ratio_bound(graph.params)
+    if star0.bit_count() == upper:
+        return MISResult(
+            size=upper,
+            witness=graph.family_from_vertex_mask(star0),
+            node_count=0,
+            method="ratio-bound",
+        )
+    size, mask, nodes = max_independent_set_masks(
+        graph.adjacency, initial=star0, stop_at=upper)
     return MISResult(size, graph.family_from_vertex_mask(mask), nodes,
                      "branch-and-bound")
-
-
-def solver_clique_partition(graph: KneserGraph) -> list[int] | None:
-    """Static clique partition of the vertex set, as vertex masks.
-
-    k = 2 uses the round-robin 1-factorisation (n-1 or n matchings); k | n
-    uses the Baranyai partition (exactly C(n-1,k-1) classes).  Other cases
-    return None and the solver falls back to recomputed greedy covers.
-    """
-    n, k = graph.params.n, graph.params.k
-    if k == 2:
-        classes: list[int] = []
-        if n % 2 == 0:
-            for r in range(n - 1):
-                cm = _pair_mask(graph, n - 1, r)
-                for i in range(1, n // 2):
-                    cm |= _pair_mask(graph, (r + i) % (n - 1), (r - i) % (n - 1))
-                classes.append(cm)
-        else:
-            for r in range(n):
-                cm = 0
-                for i in range(1, (n + 1) // 2):
-                    cm |= _pair_mask(graph, (r + i) % n, (r - i) % n)
-                classes.append(cm)
-        return classes
-    if n % k == 0:
-        partition = baranyai_partition(graph.params)
-        classes = []
-        for fam in partition.classes:
-            cm = 0
-            for mask in fam.members:
-                cm |= 1 << graph.vertex_index(mask)
-            classes.append(cm)
-        return classes
-    return None
-
-
-def _pair_mask(graph: KneserGraph, a: int, b: int) -> int:
-    return 1 << graph.vertex_index((1 << a) | (1 << b))
 
 
 def enumerate_maximum(graph: KneserGraph, *,
@@ -227,12 +179,11 @@ def enumerate_maximum(graph: KneserGraph, *,
             f"all-solutions enumeration guarded to {ENUMERATION_VERTEX_GUARD} "
             f"vertices, graph has {graph.vertex_count}")
     alpha = max_independent_set(graph).size
-    classes = solver_clique_partition(graph)
     groups = None
     if spectral_prune and graph.params.n > 2 * graph.params.k:
         groups = graph.star_vertex_masks
     masks, _ = enumerate_maximum_independent_sets(
-        graph.adjacency, alpha, clique_classes=classes, containment_groups=groups)
+        graph.adjacency, alpha, containment_groups=groups)
     return [graph.family_from_vertex_mask(m) for m in masks]
 
 
@@ -248,12 +199,11 @@ def is_star(family: SetFamily) -> bool:
     return common.bit_count() >= 1
 
 
-def verify_ekr(params: GroundParams, *, uniqueness: str = "auto") -> dict:
+def verify_ekr(params: GroundParams) -> dict:
     """alpha(K(n,k)) vs C(n-1,k-1), and whether the stars are the only maxima.
 
-    uniqueness: 'auto' enumerates when the vertex count allows it and reports
-    None otherwise; 'force' raises the guard error instead; 'skip' never
-    enumerates.
+    The maxima are enumerated when the guards allow it; when they do not,
+    only_stars and num_maximum are None.
     """
     graph = build_graph(params)
     result = max_independent_set(graph)
@@ -267,13 +217,9 @@ def verify_ekr(params: GroundParams, *, uniqueness: str = "auto") -> dict:
         "num_maximum": None,
         "method": result.method,
     }
-    if uniqueness == "skip":
-        return report
     try:
         families = enumerate_maximum(graph)
     except GuardError:
-        if uniqueness == "force":
-            raise
         return report
     report["num_maximum"] = len(families)
     report["only_stars"] = all(is_star(f) for f in families)

@@ -8,26 +8,24 @@ One branch and bound, run on an explicit stack so that search depth is not
 bounded by the interpreter's recursion limit.  It branches in colour order
 (Tomita & Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC) with
 cliques of G as the colour classes: each node partitions its candidates into
-cliques, forces in the vertices isolated among them, and branches on the rest
-in reverse class order, cutting as soon as the classes left cannot beat the
-incumbent.  Two entry points run it:
+cliques by first fit (greedy_clique_cover), forces in the vertices isolated
+among them, and branches on the rest in reverse class order, cutting as soon
+as the classes left cannot beat the incumbent.  Two entry points run it:
 
 * max_independent_set_masks: optimisation from a greedy incumbent with an
-  optional early-exit target, used on sampled subgraphs and clique-union
-  graphs.
+  optional early-exit target (a set size to look for, or a certified bound on
+  alpha), used on sampled subgraphs, K(n,k) and clique-union graphs.
 * enumerate_maximum_independent_sets: every independent set whose size equals
-  the (certified) independence number alpha, used for uniqueness checks.  The
-  incumbent is held at alpha - 1, so each set that reaches alpha is recorded
-  and none tightens the cut.  An optional static clique partition (from a
-  1-factorisation / Baranyai split) replaces the per-node greedy cover; its
-  hit count is a much cheaper bound on dense Kneser graphs.
+  the (certified) independence number alpha, used to check that the stars
+  are the only maximum ones in K(n,k).  The incumbent is held at alpha - 1,
+  so each set that reaches alpha is recorded and none tightens the cut.
 
 Node and solution caps raise instead of returning an approximation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import SearchBudgetExceeded
 
@@ -75,16 +73,16 @@ def _branch_and_bound(
     best_mask: int,
     goal: int,
     node_cap: int,
-    cover: Callable[[int, Sequence[int]], list[int]],
     found: set[int] | None = None,
 ) -> tuple[int, int, int]:
     """Search the independent sets inside the root candidate mask cand.
 
-    cover(cand, adjacency) partitions cand into cliques.  The incumbent
+    Each node partitions its candidates by greedy_clique_cover.  The incumbent
     (best, best_mask) rises with each larger set found until it reaches goal.
     With a `found` set the incumbent stays fixed instead, and every set larger
     than it is added to found.  Returns (best, best_mask, node_count).
     """
+    cover = greedy_clique_cover
     nodes = 0
     # One frame per open node: [size, chosen, cand, cover classes not yet
     # exhausted].  cand shrinks as its vertices are branched on.
@@ -147,14 +145,12 @@ def max_independent_set_masks(
     stop_at: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
     initial: int = 0,
-    upper_bound: int | None = None,
 ) -> tuple[int, int, int]:
     """Exact maximum independent set; returns (size, witness_mask, node_count).
 
     stop_at: return as soon as an independent set of this size is found
     (the reported witness is then of size >= stop_at, not necessarily maximum).
     initial: a known independent set used as the starting incumbent.
-    upper_bound: externally certified bound on alpha; search stops when reached.
     """
     nv = len(adjacency)
     best_mask = initial
@@ -163,18 +159,17 @@ def max_independent_set_masks(
     if greedy.bit_count() > best:
         best, best_mask = greedy.bit_count(), greedy
     # stop once the incumbent reaches goal; nv + 1 is never reached
-    goal = min((t for t in (stop_at, upper_bound) if t is not None), default=nv + 1)
+    goal = nv + 1 if stop_at is None else stop_at
     if best >= goal:
         return best, best_mask, 0
     return _branch_and_bound(adjacency, (1 << nv) - 1, best, best_mask, goal,
-                             node_cap, greedy_clique_cover)
+                             node_cap)
 
 
 def enumerate_maximum_independent_sets(
     adjacency: Sequence[int],
     alpha: int,
     *,
-    clique_classes: Sequence[int] | None = None,
     containment_groups: Sequence[int] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[list[int], int]:
@@ -182,26 +177,17 @@ def enumerate_maximum_independent_sets(
 
     The caller must pass the true independence number: a set found at alpha
     is then maximal, so the search records it and goes no deeper.
-    clique_classes: optional clique partition of the vertex set; the classes
-    meeting the candidate set then replace the greedy cover recomputed at
-    every node.  containment_groups: optional vertex masks with an external
-    guarantee that every maximum independent set lies inside one of them;
-    each group is then searched as its own root.  Returns (sorted solution
-    masks, node count); more than SOLUTION_CAP solutions raise.
+    containment_groups: optional vertex masks with an external guarantee
+    that every maximum independent set lies inside one of them; each group
+    is then searched as its own root.  Returns (sorted solution masks, node
+    count); more than SOLUTION_CAP solutions raise.
     """
     full = (1 << len(adjacency)) - 1
-    if clique_classes is None:
-        cover = greedy_clique_cover
-    else:
-        classes = tuple(clique_classes)
-
-        def cover(cand: int, _adjacency: Sequence[int]) -> list[int]:
-            return [c & cand for c in classes if c & cand]
     roots = [full] if containment_groups is None else [
         g & full for g in containment_groups]
     found: set[int] = set()
     nodes = 0
     for root in roots:
         nodes += _branch_and_bound(adjacency, root, alpha - 1, 0, alpha,
-                                   node_cap - nodes, cover, found)[2]
+                                   node_cap - nodes, found)[2]
     return sorted(found), nodes

@@ -283,7 +283,7 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
     centres, distance = nearest_union_exact(family, ell)
     base = removal_bound_base(stats)
     bound = cfg.c_const * float(base)
-    preconditions = (n > 2 * k * ell * ell) and stats.removal_precondition_met(cfg.c_const)
+    preconditions = stats.removal_precondition_met(cfg.c_const)
     try:
         label = case_classify(family, cfg)
     except (GuardError, DomainError):

@@ -6,10 +6,11 @@ how trials are scheduled across workers.  A sample is one numpy pass over
 the edge arrays of K(n,k), one uniform per edge: it keeps the retained edges
 and ORs each vertex's retained neighbours into the elements blocked for it.
 The unblocked ones certify superstars, which give the superstar count, star
-survival and a search-free EKR failure.  Without a superstar, EKR is decided
-by branch and bound on a copy of the sample relabelled by ascending degree
-(MCQ's initial vertex order, carried over to independent sets), packed from
-the retained edges; a star is its incumbent, so it looks only for a set one
+survival and a search-free EKR failure; the ratio bound proves EKR, again
+without a search, on a sample that keeps every edge.  Any other sample is
+decided by branch and bound on a copy relabelled by ascending degree (MCQ's
+initial vertex order, carried over to independent sets), packed from the
+retained edges; a star is its incumbent, so it looks only for a set one
 larger.  EKR is monotone in p under this coupling, so a trial walks its p
 values ascending: a search proving EKR settles every larger p, and a
 refuting witness, mapped back to the sample's vertex order, every p up to
@@ -22,14 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams
-from .graphs import build_graph, is_star
-from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
+from .graphs import build_graph, ratio_bound
+from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
 # _SampleContext keeps two int32 endpoints per edge of K(n,k) and a trial
@@ -193,44 +194,39 @@ def star_survives(sample: EdgeSample, centre: int) -> bool:
 @dataclass(frozen=True)
 class EkrSampleResult:
     holds: bool
-    only_stars: bool | None = None
     witness: int = 0  # the search's best independent set, as a vertex mask
 
 
-def ekr_holds(sample: EdgeSample, *, uniqueness: bool = False) -> EkrSampleResult:
+def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     """alpha(K_p) == C(n-1,k-1)?  Decided by searching for a larger set.
 
     Removing edges can only create independent sets, so alpha >= C(n-1,k-1)
     always (the stars persist); equality fails exactly when some independent
     set of size C(n-1,k-1)+1 exists.  A superstar (S_x, F) is one, so a
-    sample with one fails without a search.  Otherwise the search runs on a
-    copy relabelled by ascending degree in the sample (ties to index), the
-    vertex order of MCQ carried over to independent sets, with the star at
-    centre 1 as its incumbent, so it only looks for a set one larger.  Its
-    witness is mapped back to K(n,k)'s vertex indices.
+    sample with one fails without a search, and K(n,k) itself holds without
+    one, by the ratio bound, with the star at centre 1 as witness.  Else the
+    search runs on a copy relabelled by ascending degree in the sample (ties
+    to index), the vertex order of MCQ carried over to independent sets, with
+    the star at centre 1 as its incumbent, so it only looks for a set one
+    larger.  Its witness is mapped back to K(n,k)'s vertex indices.
     """
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
     ctx = _context(sample.params)
+    target = sample.params.star_size + 1
+    if sample.retained_count == len(ctx.u) and ratio_bound(sample.params) < target:
+        return EkrSampleResult(holds=True, witness=_mask(ctx.star))
     u, v = sample.edges
     nv = ctx.graph.vertex_count
     # vertex r of the relabelled copy is vertex order[r] of the sample
     order = np.argsort(np.bincount(np.concatenate((u, v)), minlength=nv), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(nv)
-    target = sample.params.star_size + 1
     size, found, _ = max_independent_set_masks(
         _pack_rows(ctx, rank[u], rank[v]), stop_at=target, initial=_mask(ctx.star[order]))
     inside = np.zeros(nv, dtype=bool)
     inside[order] = _bits(found, ctx.width)[:nv]
-    witness = _mask(inside)
-    holds = size < target
-    if not holds or not uniqueness:
-        return EkrSampleResult(holds=holds, witness=witness)
-    masks, _ = enumerate_maximum_independent_sets(
-        sample.adjacency, sample.params.star_size)
-    only = all(is_star(ctx.graph.family_from_vertex_mask(m)) for m in masks)
-    return EkrSampleResult(holds=True, only_stars=only, witness=witness)
+    return EkrSampleResult(holds=size < target, witness=_mask(inside))
 
 
 # ── probability estimation ───────────────────────────────────────────────
@@ -298,7 +294,9 @@ def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[
         bounds = [trials * w // workers for w in range(workers + 1)]
         jobs = [(ascending, bounds[w], brackets[bounds[w]:bounds[w + 1]])
                 for w in range(workers) if bounds[w] < bounds[w + 1]]
-        with get_context("fork").Pool(processes=workers) as pool:
+        # spawn children start empty and build the context in _sweep_chunk
+        method = "fork" if "fork" in get_all_start_methods() else "spawn"
+        with get_context(method).Pool(processes=workers) as pool:
             chunks = pool.map(_sweep_chunk, jobs)
     brackets[:] = [b for _, part in chunks for b in part]
     estimates = {}

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from kneserlab.errors import DomainError, SearchBudgetExceeded
 from kneserlab.families import (
@@ -167,3 +170,42 @@ def decompose_affine_fraction(family: SetFamily) -> SpectralDecomposition:
         f1_norm_sq_exact=f1,
         f2_norm_sq_exact=f2,
     )
+
+
+def affine_residual_exact(family: SetFamily) -> Fraction:
+    """||f - g||^2 for the least-squares affine g, from the normal equations.
+
+    The basis is 1, x_1..x_{n-1} (x_n = k - x_1 - ... - x_{n-1} adds
+    nothing).  The Gram matrix G is counted over the whole slice and the
+    right-hand side b over the family, both as integer sums of basis values;
+    G a = b is solved in Fraction.  Then sum (f - g)^2 = |F| - b.a over the
+    C(n,k) points of the slice.
+    """
+    params = family.params
+    n = params.n
+    b = _basis_values(n, family.members).sum(axis=0).tolist()
+    gram = [[Fraction(x) for x in row] for row in _slice_gram(n, params.k)]
+    rhs = [Fraction(x) for x in b]
+    # Gauss-Jordan on [G | b]; G is positive definite, so no pivot vanishes
+    for col in range(n):
+        pivot = gram[col][col]
+        for row in range(n):
+            if row != col and gram[row][col]:
+                factor = gram[row][col] / pivot
+                gram[row] = [x - factor * y for x, y in zip(gram[row], gram[col])]
+                rhs[row] -= factor * rhs[col]
+    coeffs = [rhs[i] / gram[i][i] for i in range(n)]
+    return (len(family) - sum(bi * ai for bi, ai in zip(b, coeffs))) / params.slice_size
+
+
+def _basis_values(n: int, masks) -> np.ndarray:
+    """One row per set: 1, then its indicator on elements 1..n-1."""
+    masks = np.array(list(masks), dtype=np.int64).reshape(-1, 1)
+    bits = (masks >> np.arange(n - 1)) & 1
+    return np.hstack((np.ones((len(masks), 1), dtype=np.int64), bits))
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_gram(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    x = _basis_values(n, enumerate_masks(n, k))
+    return tuple(tuple(row) for row in (x.T @ x).tolist())

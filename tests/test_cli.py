@@ -173,6 +173,22 @@ def test_sweep_pinned_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n,k,digest", [
+    (6, 3, "4db49574e120369cdbb3a0da2fb58233908c7b58d1e771f71b61abfe96cb4ffe"),
+    (8, 2, "b41b8769c1790d12922f20619ec260eae9ad15aaa564f68896c4ee5a7e4fb8bf"),
+    (9, 3, "b3ce7c888244779c62c22a7d6af3f591e67a7b57e9db2af69d90fa8c35bd57ad"),
+    (10, 5, "3dab128ad54b56bde8a88f5ae20e8a5fc662e6d539e4c31ae5b6b63cd39333e9"),
+    (12, 2, "6b43dbc8ba13f96d9d991fc2022a9fcbe37840ea51b9b49884adebfe54e2b01c"),
+])
+def test_ekr_pinned_output(capsys, n, k, digest):
+    # byte-for-byte output of the enumeration over static clique partitions
+    # (1-factorisations and Baranyai classes) that the per-node greedy cover
+    # replaced; (6,3) has n = 2k, and (10,5) is over the enumeration guard
+    code, out, _ = run_cli(capsys, "ekr", "--n", str(n), "--k", str(k))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("p,message", [
     ("1.5", "error: p must lie in [0,1], got 1.5\n"),
     ("0.5", "error: need at least 30 trials for the interval, got 5\n"),

@@ -15,6 +15,7 @@ from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
     ekr_holds,
+    estimate_probability,
     sample_subgraph,
 )
 from oracles import brute_force_maximum
@@ -144,3 +145,37 @@ def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
     assert ekr_holds(sample).holds
     assert len(nodes) == 1 and nodes[0] < DEFAULT_NODE_CAP // 100
 
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 4), (9, 4)])
+def test_full_graph_holds_without_a_search(n, k, monkeypatch):
+    # a sample that keeps every edge is K(n,k), where the ratio bound
+    # certifies EKR; (8,4) has n = 2k, and a search of K(9,4) hits the cap
+    def search(*args, **kwargs):
+        raise AssertionError("K(n,k) was searched")
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    params = GroundParams(n, k)
+    full = sample_subgraph(ThresholdParams(params, 1.0, 1, SEED), 0)
+    result = ekr_holds(full)
+    star = build_graph(params).star_vertex_masks[0]
+    assert result.holds and result.witness == star
+    assert estimate_probability(ThresholdParams(params, 1.0, 30, SEED))["successes"] == 30
+
+
+def test_one_edge_short_of_the_full_graph_is_searched(monkeypatch):
+    calls = []
+    real = threshold.max_independent_set_masks
+
+    def search(adjacency, **kwargs):
+        calls.append(len(adjacency))
+        return real(adjacency, **kwargs)
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    tp = ThresholdParams(GroundParams(5, 2), 1.0, 1, SEED)
+    uniforms = threshold.trial_uniforms(tp, 0)
+    uniforms[7] = 1.0  # p = 1 keeps every edge but this one
+    sample = sample_subgraph(tp, 0, uniforms)
+    assert sample.retained_count == 14 and count_superstars(sample) == 0
+    ekr_holds(sample)
+    assert calls == [10]

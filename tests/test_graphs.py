@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from kneserlab import graphs
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import (
@@ -18,10 +19,10 @@ from kneserlab.graphs import (
     is_star,
     max_independent_set,
     ratio_bound,
-    solver_clique_partition,
     spectrum_cross_check,
     verify_ekr,
 )
+from kneserlab.mis import greedy_clique_cover
 from oracles import baranyai_backtrack, brute_force_maximum
 
 
@@ -42,11 +43,20 @@ def test_build_graph_examples():
     assert {a.bit_count() for a in g63.adjacency} == {1}
 
 
-def test_build_graph_guards():
+def test_build_graph_guards(monkeypatch):
     with pytest.raises(DomainError):
         build_graph(GroundParams(5, 3))
+    monkeypatch.setattr(graphs, "BUILD_GUARD", 100)
     with pytest.raises(GuardError):
-        build_graph(GroundParams(12, 4), guard=100)
+        build_graph(GroundParams(12, 4))
+
+
+def test_edge_arrays_are_read_only():
+    g = build_graph(GroundParams(6, 2))
+    for ends in g.edges:
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0] = 1
+    assert g.edges[0][0] == 0
 
 
 def test_adjacency_matches_disjointness():
@@ -77,14 +87,6 @@ def test_max_independent_set_agrees_with_brute_force():
         assert max_independent_set(g).size == best
 
 
-def test_subgraph_mode_runs_search():
-    g = build_graph(GroundParams(5, 2))
-    empty = [0] * g.vertex_count
-    r = max_independent_set(g, adjacency=empty)
-    assert r.size == 10
-    assert r.method == "branch-and-bound"
-
-
 def test_verify_ekr_examples():
     rep = verify_ekr(GroundParams(5, 2))
     assert (rep["alpha"], rep["equals_ekr"], rep["only_stars"]) == (4, True, True)
@@ -100,9 +102,7 @@ def test_verify_ekr_guard_modes():
     big = GroundParams(12, 4)  # 495 vertices, beyond the enumeration guard
     rep = verify_ekr(big)
     assert rep["alpha"] == math.comb(11, 3)
-    assert rep["only_stars"] is None
-    with pytest.raises(GuardError):
-        verify_ekr(big, uniqueness="force")
+    assert rep["only_stars"] is None and rep["num_maximum"] is None
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (10, 2), (7, 3), (9, 3), (9, 4)])
@@ -137,20 +137,10 @@ def test_spectrum_cross_check_examples():
         spectrum_cross_check(GroundParams(13, 4))
 
 
-def test_solver_clique_partition_quality():
-    # round robin for k = 2, Baranyai for k | n: class count is n-1, n or star size
-    g = build_graph(GroundParams(8, 2))
-    assert len(solver_clique_partition(g)) == 7
-    g = build_graph(GroundParams(9, 2))
-    assert len(solver_clique_partition(g)) == 9
-    g = build_graph(GroundParams(9, 3))
-    assert len(solver_clique_partition(g)) == math.comb(8, 2)
-    assert solver_clique_partition(build_graph(GroundParams(9, 4))) is None
-
-
 def test_partition_classes_are_cliques_and_partition_vertices():
+    # the clique cover that bounds every node of the search and enumeration
     g = build_graph(GroundParams(9, 2))
-    classes = solver_clique_partition(g)
+    classes = greedy_clique_cover((1 << g.vertex_count) - 1, g.adjacency)
     union = 0
     for cm in classes:
         assert union & cm == 0

@@ -60,16 +60,6 @@ def test_enumeration_matches_brute_force(seed):
     assert masks == sorted(sols)
 
 
-def test_enumeration_with_static_classes_agrees():
-    adjacency = random_graph(12, 0.5, 3)
-    best, sols = brute_force_maximum(adjacency)
-    # any clique partition works; use first-fit on the full vertex set
-    classes = greedy_clique_cover((1 << 12) - 1, adjacency)
-    masks, _ = enumerate_maximum_independent_sets(adjacency, best,
-                                                  clique_classes=classes)
-    assert masks == sorted(sols)
-
-
 def test_greedy_and_cover_are_valid_bounds():
     adjacency = random_graph(14, 0.3, 9)
     best, _ = brute_force_maximum(adjacency)
@@ -196,14 +186,14 @@ def test_targets_and_incumbent_against_oracle():
         assert is_independent(mask, adjacency)
         # a certified bound ends the search as soon as it is met ...
         free_size, free_mask, nodes = max_independent_set_masks(adjacency)
-        size, _, bounded = max_independent_set_masks(adjacency, upper_bound=alpha)
+        size, _, bounded = max_independent_set_masks(adjacency, stop_at=alpha)
         assert size == free_size == alpha and bounded <= nodes
         bounded_nodes += bounded
         free_nodes += nodes
         # ... at once when the incumbent already meets it
         other = next((s for s in sols if s != free_mask), sols[0])
         assert max_independent_set_masks(
-            adjacency, initial=other, upper_bound=alpha) == (alpha, other, 0)
+            adjacency, initial=other, stop_at=alpha) == (alpha, other, 0)
         # an incumbent the search cannot beat is returned as the witness
         assert max_independent_set_masks(adjacency, initial=other)[:2] == (alpha, other)
     assert bounded_nodes < free_nodes

@@ -146,9 +146,12 @@ def test_superstar_certificate_skips_search(monkeypatch):
             assert not holds
             assert len(calls) == before
     assert certified > 0
-    # without a superstar the decision still searches
-    full = sample_subgraph(ThresholdParams(GroundParams(12, 2), 1.0, 1, 0), 0)
-    assert ekr_holds(full).holds and calls
+    # without a superstar the decision still searches, unless the sample
+    # keeps every edge of K(n,k)
+    dense = sample_subgraph(ThresholdParams(GroundParams(12, 2), 0.95, 1, 0), 0)
+    assert count_superstars(dense) == 0 and dense.retained_count < 1485
+    before = len(calls)
+    assert ekr_holds(dense).holds and len(calls) == before + 1
 
 
 def test_sample_memory_is_packed_at_15_7():

@@ -36,14 +36,13 @@ def reference_counts(params, p, trials, seed):
     return successes, x_sum
 
 
-# Each list is unsorted, repeats a value and holds 0; all but (9,4) hold 1,
-# where a search of the full K(9,4) exceeds the node cap.
+# Each list is unsorted, repeats a value and holds 0 and 1.
 @pytest.mark.parametrize("n,k,ps", [
     (5, 2, [1.0, 0.0, 0.85, 0.9, 0.85, 0.7]),
     (8, 2, [0.7, 0.0, 1.0, 0.6, 0.7, 0.75]),
     (12, 2, [0.7, 0.5, 1.0, 0.6, 0.0, 0.5]),
     (8, 3, [0.7, 1.0, 0.5, 0.0, 0.75, 0.7]),
-    (9, 4, [0.3, 0.0, 0.6, 0.45, 0.6, 0.5]),
+    (9, 4, [0.3, 0.0, 0.6, 1.0, 0.45, 0.6, 0.5]),
 ])
 def test_sweep_matches_independent_decisions(n, k, ps):
     params = GroundParams(n, k)
@@ -55,7 +54,7 @@ def test_sweep_matches_independent_decisions(n, k, ps):
         assert row["successes"] == successes, p
         assert row["mean_x"] == x_sum / TRIALS, p
     assert reference[0.0][0] == 0
-    assert 1.0 not in reference or reference[1.0] == (TRIALS, 0)
+    assert reference[1.0] == (TRIALS, 0)
 
 
 def test_sweep_rows_independent_of_workers():
@@ -63,6 +62,23 @@ def test_sweep_rows_independent_of_workers():
     rows = [estimate_probabilities(GroundParams(12, 2), ps, 40, 7, workers=w)
             for w in (1, 2)]
     assert rows[0] == rows[1]
+
+
+def test_workers_fall_back_to_spawn_without_fork(monkeypatch):
+    # spawned workers inherit no sampling context and build their own
+    methods = []
+    real = threshold.get_context
+
+    def get_context(method):
+        methods.append(method)
+        return real(method)
+
+    monkeypatch.setattr(threshold, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(threshold, "get_context", get_context)
+    ps = [0.7, 0.5, 0.6, 0.55]
+    spawned = estimate_probabilities(GroundParams(10, 2), ps, 40, 7, workers=2)
+    assert methods == ["spawn"]
+    assert spawned == estimate_probabilities(GroundParams(10, 2), ps, 40, 7)
 
 
 def reference_bisection(params, trials, seed, width_tol=0.02, max_iter=30):

@@ -153,12 +153,6 @@ def test_ekr_holds_trivial_and_against_oracle():
     assert ekr_holds(sample).holds == (best == math.comb(4, 1))
 
 
-def test_ekr_uniqueness_mode():
-    full = sample_subgraph(ThresholdParams(P5, 1.0, 1, 0), 0)
-    rep = ekr_holds(full, uniqueness=True)
-    assert rep.holds and rep.only_stars is True
-
-
 def test_star_survives_consistency():
     tp = ThresholdParams(P12, 0.5, 20, 99)
     for t in range(20):
