@@ -5,7 +5,8 @@ disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
 against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
 which equals C(n-1,k-1) exactly; a branch-and-bound fallback covers any graph
 where the two differ.  All maximum independent sets are enumerated, one root
-per star when n > 2k and under a vertex cap, to check that only stars occur.
+per star when n > 2k and under a vertex cap, to check that only stars occur;
+at n = 2k a count over the solution cap is refused before any search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DomainError, GuardError
+from . import mis
+from .errors import DomainError, GuardError, SearchBudgetExceeded
 from .families import GroundParams, SetFamily, elements_from_mask, enumerate_masks
 from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
@@ -178,6 +180,12 @@ def enumerate_maximum(graph: KneserGraph, *,
         raise GuardError(
             f"all-solutions enumeration guarded to {ENUMERATION_VERTEX_GUARD} "
             f"vertices, graph has {graph.vertex_count}")
+    if (graph.params.n == 2 * graph.params.k
+            and 1 << graph.vertex_count // 2 > mis.SOLUTION_CAP):
+        # K(2k,k) is a perfect matching: one end of each of its C(2k,k)/2
+        # edges makes a maximum set, so the search would find 2^(C(2k,k)/2)
+        raise SearchBudgetExceeded(
+            f"enumeration exceeded solution cap {mis.SOLUTION_CAP}")
     alpha = max_independent_set(graph).size
     groups = None
     if spectral_prune and graph.params.n > 2 * graph.params.k:

@@ -2,15 +2,25 @@
 
 A graph on nv vertices is a list `adjacency` of nv ints; bit u of
 adjacency[v] means {u,v} is an edge.  Candidate sets, chosen sets and clique
-classes are all vertex-index bitmasks, so the inner loops are word ops.
+classes are all vertex-index bitmasks, so the inner loops are word ops.  A
+set bit v of adjacency[v] (a loop) is ignored: alpha is that of the loop-free
+graph.
 
 One branch and bound, run on an explicit stack so that search depth is not
 bounded by the interpreter's recursion limit.  It branches in colour order
 (Tomita & Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC) with
 cliques of G as the colour classes: each node partitions its candidates into
-cliques by first fit (greedy_clique_cover), forces in the vertices isolated
-among them, and branches on the rest in reverse class order, cutting as soon
-as the classes left cannot beat the incumbent.  Two entry points run it:
+cliques by first fit in ascending vertex order, forces in the vertices
+isolated among them, and branches on the rest in reverse class order, taking
+each class's vertices lowest first and cutting as soon as the classes left
+cannot beat the incumbent.
+
+The search runs on a mirror of the graph, with vertex v relabelled nv-1-v
+and the loops cleared, built once per entry-point call.  Lowest-first in the
+caller's labelling is then highest-first on the mirror, so every step reads
+its vertex as x.bit_length() - 1 and the search visits the same tree, with
+the same witness and node count, as the lowest-bit walk on the caller's rows.
+Two entry points run it:
 
 * max_independent_set_masks: optimisation from a greedy incumbent with an
   optional early-exit target (a set size to look for, or a certified bound on
@@ -33,27 +43,6 @@ DEFAULT_NODE_CAP = 5_000_000
 SOLUTION_CAP = 1_000_000
 
 
-def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
-    """Greedy partition of cand into cliques, as class member masks.
-
-    Each class starts at the lowest uncovered vertex and takes every later
-    uncovered vertex adjacent to all members so far, one AND per vertex; this
-    is first-fit in ascending vertex order.  An independent set meets each
-    class at most once, so the class count bounds alpha of cand.
-    """
-    classes: list[int] = []
-    while cand:
-        members = 0
-        fits = cand
-        while fits:
-            low = fits & -fits
-            members |= low
-            fits = (fits ^ low) & adjacency[low.bit_length() - 1]
-        cand ^= members
-        classes.append(members)
-    return classes
-
-
 def greedy_independent_set(adjacency: Sequence[int]) -> int:
     """Ascending-index greedy independent set, as a vertex mask."""
     taken = 0
@@ -66,8 +55,24 @@ def greedy_independent_set(adjacency: Sequence[int]) -> int:
     return taken
 
 
+def _mirror(mask: int, nv: int) -> int:
+    """mask with bit v moved to bit nv-1-v (mask must lie below 1 << nv)."""
+    return int(f"{mask:0{nv}b}"[::-1], 2)
+
+
+def _mirrored_rows(adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(rows, excl) of the mirror: loop-free neighbour masks, and the mask of
+    candidates that survive taking each vertex, ~(rows[v] | 1 << v)."""
+    nv = len(adjacency)
+    full = (1 << nv) - 1
+    rows = [_mirror(adjacency[nv - 1 - v] & full, nv) & ~(1 << v)
+            for v in range(nv)]
+    return rows, [~(row | 1 << v) for v, row in enumerate(rows)]
+
+
 def _branch_and_bound(
-    adjacency: Sequence[int],
+    rows: Sequence[int],
+    excl: Sequence[int],
     cand: int,
     best: int,
     best_mask: int,
@@ -77,12 +82,12 @@ def _branch_and_bound(
 ) -> tuple[int, int, int]:
     """Search the independent sets inside the root candidate mask cand.
 
-    Each node partitions its candidates by greedy_clique_cover.  The incumbent
-    (best, best_mask) rises with each larger set found until it reaches goal.
-    With a `found` set the incumbent stays fixed instead, and every set larger
-    than it is added to found.  Returns (best, best_mask, node_count).
+    rows and excl come from _mirrored_rows, and every mask is in the mirror's
+    labelling.  The incumbent (best, best_mask) rises with each larger set
+    found until it reaches goal.  With a `found` set the incumbent stays
+    fixed instead, and every set larger than it is added to found.  Returns
+    (best, best_mask, node_count).
     """
-    cover = greedy_clique_cover
     nodes = 0
     # One frame per open node: [size, chosen, cand, cover classes not yet
     # exhausted].  cand shrinks as its vertices are branched on.
@@ -92,15 +97,32 @@ def _branch_and_bound(
         nodes += 1
         if nodes > node_cap:
             raise SearchBudgetExceeded(f"search exceeded node cap {node_cap}")
-        # An isolated candidate is a singleton class of any clique partition;
-        # forcing it in keeps size + cand.bit_count() and every other class.
         if size + cand.bit_count() > best:
-            classes = cover(cand, adjacency)
-            iso = sum(c for c in classes if not c & (c - 1)
-                      and not adjacency[c.bit_length() - 1] & cand)
-            if iso:
-                size, chosen, cand = size + iso.bit_count(), chosen | iso, cand ^ iso
-                classes = [c for c in classes if not c & iso]
+            # First-fit clique cover from the highest uncovered vertex down:
+            # each class takes every lower uncovered vertex adjacent to all
+            # its members so far.  A vertex with no neighbour among the
+            # candidates is forced in instead; it would be a singleton class
+            # of any clique partition, so size + cand.bit_count() and every
+            # other class stay as they were.
+            classes = []
+            rest = cand
+            while rest:
+                v = rest.bit_length() - 1
+                fits = rest & rows[v]
+                if not fits and not rows[v] & cand:
+                    bit = 1 << v
+                    size += 1
+                    chosen |= bit
+                    cand ^= bit
+                    rest ^= bit
+                    continue
+                members = 1 << v
+                while fits:
+                    w = fits.bit_length() - 1
+                    members |= 1 << w
+                    fits &= rows[w]
+                rest ^= members
+                classes.append(members)
             if size > best:
                 if found is None:
                     best, best_mask = size, chosen
@@ -124,15 +146,16 @@ def _branch_and_bound(
                 stack.pop()
                 continue
             members = classes[-1]
-            low = members & -members
-            if members == low:
+            v = members.bit_length() - 1
+            bit = 1 << v
+            if members == bit:
                 classes.pop()
             else:
-                classes[-1] = members ^ low
-            frame[2] = cand ^ low
+                classes[-1] = members ^ bit
+            frame[2] = cand ^ bit
             size += 1
-            chosen |= low
-            cand &= ~adjacency[low.bit_length() - 1] & ~low
+            chosen |= bit
+            cand &= excl[v]
             break
         else:
             break  # every node is closed: nothing beats best
@@ -162,8 +185,10 @@ def max_independent_set_masks(
     goal = nv + 1 if stop_at is None else stop_at
     if best >= goal:
         return best, best_mask, 0
-    return _branch_and_bound(adjacency, (1 << nv) - 1, best, best_mask, goal,
-                             node_cap)
+    rows, excl = _mirrored_rows(adjacency)
+    best, best_mask, nodes = _branch_and_bound(
+        rows, excl, (1 << nv) - 1, best, _mirror(best_mask, nv), goal, node_cap)
+    return best, _mirror(best_mask, nv), nodes
 
 
 def enumerate_maximum_independent_sets(
@@ -182,12 +207,14 @@ def enumerate_maximum_independent_sets(
     is then searched as its own root.  Returns (sorted solution masks, node
     count); more than SOLUTION_CAP solutions raise.
     """
-    full = (1 << len(adjacency)) - 1
+    nv = len(adjacency)
+    full = (1 << nv) - 1
     roots = [full] if containment_groups is None else [
-        g & full for g in containment_groups]
+        _mirror(g & full, nv) for g in containment_groups]
+    rows, excl = _mirrored_rows(adjacency)
     found: set[int] = set()
     nodes = 0
     for root in roots:
-        nodes += _branch_and_bound(adjacency, root, alpha - 1, 0, alpha,
+        nodes += _branch_and_bound(rows, excl, root, alpha - 1, 0, alpha,
                                    node_cap - nodes, found)[2]
-    return sorted(found), nodes
+    return sorted(_mirror(m, nv) for m in found), nodes

@@ -52,6 +52,28 @@ def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
     return best, sols
 
 
+def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
+    """Greedy partition of cand into cliques, as class member masks.
+
+    Each class starts at the lowest uncovered vertex and takes every later
+    uncovered vertex adjacent to all members so far, one AND per vertex; this
+    is first-fit in ascending vertex order, the cover that the search in
+    kneserlab.mis computes inline at each node.  An independent set meets
+    each class at most once, so the class count bounds alpha of cand.
+    """
+    classes: list[int] = []
+    while cand:
+        members = 0
+        fits = cand
+        while fits:
+            low = fits & -fits
+            members |= low
+            fits = (fits ^ low) & adjacency[low.bit_length() - 1]
+        cand ^= members
+        classes.append(members)
+    return classes
+
+
 def quadratic_form(family: SetFamily) -> int:
     """f^T A f via an explicit double sum over ordered disjoint pairs."""
     mem = family.members

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kneserlab import graphs
+from kneserlab import graphs, mis
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import (
@@ -22,8 +22,7 @@ from kneserlab.graphs import (
     spectrum_cross_check,
     verify_ekr,
 )
-from kneserlab.mis import greedy_clique_cover
-from oracles import baranyai_backtrack, brute_force_maximum
+from oracles import baranyai_backtrack, brute_force_maximum, greedy_clique_cover
 
 
 def test_build_graph_examples():
@@ -103,6 +102,25 @@ def test_verify_ekr_guard_modes():
     rep = verify_ekr(big)
     assert rep["alpha"] == math.comb(11, 3)
     assert rep["only_stars"] is None and rep["num_maximum"] is None
+
+
+def test_verify_ekr_counts_the_perfect_matching_without_a_search(monkeypatch):
+    # K(2k,k) is a perfect matching with 2^(C(2k,k)/2) maximum sets; over the
+    # solution cap the count alone refuses the enumeration
+    def no_search(*args, **kwargs):
+        raise AssertionError("enumeration searched")
+
+    real_search = graphs.enumerate_maximum_independent_sets
+    monkeypatch.setattr(graphs, "enumerate_maximum_independent_sets", no_search)
+    rep = verify_ekr(GroundParams(8, 4))  # 2^35 maximum sets
+    assert (rep["alpha"], rep["equals_ekr"]) == (35, True)
+    assert rep["only_stars"] is None and rep["num_maximum"] is None
+    monkeypatch.setattr(mis, "SOLUTION_CAP", 1023)  # (6,3) has 2^10
+    assert verify_ekr(GroundParams(6, 3))["num_maximum"] is None
+    monkeypatch.setattr(mis, "SOLUTION_CAP", 1024)
+    monkeypatch.setattr(graphs, "enumerate_maximum_independent_sets", real_search)
+    rep = verify_ekr(GroundParams(6, 3))
+    assert (rep["num_maximum"], rep["only_stars"]) == (1024, False)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (10, 2), (7, 3), (9, 3), (9, 4)])

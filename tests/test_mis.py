@@ -11,11 +11,10 @@ from kneserlab import mis
 from kneserlab.errors import SearchBudgetExceeded
 from kneserlab.mis import (
     enumerate_maximum_independent_sets,
-    greedy_clique_cover,
     greedy_independent_set,
     max_independent_set_masks,
 )
-from oracles import brute_force_maximum
+from oracles import brute_force_maximum, greedy_clique_cover
 
 
 def random_graph(nv, p, seed):
@@ -83,6 +82,25 @@ def test_node_cap_raises_instead_of_approximating():
         max_independent_set_masks(adjacency, node_cap=1)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_loops_are_ignored(seed):
+    # a loop (bit v of row v) must neither hang the search nor change alpha:
+    # the answers are those of the loop-free graph
+    nv = 10 + seed % 9
+    adjacency = random_graph(nv, [0.2, 0.4, 0.6][seed % 3], 700 + seed)
+    rng = random.Random(seed)
+    looped = [row | (rng.random() < 0.5) << v for v, row in enumerate(adjacency)]
+    assert looped != adjacency
+    alpha, sols = brute_force_maximum(adjacency)
+    for stop_at in (None, alpha):
+        size, mask, _ = max_independent_set_masks(looped, stop_at=stop_at,
+                                                  node_cap=10_000)
+        assert size == alpha == mask.bit_count()
+        assert is_independent(mask, adjacency)
+    masks, _ = enumerate_maximum_independent_sets(looped, alpha, node_cap=10_000)
+    assert masks == sorted(sols)
+
+
 def perfect_matching(nv):
     return [1 << (v ^ 1) for v in range(nv)]
 
@@ -126,22 +144,25 @@ def test_empty_graph_and_complete_graph():
 
 
 def recursive_search(adjacency, stop_at=None):
-    """The solver's search written recursively: (size, node count)."""
-    best = greedy_independent_set(adjacency).bit_count()
+    """The solver's search written recursively on the caller's labelling,
+    walking each mask from its lowest bit: (size, witness, node count)."""
+    best_mask = greedy_independent_set(adjacency)
+    best = best_mask.bit_count()
     goal = stop_at if stop_at is not None else len(adjacency) + 1
     if best >= goal:
-        return best, 0
+        return best, best_mask, 0
     nodes = 0
 
-    def visit(size, cand):
-        nonlocal best, nodes
+    def visit(size, chosen, cand):
+        nonlocal best, best_mask, nodes
         nodes += 1
         iso = sum(1 << v for v in range(len(adjacency))
                   if (cand >> v) & 1 and not adjacency[v] & cand)
         size += iso.bit_count()
+        chosen |= iso
         cand ^= iso
         if size > best:
-            best = size
+            best, best_mask = size, chosen
             if best >= goal:
                 return True
         if size + cand.bit_count() <= best:
@@ -154,24 +175,27 @@ def recursive_search(adjacency, stop_at=None):
                     return False
                 low = members & -members
                 members ^= low
-                if visit(size + 1, cand & ~adjacency[low.bit_length() - 1] & ~low):
+                if visit(size + 1, chosen | low,
+                         cand & ~adjacency[low.bit_length() - 1] & ~low):
                     return True
                 cand ^= low
         return False
 
-    visit(0, (1 << len(adjacency)) - 1)
-    return best, nodes
+    visit(0, 0, (1 << len(adjacency)) - 1)
+    return best, best_mask, nodes
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_explicit_stack_visits_the_recursive_search_tree(seed):
     # equal node counts mean every cut reads the incumbent as it stands after
-    # the previous sibling's subtree, as the recursive form does
+    # the previous sibling's subtree, as the recursive form does; equal
+    # witnesses mean the mirrored highest-bit walk takes the caller's
+    # vertices lowest first, as this form does
     adjacency = random_graph(28 + seed, [0.15, 0.3, 0.5][seed % 3], 300 + seed)
-    alpha, _ = recursive_search(adjacency)
+    alpha = recursive_search(adjacency)[0]
     for stop_at in (None, alpha, alpha - 1):
         size, mask, nodes = max_independent_set_masks(adjacency, stop_at=stop_at)
-        assert (size, nodes) == recursive_search(adjacency, stop_at)
+        assert (size, mask, nodes) == recursive_search(adjacency, stop_at)
         assert is_independent(mask, adjacency) and mask.bit_count() == size
 
 
