@@ -3,7 +3,8 @@
 Elements are 1-based (1..n); a k-set is an int with bit i-1 set for element i.
 The ground set is capped at 64 so every set is one machine word and disjointness
 is a single AND.  Families are kept in canonical order (numeric on bit pattern),
-so equality of families is equality of representations.
+so equality of families is equality of representations.  Member checks,
+file parsing and the sorted subset-count table run on uint64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ MAX_GROUND_SET = 64
 # build_family refuses to enumerate slices larger than this (random/union/complement).
 ENUMERATION_GUARD = 5_000_000
 
-# subset_counts refuses families with more than this many (member, submask)
-# pairs, m * 2^k.  The dict it keeps costs ~160 bytes per distinct subset; at
-# the cap, 16,384 random 8-sets of [64] give 2.0M of them and ~0.3 GB peak.
+# The subset-count table refuses families with over this many (member, submask)
+# pairs, m * 2^k.  At the cap, 16,384 random 8-sets of [64] have 2.0M distinct
+# subsets; the build peaks at ~121 MB traced and keeps 16 B per subset (~33 MB).
 SUBSET_TABLE_GUARD = 1 << 22
+MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,24 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        """Order, range and size are checked in numpy; the scalar checks name the
+        fault from the first bad member on, or from the start if numpy cannot."""
         n, k = self.params.n, self.params.k
         full = (1 << n) - 1
-        prev = -1
-        for m in self.members:
+        first = 0
+        if set(map(type, self.members)) <= {int}:  # numpy would convert 3.0 or '3'
+            try:
+                arr = np.array(self.members, dtype=np.uint64)
+            except OverflowError:
+                pass
+            else:
+                bad = (np.bitwise_count(arr) != k) | ((arr & np.uint64(MASK64 ^ full)) != 0)
+                bad[1:] |= arr[1:] <= arr[:-1]
+                if not bad.any():
+                    return
+                first = int(bad.argmax())
+        prev = self.members[first - 1] if first else -1
+        for m in self.members[first:]:
             if m <= prev:
                 raise DomainError("family members must be strictly increasing bit patterns")
             if m & ~full:
@@ -262,42 +278,39 @@ def _parse_int(tok: str, what: str) -> int:
 # ── file format: header `n=<n> k=<k>`, one comma-separated set per line ──
 
 _HEADER_RE = re.compile(r"^n=(\d+)\s+k=(\d+)$")
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8)  # set bits per byte value
+_SAVED_HEADER_RE = re.compile(rb"n=(\d+) k=(\d+)\n")  # as save_family writes it
 
 
 def load_family(path: Path) -> SetFamily:
     """Read a family file; blank lines and lines starting with # are skipped.
 
-    Sets written as save_family writes them are parsed and validated in bulk.
-    Any other line, valid or not, sends the file to a line-by-line parse,
-    which names the first bad line and the first fault in it.
+    A file exactly as save_family writes it is parsed and validated in bulk.
+    Any other file, valid or not, goes to a line-by-line parse, which names
+    the first bad line and the first fault in it.
     """
-    lines = (line for line in map(str.strip, Path(path).read_text().splitlines())
-             if line and not line.startswith("#"))
-    header = next(lines, None)
-    if header is None:
+    raw = Path(path).read_bytes()
+    hm = _SAVED_HEADER_RE.match(raw)
+    if hm:
+        params = GroundParams(int(hm.group(1)), int(hm.group(2)))
+        masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params.n)
+        if masks is not None:  # sorted and distinct
+            return SetFamily(params, tuple(masks.tolist()))
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
         raise DomainError(f"no header line in {path}")
-    hm = _HEADER_RE.match(header)
+    hm = _HEADER_RE.match(lines[0])
     if not hm:
-        raise DomainError(f"first data line must be 'n=<n> k=<k>', got {header!r}")
+        raise DomainError(f"first data line must be 'n=<n> k=<k>', got {lines[0]!r}")
     params = GroundParams(int(hm.group(1)), int(hm.group(2)))
-    body = "\n".join(lines)
-    masks = _bulk_masks(body, params.n)
-    if masks is None:
-        masks = _line_masks(body.split("\n"), params.n, path)
-    return SetFamily.from_masks(params, masks)
+    return SetFamily.from_masks(params, _line_masks(lines[1:], params.n, path))
 
 
-def _bulk_masks(body: str, n: int) -> list[int] | None:
-    """The set of each line of body, or None unless every line lists
-    distinct elements of 1..n as 1- or 2-digit decimals joined by commas,
-    and no set repeats."""
-    if not body:
-        return []
-    try:
-        text = np.frombuffer(f"\n{body}\n".encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
+def _bulk_masks(text: np.ndarray, n: int) -> np.ndarray | None:
+    """The sorted sets of text, a newline followed by lines, or None unless
+    every line lists distinct elements of 1..n as 1- or 2-digit decimals
+    joined by commas and ends in a newline, and no set repeats."""
+    if text[-1] != ord("\n"):
         return None
     # narrow dtypes: int64 arrays here add megabytes to the peak RSS of
     # `removal` on a large file: family
@@ -320,10 +333,10 @@ def _bulk_masks(body: str, n: int) -> list[int] | None:
     bits = (elements - np.uint8(1)).astype(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
     masks = np.bitwise_or.reduceat(bits, line_ends - counts + 1)
-    if (_POPCOUNT[masks.view(np.uint8)].reshape(-1, 8).sum(axis=1) != counts).any():
+    if (np.bitwise_count(masks) != counts).any():
         return None  # a repeated element
     masks.sort()
-    return None if (masks[1:] == masks[:-1]).any() else masks.tolist()  # a repeated set
+    return None if (masks[1:] == masks[:-1]).any() else masks  # a repeated set
 
 
 def _line_masks(lines: list[str], n: int, path: Path) -> list[int]:
@@ -349,42 +362,49 @@ def save_family(family: SetFamily, path: Path) -> None:
 # ── combinatorial statistics ─────────────────────────────────────────────
 
 @functools.lru_cache(maxsize=1)
-def _subset_table(family: SetFamily) -> tuple[dict[int, int], int]:
-    """The subset-count table and dp, built once for the most recent family."""
+def _subset_table(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+    """(sorted subset keys, counts, dp, degree profile) of the most recent family."""
     m, k = len(family), family.params.k
     if m << k > SUBSET_TABLE_GUARD:
         raise GuardError(
             f"subset-count table needs {m} * 2^{k} entries, over the guard "
             f"{SUBSET_TABLE_GUARD}")
     rest = np.array(family.members, dtype=np.uint64)
-    subs = np.zeros((m, 1), dtype=np.uint64)
-    for _ in range(k):  # double the submasks of each member, one element at a time
+    subs = np.zeros((1 << k, m), dtype=np.uint64)
+    for j in range(k):  # double the submasks of each member, one element at a time
         low = rest & (~rest + np.uint64(1))
         rest ^= low
-        subs = np.concatenate((subs, subs | low[:, None]), axis=1)
+        np.bitwise_or(subs[:1 << j], low, out=subs[1 << j:2 << j])
     keys, counts = np.unique(subs, return_counts=True)
-    table = dict(zip(keys.tolist(), counts.tolist()))
-    ordered = sum(-c * c if s.bit_count() & 1 else c * c for s, c in table.items())
-    return table, ordered // 2
+    sizes = np.bitwise_count(keys)
+    # sum_S (-1)^|S| c_S^2 < m^2 2^k <= 2^44 counts ordered pairs, exactly in int64
+    squares = counts * counts
+    ordered = int(squares.sum()) - 2 * int(squares[sizes & 1 == 1].sum())
+    degrees = np.zeros(family.params.n, dtype=np.int64)
+    degrees[np.bitwise_count(keys[sizes == 1] - np.uint64(1))] = counts[sizes == 1]
+    # a 64-element sentinel ends the keys: no member of a guarded family has that many
+    keys, counts = np.append(keys, np.uint64(MASK64)), np.append(counts, 0)
+    return keys, counts, ordered // 2, tuple(degrees.tolist())
 
 
-def subset_counts(family: SetFamily) -> dict[int, int]:
-    """c_S = #{A in F : S subset of A} for every S contained in some member.
-
-    Keyed by mask; subsets of no member are absent (c_S = 0).  Every
-    statistic of the family is read from this one table, which is memoised
-    for the most recent family only.  Callers must not mutate it.
-    """
-    return _subset_table(family)[0]
+def subset_counts(family: SetFamily, subsets: np.ndarray) -> np.ndarray:
+    """c_S = #{A in F : S subset of A} for each uint64 mask S in subsets, found by
+    binary search in the family's sorted table of every subset of a member (0
+    for subsets of no member).  Every statistic of the family is read from this
+    one table, which is memoised for the most recent family only."""
+    keys, counts, _, _ = _subset_table(family)
+    at = np.searchsorted(keys, subsets)
+    return np.where(keys[at] == subsets, counts[at], 0)
 
 
 def disjoint_pairs(family: SetFamily) -> int:
     """dp(F): unordered pairs {A,B} with A AND B == 0.
 
     By inclusion-exclusion, sum_S (-1)^|S| c_S^2 counts ordered disjoint
-    pairs; it is summed in Python ints, so it is exact, once per table build.
+    pairs; it is summed in int64, which is exact under the table guard, once
+    per table build.
     """
-    return _subset_table(family)[1]
+    return _subset_table(family)[2]
 
 
 def sym_diff_size(f: SetFamily, g: SetFamily) -> int:
@@ -396,8 +416,7 @@ def sym_diff_size(f: SetFamily, g: SetFamily) -> int:
 
 def degree_profile(family: SetFamily) -> tuple[int, ...]:
     """d_i = number of members containing element i, for i = 1..n."""
-    table = subset_counts(family)
-    return tuple(table.get(1 << i, 0) for i in range(family.params.n))
+    return _subset_table(family)[3]
 
 
 @dataclass(frozen=True)

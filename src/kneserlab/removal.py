@@ -5,6 +5,8 @@ max_{i in S} x_i.  Distances |F delta G_S| reduce to miss counts
 #{A in F : A cap S = empty} = sum_{T subset S, |T| <= k} (-1)^|T| c_T, read
 from the family's subset-count table c_T = #{A in F : T subset A}, so each
 centre set costs sum_{t <= k} C(|S|,t) lookups whatever the family's size.
+The searches count the misses of all centre sets of one size in numpy, in
+chunks of about MISS_CHUNK lookups unranked in lexicographic order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import (
@@ -28,6 +32,7 @@ from .spectral import decompose_affine
 
 CENTER_ENUM_GUARD = 1_000_000
 CENTER_SET_SEARCH_GUARD = 2_000_000
+MISS_CHUNK = 1 << 14  # table lookups per chunk of centre sets
 
 DEFAULT_C_CONST = 2.0
 
@@ -51,15 +56,35 @@ def union_size(params, s: int) -> int:
     return params.slice_size - math.comb(params.n - s, params.k)
 
 
-def _miss(table: dict[int, int], centres: Iterable[int], k: int) -> int:
-    """#{A in F : A cap S = empty} for distinct centres S, from c_T over T subset S."""
-    bits = [1 << (c - 1) for c in centres]
-    total = 0
-    for t in range(min(k, len(bits)) + 1):
-        sign = -1 if t & 1 else 1
-        for combo in combinations(bits, t):
-            total += sign * table.get(sum(combo), 0)
-    return total
+def _miss_counts(family: SetFamily, sets: np.ndarray) -> np.ndarray:
+    """#{A in F : A cap S = empty} for each row S of sets, distinct elements
+    of 1..n, from c_T over T subset S with |T| <= k."""
+    width = sets.shape[1]
+    terms = [cols for t in range(min(family.params.k, width) + 1)
+             for cols in combinations(range(width), t)]
+    pick = np.array([[c in cols for c in range(width)] for cols in terms], dtype=np.uint64)
+    signs = np.array([(-1) ** len(cols) for cols in terms])
+    bits = np.left_shift(np.uint64(1), (sets - 1).astype(np.uint64))
+    return subset_counts(family, bits @ pick.T) @ signs  # distinct bits: OR is a sum
+
+
+def _misses(family: SetFamily, s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(centre sets, miss counts) over every s-subset of [n] in lexicographic
+    order, in chunks of about MISS_CHUNK lookups.  Rank r is colex rank
+    C(n,s) - 1 - r of the reflected set {n + 1 - c}, whose i-th smallest element
+    is 1 + the largest d with C(d,i) <= the rank left, for i = s down to 1."""
+    n, k = family.params.n, family.params.k
+    total = math.comb(n, s)
+    rows = max(1, MISS_CHUNK // sum(math.comb(s, t) for t in range(min(k, s) + 1)))
+    binom = np.array([[math.comb(d, i) for d in range(n)] for i in range(s + 1)], np.int64)
+    for lo in range(0, total, rows):
+        rank = np.arange(total - 1 - lo, max(total - 1 - lo - rows, -1), -1)
+        sets = np.empty((len(rank), s), dtype=np.int64)
+        for i in range(s, 0, -1):
+            d = np.searchsorted(binom[i], rank, side="right") - 1
+            rank -= binom[i, d]
+            sets[:, s - i] = n - d
+        yield sets, _miss_counts(family, sets)
 
 
 def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
@@ -68,8 +93,8 @@ def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
     for c in centres:
         if not (1 <= c <= params.n):
             raise DomainError(f"centre {c} out of range 1..{params.n}")
-    distinct = set(centres)
-    miss = _miss(subset_counts(family), distinct, params.k)
+    distinct = np.array(sorted(set(centres)), dtype=np.int64)
+    miss = int(_miss_counts(family, distinct[None, :])[0])
     return union_size(params, len(distinct)) - len(family) + 2 * miss
 
 
@@ -83,15 +108,12 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
         raise DomainError(f"l={ell} exceeds n={params.n}")
     if math.comb(params.n, ell) > CENTER_ENUM_GUARD:
         raise GuardError(f"C({params.n},{ell}) centre sets exceed the guard")
-    table = subset_counts(family)
-    base = union_size(params, ell) - len(family)
-    best_s: tuple[int, ...] | None = None
-    best_d = None
-    for combo in combinations(range(1, params.n + 1), ell):
-        d = base + 2 * _miss(table, combo, params.k)
-        if best_d is None or d < best_d:
-            best_d, best_s = d, combo
-    return best_s, best_d
+    best = None  # (miss, S); argmin takes the first, lexicographically smallest S
+    for sets, miss in _misses(family, ell):
+        i = int(miss.argmin())
+        if best is None or miss[i] < best[0]:
+            best = int(miss[i]), tuple(sets[i].tolist())
+    return best[1], union_size(params, ell) - len(family) + 2 * best[0]
 
 
 # ── bound checks ─────────────────────────────────────────────────
@@ -139,19 +161,17 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     if total_candidates > CENTER_SET_SEARCH_GUARD:
         raise GuardError(
             f"centre-set search over {total_candidates} sets exceeds the guard")
-    table = subset_counts(family)
     size = len(family)
     best = None  # (distance, branch_rank, s, S)
     for s in range(s_bound + 1):
         gs = union_size(params, s)
-        for combo in combinations(range(1, n + 1), s):
-            miss = _miss(table, combo, k)
-            d_direct = gs - size + 2 * miss
-            # complement branch: |F delta complement(G_S)| with
-            # |complement(G_S)| = C(n-s,k) and F cap complement(G_S) = misses
-            d_comp = size + math.comb(n - s, k) - 2 * miss
-            for rank, dist in ((0, d_direct), (1, d_comp)):
-                key = (dist, rank, s, combo)
+        for sets, miss in _misses(family, s):
+            # |F delta G_S| grows with the misses, and |F delta complement(G_S)|
+            # = |F| + C(n-s,k) - 2 misses falls; ties go to the first, smallest S
+            lo, hi = int(miss.argmin()), int(miss.argmax())
+            for key in ((gs - size + 2 * int(miss[lo]), 0, s, tuple(sets[lo].tolist())),
+                        (size + math.comb(n - s, k) - 2 * int(miss[hi]), 1, s,
+                         tuple(sets[hi].tolist()))):
                 if best is None or key < best:
                     best = key
     dist, rank, s, combo = best

@@ -16,6 +16,7 @@ from kneserlab.families import (
     GroundParams,
     SetFamily,
     degree_profile,
+    elements_from_mask,
     enumerate_masks,
     mask_from_elements,
 )
@@ -132,6 +133,21 @@ def baranyai_backtrack(n: int, k: int) -> list[list[int]]:
     if not extend([], 0):
         raise AssertionError("backtracking failed to factorise the slice")
     return classes
+
+
+def validate_members_by_loop(params: GroundParams, members) -> None:
+    """SetFamily's member checks, one member at a time in Python ints."""
+    n, k = params.n, params.k
+    full = (1 << n) - 1
+    prev = -1
+    for m in members:
+        if m <= prev:
+            raise DomainError("family members must be strictly increasing bit patterns")
+        if m & ~full:
+            raise DomainError("member uses elements beyond n")
+        if m.bit_count() != k:
+            raise DomainError(f"member {elements_from_mask(m)} is not a {k}-set")
+        prev = m
 
 
 def load_family_by_line(path: Path) -> SetFamily:

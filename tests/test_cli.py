@@ -141,6 +141,37 @@ def test_removal_pinned_output(capsys):
         "ac9d45351ba000ef63afdf459e2e0cccc24028fcc61d18a52fc3e380c6b49280"
 
 
+# 679,121 centre sets of up to s_bound = 4 elements
+WIDE_CENTRE_SEARCH = "removal --n 64 --k 2 --l 1 --family random:8:1"
+
+
+def test_wide_centre_set_search_pinned_output(capsys):
+    # byte-for-byte output of the search that looked each centre set up in
+    # Python, one at a time, before the chunked numpy search replaced it
+    code, out, _ = run_cli(capsys, *WIDE_CENTRE_SEARCH.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "92b4a18de9a81bb84c8877351fd5dbc2e7997ccd510171355bd1777725cc418f"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB")
+def test_wide_centre_set_search_memory():
+    # the one-at-a-time search grew this command's max RSS by 6.5 MB over the
+    # import (Python 3.11, numpy 2.4); all candidates at once take ~80 MB more
+    script = (
+        "import contextlib, io, resource\n"
+        "from kneserlab.cli import main\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({WIDE_CENTRE_SEARCH.split()!r}) == 0\n"
+        "print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    base_kb, peak_kb = map(int, proc.stdout.split())
+    assert peak_kb - base_kb <= (6.5 + 8) * 1024
+
+
 @pytest.mark.parametrize("argv,digest", [
     ("simulate --n 12 --k 2 --p 0.4,0.6,0.8 --trials 200 --seed 1961",
      "0df4f5f231093f3cbefca805f587d6acbd00cc13957f1b56e3428350363cf728"),

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from kneserlab.errors import DomainError, GuardError
@@ -155,6 +156,56 @@ def test_subset_table_guard_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+MEMBER_FAULTS = {
+    # each gives the member to put at index i of the sorted members ms
+    "not increasing": lambda ms, i: ms[i + 1] if i + 1 < len(ms) else ms[i - 2],
+    "duplicate": lambda ms, i: ms[i - 1] if i else ms[1],
+    "out of range": lambda ms, i: ms[i] | 1 << 10,
+    "wrong size": lambda ms, i: ms[i] | 1 << 9,
+    "negative": lambda ms, i: -ms[i],
+    "at least 2^64": lambda ms, i: ms[i] | 1 << 64,
+    "float": lambda ms, i: float(ms[i]),
+    "str": lambda ms, i: str(ms[i]),
+    "numpy float": lambda ms, i: np.float64(ms[i]),
+}
+
+
+def raised(check, *args):
+    """(exception type, message) that check raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fault", sorted(MEMBER_FAULTS))
+def test_member_checks_match_scalar_loop(fault):
+    from oracles import validate_members_by_loop
+
+    # 3-sets of [9] at n = 10: element 10 is free for a wrong size, 11 is out of range
+    params = GroundParams(10, 3)
+    valid = build_family(GroundParams(9, 3), "random:40:8").members
+    for at in (0, len(valid) // 2, len(valid) - 1):
+        members = list(valid)
+        members[at] = MEMBER_FAULTS[fault](valid, at)
+        expected = raised(validate_members_by_loop, params, members)
+        assert expected is not None, (fault, at)
+        assert raised(SetFamily, params, tuple(members)) == expected, (fault, at)
+
+
+@pytest.mark.parametrize("n,k,spec", [(10, 3, "random:40:8"), (9, 4, "star:9"),
+                                      (64, 3, "random:500:1"), (64, 1, "antistar:1"),
+                                      (12, 5, "random:0:1")])
+def test_member_checks_accept_valid_families(n, k, spec):
+    from oracles import validate_members_by_loop
+
+    params = GroundParams(n, k)
+    members = build_family(params, spec).members
+    validate_members_by_loop(params, members)
+    assert SetFamily(params, members).members == members
 
 
 def test_membership_matches_member_scan():
