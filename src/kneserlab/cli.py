@@ -18,23 +18,12 @@ from contextlib import nullcontext
 from . import SCHEMA_VERSION
 from .errors import DomainError, GuardError
 from .families import GroundParams, build_family, family_stats
-from .graphs import (
-    baranyai_partition,
-    export_partition,
-    extremal_subgraph,
-    spectrum_cross_check,
-    verify_ekr,
-)
+from .graphs import baranyai_partition, export_partition, extremal_subgraph, verify_ekr
 from .removal import (DEFAULT_C_CONST, RemovalConfig, case_table, center_set_check,
                       removal_bound_check)
 from .spectral import decompose_affine, kneser_eigenvalue, residual_bound_check
-from .threshold import (
-    DEFAULT_EPSILON,
-    analytic_bounds,
-    critical_probabilities,
-    estimate_probabilities,
-    find_threshold,
-)
+from .threshold import (DEFAULT_EPSILON, analytic_bounds, estimate_probabilities,
+                        find_threshold)
 
 DEFAULT_SEED = 1961  # fixed documented default; never time-based
 
@@ -128,18 +117,19 @@ def _emit_csv(rows: list[dict], stream, *, seed: int | None = None) -> None:
                               else str(row[c]) for c in cols) + "\n")
 
 
-def _cmd_stats(args) -> tuple[dict | list, int | None]:
+def _cmd_stats(args) -> dict:
     params = GroundParams(args.n, args.k)
     family = build_family(params, args.family)
-    stats = family_stats(family, args.ell)
+    cfg = RemovalConfig(args.ell, args.c_const)
+    stats = family_stats(family, cfg.ell)
     payload = stats.to_json_dict()
     payload["family"] = args.family
-    payload["preconditions_met"] = stats.removal_precondition_met(args.c_const)
-    payload["c_const"] = args.c_const
-    return payload, None
+    payload["preconditions_met"] = stats.removal_precondition_met(cfg.c_const)
+    payload["c_const"] = cfg.c_const
+    return payload
 
 
-def _cmd_spectrum(args) -> tuple[dict, int | None]:
+def _cmd_spectrum(args) -> dict:
     params = GroundParams(args.n, args.k)
     payload: dict = {
         "n": args.n,
@@ -155,29 +145,29 @@ def _cmd_spectrum(args) -> tuple[dict, int | None]:
         payload["decomposition"] = decompose_affine(family).to_json_dict()
         payload["residual_bound"] = residual_bound_check(family, args.ell).to_json_dict()
         payload["ell"] = args.ell
-    return payload, None
+    return payload
 
 
-def _cmd_removal(args) -> tuple[dict | list, int | None]:
+def _cmd_removal(args) -> dict | list:
     params = GroundParams(args.n, args.k)
     family = build_family(params, args.family)
     cfg = RemovalConfig(args.ell, args.c_const)
     report = removal_bound_check(family, cfg)
     rows = case_table(family, cfg)
     if args.format == "csv":
-        return rows, None
+        return rows
     payload = report.to_json_dict()
     payload["family"] = args.family
     payload["center_set"] = center_set_check(family, cfg).to_json_dict()
     payload["cases"] = rows
-    return payload, None
+    return payload
 
 
-def _cmd_ekr(args) -> tuple[dict, int | None]:
-    return verify_ekr(GroundParams(args.n, args.k)), None
+def _cmd_ekr(args) -> dict:
+    return verify_ekr(GroundParams(args.n, args.k))
 
 
-def _cmd_baranyai(args) -> tuple[dict, int | None]:
+def _cmd_baranyai(args) -> dict:
     params = GroundParams(args.n, args.k)
     partition = baranyai_partition(params)
     buf = io.StringIO()
@@ -195,10 +185,10 @@ def _cmd_baranyai(args) -> tuple[dict, int | None]:
             key: stats[key]
             for key in ("alpha", "degree", "regular", "edges", "expected_edges")
         }
-    return payload, None
+    return payload
 
 
-def _cmd_simulate(args) -> tuple[list, int]:
+def _cmd_simulate(args) -> list:
     params = GroundParams(args.n, args.k)
     try:
         ps = [float(tok) for tok in str(args.p).split(",") if tok]
@@ -208,20 +198,19 @@ def _cmd_simulate(args) -> tuple[list, int]:
                                   workers=args.workers)
     columns = ("trials", "successes", "fraction", "ci_lo", "ci_hi")
     return [{"p": p, **{c: est[c] for c in columns}, "mean_X": est["mean_x"]}
-            for p, est in zip(ps, ests)], args.seed
+            for p, est in zip(ps, ests)]
 
 
-def _cmd_threshold(args) -> tuple[dict, int | None]:
+def _cmd_threshold(args) -> dict:
     params = GroundParams(args.n, args.k)
-    return find_threshold(params, args.trials, args.seed,
-                          workers=args.workers), args.seed
+    return find_threshold(params, args.trials, args.seed, workers=args.workers)
 
 
-def _cmd_bounds(args) -> tuple[dict, int | None]:
+def _cmd_bounds(args) -> dict:
     params = GroundParams(args.n, args.k)
     report = analytic_bounds(params, args.zeta, args.i, args.j,
                              c_const=args.c_const, epsilon=args.epsilon)
-    return report.to_json_dict(), None
+    return report.to_json_dict()
 
 
 _COMMANDS = {
@@ -239,13 +228,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result, seed = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
+    seed = getattr(args, "seed", None)
     if seed is not None:
         print(f"seed={seed}", file=sys.stderr)
     fmt = args.format or ("csv" if args.command == "simulate" else "json")
@@ -255,13 +245,8 @@ def main(argv=None) -> int:
             rows = result if isinstance(result, list) else [result]
             _emit_csv(rows, stream, seed=seed)
         else:
-            if isinstance(result, list):
-                _emit_json({"rows": result, "seed": seed} if seed is not None
-                           else {"rows": result}, stream)
-            else:
-                if seed is not None:
-                    result = {**result, "seed": seed}
-                _emit_json(result, stream)
+            payload = {"rows": result} if isinstance(result, list) else result
+            _emit_json(payload if seed is None else {**payload, "seed": seed}, stream)
     return 0
 
 

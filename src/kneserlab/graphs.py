@@ -3,10 +3,11 @@
 Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
 disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
 against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
-which equals C(n-1,k-1) exactly; a branch-and-bound fallback covers any graph
-where the two differ.  All maximum independent sets are enumerated, one root
-per star when n > 2k and under a vertex cap, to check that only stars occur;
-at n = 2k a count over the solution cap is refused before any search.
+which equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can
+only come from a corrupt spectrum or adjacency, and raises.  All maximum
+independent sets are enumerated, one root per star when n > 2k and under a
+vertex cap, to check that only stars occur; at n = 2k a count over the
+solution cap is refused before any search.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
 class MISResult:
     size: int
     witness: SetFamily
-    node_count: int
-    method: str
 
 
 def ratio_bound(params: GroundParams) -> int:
@@ -142,39 +141,29 @@ def star_vertex_mask_checked(graph: KneserGraph, centre: int) -> int:
 
 
 def max_independent_set(graph: KneserGraph) -> MISResult:
-    """Exact maximum independent set of K(n,k).
+    """Exact maximum independent set of K(n,k), certified without a search.
 
-    The verified star meets the ratio bound, which certifies it without a
-    search; any gap falls back to branch and bound, stopping at the bound.
+    The verified star meets the ratio bound for every n >= 2k; a star of any
+    other size means the spectrum or the adjacency is wrong.
     """
     star0 = star_vertex_mask_checked(graph, 1)
     upper = ratio_bound(graph.params)
-    if star0.bit_count() == upper:
-        return MISResult(
-            size=upper,
-            witness=graph.family_from_vertex_mask(star0),
-            node_count=0,
-            method="ratio-bound",
-        )
-    size, mask, nodes = max_independent_set_masks(
-        graph.adjacency, initial=star0, stop_at=upper)
-    return MISResult(size, graph.family_from_vertex_mask(mask), nodes,
-                     "branch-and-bound")
+    if star0.bit_count() != upper:
+        raise AssertionError(
+            f"star of size {star0.bit_count()} misses the ratio bound {upper}")
+    return MISResult(upper, graph.family_from_vertex_mask(star0))
 
 
-def enumerate_maximum(graph: KneserGraph, *,
-                      spectral_prune: bool = True) -> list[SetFamily]:
+def enumerate_maximum(graph: KneserGraph) -> list[SetFamily]:
     """All maximum independent sets of K(n,k), by exhaustive enumeration.
 
-    For n > 2k the search may additionally use a certified containment rule
-    (`spectral_prune`): a maximum independent set attains the ratio bound with
-    equality, which forces its indicator into the span of the top two
-    eigenspaces, i.e. makes it affine; the Boolean affine functions on the
-    slice are exactly 0, 1, x_i and 1-x_j, and only the stars have the right
-    size.  Prefixes contained in no star are therefore pruned.  (The strict
-    gap |lambda_i| < |lambda_1| for i >= 2 needs n > 2k, so the rule is never
-    applied at n = 2k.)  The unpruned search is kept reachable for
-    cross-validation; the two agree on every instance small enough to run both.
+    For n > 2k the search uses a certified containment rule: a maximum
+    independent set attains the ratio bound with equality, which forces its
+    indicator into the span of the top two eigenspaces, i.e. makes it affine;
+    the Boolean affine functions on the slice are exactly 0, 1, x_i and 1-x_j,
+    and only the stars have the right size.  Prefixes contained in no star are
+    therefore pruned.  (The strict gap |lambda_i| < |lambda_1| for i >= 2 needs
+    n > 2k, so the rule is never applied at n = 2k.)
     """
     if graph.vertex_count > ENUMERATION_VERTEX_GUARD:
         raise GuardError(
@@ -187,9 +176,7 @@ def enumerate_maximum(graph: KneserGraph, *,
         raise SearchBudgetExceeded(
             f"enumeration exceeded solution cap {mis.SOLUTION_CAP}")
     alpha = max_independent_set(graph).size
-    groups = None
-    if spectral_prune and graph.params.n > 2 * graph.params.k:
-        groups = graph.star_vertex_masks
+    groups = graph.star_vertex_masks if graph.params.n > 2 * graph.params.k else None
     masks, _ = enumerate_maximum_independent_sets(
         graph.adjacency, alpha, containment_groups=groups)
     return [graph.family_from_vertex_mask(m) for m in masks]
@@ -214,8 +201,7 @@ def verify_ekr(params: GroundParams) -> dict:
     only_stars and num_maximum are None.
     """
     graph = build_graph(params)
-    result = max_independent_set(graph)
-    alpha = result.size
+    alpha = max_independent_set(graph).size
     report = {
         "n": params.n,
         "k": params.k,
@@ -223,7 +209,7 @@ def verify_ekr(params: GroundParams) -> dict:
         "equals_ekr": alpha == params.star_size,
         "only_stars": None,
         "num_maximum": None,
-        "method": result.method,
+        "method": "ratio-bound",
     }
     try:
         families = enumerate_maximum(graph)

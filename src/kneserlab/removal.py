@@ -49,6 +49,8 @@ class RemovalConfig:
             raise DomainError(f"l must be a positive integer, got {self.ell}")
         if not self.c_const > 1:
             raise DomainError(f"c_const must exceed 1, got {self.c_const}")
+        if self.c_const == math.inf:
+            raise DomainError(f"c_const must be finite, got {self.c_const}")
 
 
 def union_size(params, s: int) -> int:
@@ -87,6 +89,20 @@ def _misses(family: SetFamily, s: int) -> Iterator[tuple[np.ndarray, np.ndarray]
         yield sets, _miss_counts(family, sets)
 
 
+def _extreme_sets(family: SetFamily, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(misses, S) for the fewest-miss and for the most-miss s-subset S of [n];
+    ties go to the lexicographically smallest S, which argmin and argmax find
+    first."""
+    fewest = most = None
+    for sets, miss in _misses(family, s):
+        lo, hi = int(miss.argmin()), int(miss.argmax())
+        if fewest is None or miss[lo] < fewest[0]:
+            fewest = int(miss[lo]), tuple(sets[lo].tolist())
+        if most is None or miss[hi] > most[0]:
+            most = int(miss[hi]), tuple(sets[hi].tolist())
+    return fewest, most
+
+
 def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
     """|F delta G_S| by the miss-count identity."""
     params = family.params
@@ -108,12 +124,8 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
         raise DomainError(f"l={ell} exceeds n={params.n}")
     if math.comb(params.n, ell) > CENTER_ENUM_GUARD:
         raise GuardError(f"C({params.n},{ell}) centre sets exceed the guard")
-    best = None  # (miss, S); argmin takes the first, lexicographically smallest S
-    for sets, miss in _misses(family, ell):
-        i = int(miss.argmin())
-        if best is None or miss[i] < best[0]:
-            best = int(miss[i]), tuple(sets[i].tolist())
-    return best[1], union_size(params, ell) - len(family) + 2 * best[0]
+    (miss, best), _ = _extreme_sets(family, ell)
+    return best, union_size(params, ell) - len(family) + 2 * miss
 
 
 # ── bound checks ─────────────────────────────────────────────────
@@ -155,26 +167,22 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
         raise DomainError("centre-set check needs n >= 2k >= 4")
     eps_exact = decompose_affine(family).f2_norm_sq_exact
     eps_in = float(eps_exact)
-    s_bound = max(1, math.ceil(cfg.c_const * n * math.sqrt(max(eps_in, 0.0)) / k))
-    s_bound = min(s_bound, n)
+    root = math.sqrt(max(eps_in, 0.0))
+    # C n may overflow to inf, and inf * 0 is NaN; ceil(min(x, n)) = min(ceil(x), n)
+    s_bound = max(1, math.ceil(min(cfg.c_const * n * root / k, n))) if root else 1
     total_candidates = sum(math.comb(n, s) for s in range(s_bound + 1))
     if total_candidates > CENTER_SET_SEARCH_GUARD:
         raise GuardError(
             f"centre-set search over {total_candidates} sets exceeds the guard")
     size = len(family)
-    best = None  # (distance, branch_rank, s, S)
+    candidates = []  # (distance, branch_rank, s, S)
     for s in range(s_bound + 1):
-        gs = union_size(params, s)
-        for sets, miss in _misses(family, s):
-            # |F delta G_S| grows with the misses, and |F delta complement(G_S)|
-            # = |F| + C(n-s,k) - 2 misses falls; ties go to the first, smallest S
-            lo, hi = int(miss.argmin()), int(miss.argmax())
-            for key in ((gs - size + 2 * int(miss[lo]), 0, s, tuple(sets[lo].tolist())),
-                        (size + math.comb(n - s, k) - 2 * int(miss[hi]), 1, s,
-                         tuple(sets[hi].tolist()))):
-                if best is None or key < best:
-                    best = key
-    dist, rank, s, combo = best
+        # |F delta G_S| grows with the misses, and |F delta complement(G_S)|
+        # = |F| + C(n-s,k) - 2 misses falls
+        (fewest, direct), (most, complement) = _extreme_sets(family, s)
+        candidates += [(union_size(params, s) - size + 2 * fewest, 0, s, direct),
+                       (size + math.comb(n - s, k) - 2 * most, 1, s, complement)]
+    dist, rank, s, combo = min(candidates)
     return CenterSetReport(
         eps_in=eps_in,
         s_bound=s_bound,
@@ -184,9 +192,6 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
         holds=Fraction(dist, params.slice_size) <= Fraction(cfg.c_const) * eps_exact,
         eps_within_range=eps_exact < Fraction(k, 128 * n),
     )
-
-
-CASE_LABELS = ("(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)")
 
 
 def _case_label(report: CenterSetReport, ell: int) -> str:
@@ -246,8 +251,8 @@ def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
     row("(iv)", f"complement of G_s, s >= 2 (at s={s_iv})",
         math.comb(n - s_iv, k) if s_iv <= n else 0)
     dp_f = disjoint_pairs(family)
-    dp_threshold = (0.5 - 2 * cfg.c_const * eps) * math.comb(n - 1, k) \
-        * math.comb(n - k - 1, k)
+    dp_threshold = (0.5 - 2 * (cfg.c_const * eps)) * math.comb(n - 1, k) \
+        * math.comb(n - k - 1, k)  # C eps first: 2 C may overflow where eps = 0
     row("(v)", "complement of G_1 (anti-star)", math.comb(n - 1, k),
         {"dp_family": dp_f, "dp_lower_threshold": dp_threshold})
     row("(vi)", f"G_{ell}", union_size(params, ell))

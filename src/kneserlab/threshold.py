@@ -132,8 +132,6 @@ class EdgeSample:
     """
 
     params: GroundParams
-    p: float
-    trial_index: int
     edges: tuple[np.ndarray, np.ndarray]
     unblocked: np.ndarray
 
@@ -168,13 +166,8 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     blocked = np.zeros(ctx.graph.vertex_count, dtype=np.uint64)
     np.bitwise_or.at(blocked, np.concatenate((u, v)),
                      ctx.element_masks[np.concatenate((v, u))])
-    return EdgeSample(
-        params=tp.params,
-        p=tp.p,
-        trial_index=trial_index,
-        edges=(u, v),
-        unblocked=ctx.all_elements & ~(blocked | ctx.element_masks),
-    )
+    return EdgeSample(params=tp.params, edges=(u, v),
+                      unblocked=ctx.all_elements & ~(blocked | ctx.element_masks))
 
 
 def count_superstars(sample: EdgeSample) -> int:
@@ -296,7 +289,7 @@ def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[
                 for w in range(workers) if bounds[w] < bounds[w + 1]]
         # spawn children start empty and build the context in _sweep_chunk
         method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        with get_context(method).Pool(processes=workers) as pool:
+        with get_context(method).Pool(processes=len(jobs)) as pool:
             chunks = pool.map(_sweep_chunk, jobs)
     brackets[:] = [b for _, part in chunks for b in part]
     estimates = {}
@@ -330,19 +323,15 @@ def estimate_probabilities(params: GroundParams, ps: list[float], trials: int,
     return _estimate(tps, [_OPEN] * trials, workers) if tps else []
 
 
-def critical_probabilities_raw(n: int, k: int) -> dict:
-    """Formula-level evaluator; no bit vectors, so n may exceed the word cap."""
+def critical_probabilities(params: GroundParams) -> dict:
+    """p_c = log(n C(n-1,k)) / C(n-k-1,k-1) and
+    p_0 = ((k+1) log n - k log k) / C(n-1,k-1), natural logs."""
+    n, k = params.n, params.k
     if n < 2 * k + 2:
         raise DomainError(f"critical probabilities need n >= 2k+2, got n={n} k={k}")
     p_c = math.log(n * math.comb(n - 1, k)) / math.comb(n - k - 1, k - 1)
     p_0 = ((k + 1) * math.log(n) - k * math.log(k)) / math.comb(n - 1, k - 1)
     return {"p_c": p_c, "p_0": p_0}
-
-
-def critical_probabilities(params: GroundParams) -> dict:
-    """p_c = log(n C(n-1,k)) / C(n-k-1,k-1) and
-    p_0 = ((k+1) log n - k log k) / C(n-1,k-1), natural logs."""
-    return critical_probabilities_raw(params.n, params.k)
 
 
 def find_threshold(params: GroundParams, trials: int, seed: int, *,
@@ -451,8 +440,11 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     n, k = params.n, params.k
     if n <= 2 * k:
         raise DomainError(f"analytic bounds need n > 2k, got n={n} k={k}")
-    if zeta <= 0:
-        raise DomainError(f"zeta must be positive, got {zeta}")
+    for name, value in (("zeta", zeta), ("c_const", c_const), ("epsilon", epsilon)):
+        if not value > 0:
+            raise DomainError(f"{name} must be positive, got {value}")
+        if value == math.inf:
+            raise DomainError(f"{name} must be finite, got {value}")
     crit = critical_probabilities(params)
     p_c = crit["p_c"]
     p = zeta * p_c
@@ -505,7 +497,8 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
         log_z = (math.log(n) + _log_comb(star, i)
                  + _log_comb(i * params.kneser_degree, j)
                  + i * (math.log(jp) if jp > 0 else -math.inf)
-                 + j * (cross - i) * log1mp)
+                 # (1-p)^0 = 1 even at p = 1, where log1mp is -inf
+                 + (j * (cross - i) * log1mp if cross != i else 0.0))
 
     def safe_exp(x: float) -> float:
         if x == -math.inf:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -14,6 +15,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_ekr_payload(capsys):
@@ -47,6 +56,29 @@ def test_bounds_payload(capsys):
     assert payload["first_moment_bound"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--zeta", "nan"), ("--zeta", "inf"), ("--c-const", "0"), ("--c-const", "nan"),
+    ("--epsilon", "nan"), ("--epsilon", "0"),
+])
+def test_bounds_refuses_bad_parameters(capsys, flag, value):
+    code, out, err = run_cli(capsys, "bounds", "--n", "12", "--k", "2", flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_bounds_zero_exponent_term_is_one(capsys):
+    # at (12,2), i = C(n-k-1,k-1) = 9 makes the exponent of (1-p) zero, and
+    # zeta = 20 puts p_eff at 1: the bound is n C(11,i) C(i C(10,2), j) j^i
+    code, out, _ = run_cli(capsys, "bounds", "--n", "12", "--k", "2",
+                           "--zeta", "20", "--i", "9", "--j", "3")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["p_effective"] == 1.0
+    expected = math.log(12 * math.comb(11, 9) * math.comb(9 * 45, 3) * 3 ** 9)
+    assert payload["log_maximal_family_bound"] == pytest.approx(expected, rel=1e-12)
+    assert payload["maximal_family_bound"] == pytest.approx(math.exp(expected), rel=1e-9)
+
+
 def test_spectrum_payload(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--n", "5", "--k", "2",
                            "--family", "star:1")
@@ -66,6 +98,29 @@ def test_removal_payload_and_cases(capsys):
     assert payload["holds"] is True
     assert payload["case_label"] == "(vi)"
     assert len(payload["cases"]) == 6
+
+
+@pytest.mark.parametrize("command,c_const", [
+    ("stats", "0"), ("stats", "nan"), ("stats", "inf"), ("stats", "0.5"),
+    ("removal", "inf"),
+])
+def test_bad_c_const_is_a_domain_error(capsys, command, c_const):
+    code, out, err = run_cli(capsys, command, "--n", "10", "--k", "2",
+                             "--family", "star:1", "--c-const", c_const)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["stats", "removal"])
+def test_large_finite_c_const_reports(capsys, command):
+    # C n overflows to inf here; with eps = 0 the centre-set bound is still 1
+    code, out, _ = run_cli(capsys, command, "--n", "10", "--k", "2",
+                           "--family", "star:1", "--c-const", "1e308")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["c_const"] == 1e308
+    if command == "removal":
+        assert payload["center_set"]["s_bound"] == 1
 
 
 def test_baranyai_payload(capsys):

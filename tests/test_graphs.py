@@ -79,6 +79,16 @@ def test_max_independent_set_examples():
     assert is_star(r.witness)
 
 
+def test_max_independent_set_refuses_a_failed_certificate(monkeypatch):
+    # a ratio bound above the star's size certifies nothing, so it must raise
+    # rather than report the star
+    monkeypatch.setattr(graphs, "ratio_bound",
+                        lambda params: math.comb(params.n - 1, params.k - 1) + 1)
+    for n, k in [(5, 2), (7, 3)]:
+        with pytest.raises(AssertionError, match="ratio bound"):
+            max_independent_set(build_graph(GroundParams(n, k)))
+
+
 def test_max_independent_set_agrees_with_brute_force():
     for n, k in [(5, 2), (4, 2), (6, 3)]:
         g = build_graph(GroundParams(n, k))
@@ -133,9 +143,11 @@ def test_enumeration_finds_exactly_the_stars(n, k):
 @pytest.mark.parametrize("n,k", [(7, 2), (9, 2), (12, 2), (8, 3), (9, 3), (4, 2), (6, 3)])
 def test_spectral_prune_matches_honest_enumeration(n, k):
     g = build_graph(GroundParams(n, k))
-    pruned = enumerate_maximum(g, spectral_prune=True)
-    honest = enumerate_maximum(g, spectral_prune=False)
-    assert [f.members for f in pruned] == [f.members for f in honest]
+    pruned = enumerate_maximum(g)
+    alpha = math.comb(n - 1, k - 1)
+    honest, _ = mis.enumerate_maximum_independent_sets(g.adjacency, alpha)
+    assert [f.members for f in pruned] == [
+        g.family_from_vertex_mask(m).members for m in honest]
 
 
 def test_spectrum_cross_check_examples():

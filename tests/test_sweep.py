@@ -81,6 +81,34 @@ def test_workers_fall_back_to_spawn_without_fork(monkeypatch):
     assert spawned == estimate_probabilities(GroundParams(10, 2), ps, 40, 7)
 
 
+def test_pool_size_follows_the_jobs(monkeypatch):
+    # 30 trials over 64 workers make 30 non-empty chunks; the pool runs
+    # in-process here, so no real worker starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(threshold, "get_context", lambda method: InlineContext())
+    ps = [0.5, 0.7]
+    rows = estimate_probabilities(GroundParams(8, 2), ps, 30, 3, workers=64)
+    assert sizes == [30]
+    assert rows == estimate_probabilities(GroundParams(8, 2), ps, 30, 3)
+
+
 def reference_bisection(params, trials, seed, width_tol=0.02, max_iter=30):
     """find_threshold's bisection with an independent estimate per midpoint."""
     lo, hi = 0.0, 1.0

@@ -13,7 +13,6 @@ from kneserlab.threshold import (
     analytic_bounds,
     count_superstars,
     critical_probabilities,
-    critical_probabilities_raw,
     ekr_holds,
     estimate_probability,
     find_threshold,
@@ -41,8 +40,6 @@ def test_critical_probability_examples():
 
 def test_critical_probabilities_asymptotic_agreement():
     # k = o(sqrt(n)) regime: the two critical probabilities approach each other
-    crit = critical_probabilities_raw(200, 2)
-    assert abs(crit["p_c"] - crit["p_0"]) / crit["p_c"] < 0.15
     crit64 = critical_probabilities(GroundParams(64, 2))
     assert abs(crit64["p_c"] - crit64["p_0"]) / crit64["p_c"] < 0.15
 
