@@ -1,7 +1,8 @@
 """Single executable exposing the library as subcommands.
 
 Reports go to stdout (JSON by default, CSV for sweep outputs), logs to
-stderr.  Every payload carries schema_version, and randomized commands echo
+stderr.  JSON spells an infinite value "inf" or "-inf", since JSON has none.
+Every payload carries schema_version, and randomized commands echo
 their effective seed, so identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 domain error, 2 guard or budget exceeded.
 """
@@ -9,9 +10,10 @@ Exit codes: 0 success, 1 domain error, 2 guard or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
-import os
+import math
 import sys
 from contextlib import nullcontext
 
@@ -28,24 +30,16 @@ from .threshold import (DEFAULT_EPSILON, analytic_bounds, estimate_probabilities
 DEFAULT_SEED = 1961  # fixed documented default; never time-based
 
 
-def _default_workers() -> int:
-    env = os.environ.get("KNESERLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kneserlab",
         description="Intersecting-family removal diagnostics and sparse EKR "
                     "thresholds on random Kneser subgraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=False, ell=False, seedy=False):
+    def common(p, family=False, ell=False, c_const=False, seedy=False):
         p.add_argument("--n", type=int, required=True, help="ground-set size")
         p.add_argument("--k", type=int, required=True, help="uniformity")
         p.add_argument("--format", choices=("json", "csv"), default=None,
@@ -60,22 +54,23 @@ def build_parser() -> argparse.ArgumentParser:
         if ell:
             p.add_argument("--l", type=int, default=1, dest="ell",
                            help="number of stars l (default 1)")
+        if c_const:
             p.add_argument("--c-const", type=float, default=DEFAULT_C_CONST,
                            help=f"constant C > 1 (default {DEFAULT_C_CONST})")
         if seedy:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help=f"master seed (default {DEFAULT_SEED})")
-            p.add_argument("--workers", type=int, default=_default_workers(),
+            p.add_argument("--workers", type=int, default=1,
                            help="worker processes; must not affect results")
         return p
 
     common(sub.add_parser("stats", help="family size/dp and (alpha,beta)"),
-           family=True, ell=True)
+           family=True, ell=True, c_const=True)
     common(sub.add_parser("spectrum", help="eigenvalues and affine decomposition"),
            family=False, ell=True).add_argument(
         "--family", default=None, help="optional family spec to decompose")
     common(sub.add_parser("removal", help="nearest union of stars and bound"),
-           family=True, ell=True)
+           family=True, ell=True, c_const=True)
     common(sub.add_parser("ekr", help="exact alpha; are the stars the only maxima"))
     common(sub.add_parser("baranyai", help="perfect-matching partition (k | n)")
            ).add_argument("--partition-only", action="store_true",
@@ -98,9 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_safe(value):
+    """value with every infinite float, at any depth, as "inf" or "-inf"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _emit_json(payload: dict, stream) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(payload, stream, indent=2, sort_keys=True)
+    payload = _json_safe({"schema_version": SCHEMA_VERSION, **payload})
+    json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 
@@ -180,11 +186,7 @@ def _cmd_baranyai(args) -> dict:
         "classes": buf.getvalue().splitlines(),
     }
     if not args.partition_only:
-        stats = extremal_subgraph(params)
-        payload["extremal"] = {
-            key: stats[key]
-            for key in ("alpha", "degree", "regular", "edges", "expected_edges")
-        }
+        payload["extremal"] = extremal_subgraph(params)
     return payload
 
 

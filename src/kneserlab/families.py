@@ -434,11 +434,25 @@ class FamilyStats:
     alpha: Fraction
     beta: Fraction
 
+    @property
+    def excess(self) -> Fraction:
+        """((2l-1) alpha + 2 beta) * k/(n-2k): the bound on the residual norm
+        ||f2||^2, and the removal bound over C * C(n,k)."""
+        n, k = self.params.n, self.params.k
+        return ((2 * self.ell - 1) * self.alpha + 2 * self.beta) * Fraction(k, n - 2 * k)
+
+    @property
+    def precondition_limit(self) -> Fraction | None:
+        """The largest C^2 with max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n),
+        or None when both vanish and every C meets the preconditions."""
+        worst = max(2 * self.ell * abs(self.alpha), abs(self.beta))
+        n, k = self.params.n, self.params.k
+        return Fraction(n - 2 * k, 400 * n) / worst if worst else None
+
     def removal_precondition_met(self, c_const: float) -> bool:
         """max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n), exactly in rationals."""
-        n, k = self.params.n, self.params.k
-        threshold = Fraction(n - 2 * k) / (400 * Fraction(c_const) ** 2 * n)
-        return max(2 * self.ell * abs(self.alpha), abs(self.beta)) <= threshold
+        limit = self.precondition_limit
+        return limit is None or Fraction(c_const) ** 2 <= limit
 
     def to_json_dict(self) -> dict:
         return {

@@ -442,17 +442,11 @@ def extremal_subgraph(params: GroundParams) -> dict:
             cm |= 1 << i
         for i in idxs:
             adjacency[i] |= cm & ~(1 << i)
-    size, mask, nodes = max_independent_set_masks(adjacency)
     degrees = {a.bit_count() for a in adjacency}
     return {
-        "n": n,
-        "k": k,
-        "alpha": size,
-        "witness": graph.family_from_vertex_mask(mask),
+        "alpha": max_independent_set_masks(adjacency)[0],
         "degree": max(degrees),
         "regular": len(degrees) == 1,
         "edges": sum(a.bit_count() for a in adjacency) // 2,
         "expected_edges": (n - k) * params.slice_size // (2 * k),
-        "node_count": nodes,
-        "num_classes": len(partition.classes),
     }

@@ -30,7 +30,8 @@ Two entry points run it:
   are the only maximum ones in K(n,k).  The incumbent is held at alpha - 1,
   so each set that reaches alpha is recorded and none tightens the cut.
 
-Node and solution caps raise instead of returning an approximation.
+The node and solution caps, NODE_CAP and SOLUTION_CAP, raise instead of
+returning an approximation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Sequence
 
 from .errors import SearchBudgetExceeded
 
-DEFAULT_NODE_CAP = 5_000_000
+NODE_CAP = 5_000_000
 SOLUTION_CAP = 1_000_000
 
 
@@ -77,7 +78,7 @@ def _branch_and_bound(
     best: int,
     best_mask: int,
     goal: int,
-    node_cap: int,
+    budget: int,
     found: set[int] | None = None,
 ) -> tuple[int, int, int]:
     """Search the independent sets inside the root candidate mask cand.
@@ -85,7 +86,8 @@ def _branch_and_bound(
     rows and excl come from _mirrored_rows, and every mask is in the mirror's
     labelling.  The incumbent (best, best_mask) rises with each larger set
     found until it reaches goal.  With a `found` set the incumbent stays
-    fixed instead, and every set larger than it is added to found.  Returns
+    fixed instead, and every set larger than it is added to found.  More
+    than budget nodes, the part of NODE_CAP left to the call, raise.  Returns
     (best, best_mask, node_count).
     """
     nodes = 0
@@ -95,8 +97,8 @@ def _branch_and_bound(
     size, chosen = 0, 0
     while True:
         nodes += 1
-        if nodes > node_cap:
-            raise SearchBudgetExceeded(f"search exceeded node cap {node_cap}")
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"search exceeded node cap {NODE_CAP}")
         if size + cand.bit_count() > best:
             # First-fit clique cover from the highest uncovered vertex down:
             # each class takes every lower uncovered vertex adjacent to all
@@ -166,7 +168,6 @@ def max_independent_set_masks(
     adjacency: Sequence[int],
     *,
     stop_at: int | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
     initial: int = 0,
 ) -> tuple[int, int, int]:
     """Exact maximum independent set; returns (size, witness_mask, node_count).
@@ -187,7 +188,7 @@ def max_independent_set_masks(
         return best, best_mask, 0
     rows, excl = _mirrored_rows(adjacency)
     best, best_mask, nodes = _branch_and_bound(
-        rows, excl, (1 << nv) - 1, best, _mirror(best_mask, nv), goal, node_cap)
+        rows, excl, (1 << nv) - 1, best, _mirror(best_mask, nv), goal, NODE_CAP)
     return best, _mirror(best_mask, nv), nodes
 
 
@@ -196,7 +197,6 @@ def enumerate_maximum_independent_sets(
     alpha: int,
     *,
     containment_groups: Sequence[int] | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[list[int], int]:
     """All independent sets of size exactly alpha, where alpha = alpha(G).
 
@@ -216,5 +216,5 @@ def enumerate_maximum_independent_sets(
     nodes = 0
     for root in roots:
         nodes += _branch_and_bound(rows, excl, root, alpha - 1, 0, alpha,
-                                   node_cap - nodes, found)[2]
+                                   NODE_CAP - nodes, found)[2]
     return sorted(_mirror(m, nv) for m in found), nodes

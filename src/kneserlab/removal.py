@@ -287,10 +287,9 @@ class RemovalReport:
 
 
 def removal_bound_base(stats: FamilyStats) -> Fraction:
-    """((2l-1) alpha + 2 beta) * n/(n-2k) * C(n-1,k-1); the bound is C times this."""
-    params = stats.params
-    return ((2 * stats.ell - 1) * stats.alpha + 2 * stats.beta) \
-        * Fraction(params.n, params.n - 2 * params.k) * params.star_size
+    """The removal bound over C: excess * C(n,k), which is excess * (n/k) *
+    C(n-1,k-1) as in the lemma."""
+    return stats.excess * stats.params.slice_size
 
 
 def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
@@ -304,69 +303,64 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
     if n <= 2 * k * ell * ell:
         raise DomainError(f"removal_bound_check needs n > 2k l^2, got n={n} k={k} l={ell}")
     stats = family_stats(family, ell)
-    eps_exact = ((2 * ell - 1) * stats.alpha + 2 * stats.beta) * Fraction(k, n - 2 * k)
     centres, distance = nearest_union_exact(family, ell)
     base = removal_bound_base(stats)
-    bound = cfg.c_const * float(base)
-    preconditions = stats.removal_precondition_met(cfg.c_const)
     try:
         label = case_classify(family, cfg)
     except (GuardError, DomainError):
         label = None
     return RemovalReport(
         stats=stats,
-        epsilon=float(eps_exact),
+        epsilon=float(stats.excess),
         best_centers=centres,
         distance=distance,
-        bound=bound,
-        preconditions_met=preconditions,
+        bound=cfg.c_const * float(base),
+        preconditions_met=stats.removal_precondition_met(cfg.c_const),
         holds=distance <= Fraction(cfg.c_const) * base,
         case_label=label,
         c_const=cfg.c_const,
     )
 
 
+def _ceil_double(q: Fraction) -> float:
+    """The least double >= q; float(q) rounds to nearest."""
+    d = float(q)
+    return d if d >= q else math.nextafter(d, math.inf)
+
+
+def _precondition_breakpoint(stats: FamilyStats) -> float:
+    """The least double C at which stats.removal_precondition_met(C) is false,
+    that is C^2 > limit, for a limit >= 1.  Doubles >= 1 are multiples of
+    2^-52, and the least multiple of 2^-52 above sqrt(limit) is
+    (isqrt(floor(limit 2^104)) + 1) 2^-52."""
+    limit = stats.precondition_limit
+    if limit is None:
+        return math.inf
+    root = math.isqrt((limit.numerator << 104) // limit.denominator)
+    return _ceil_double(Fraction(root + 1, 1 << 52))
+
+
 def calibrate_constant(entries: Iterable[tuple[FamilyStats, int]],
                        floor: float = 1.000001) -> float:
-    """Smallest C >= floor making the removal bound hold on every entry whose
-    preconditions are met at that same C.
+    """The least double C >= floor at which dist <= C * base exactly for every
+    entry whose preconditions C meets.
 
-    entries: (stats, exact nearest-union distance).  The qualifying set
-    shrinks as C grows while the bound grows, so g(C) = max ratio over
-    qualifying entries is non-increasing and the smallest fixed point is found
-    by bisection.  Returns inf when some qualifying entry has a zero bound but
-    positive distance.
+    entries: (stats, exact nearest-union distance).  An entry that fails the
+    preconditions at the floor fails them at every larger C.  One that meets
+    them is satisfied from the least double at or above dist/base, or from the
+    least double at which it stops qualifying, whichever comes first, and C is
+    the largest of these.  Returns inf when a qualifying entry has base <= 0
+    and dist > floor * base: no C satisfies it while it qualifies.
     """
-    data = []
+    c_star = floor
     for stats, dist in entries:
-        base = float(removal_bound_base(stats))
-        data.append((stats, dist, base))
-
-    def g(c: float) -> float:
-        worst = floor
-        for stats, dist, base in data:
-            if not stats.removal_precondition_met(c):
-                continue
-            if base <= 0:
-                if dist > 0:
-                    return math.inf
-                continue
-            worst = max(worst, dist / base)
-        return worst
-
-    hi = g(floor)
-    if hi <= floor:
-        return floor
-    if math.isinf(hi):
-        return math.inf
-    if g(hi) > hi:
-        # g is non-increasing, so g(g(floor)) <= g(floor) = hi; defensive only
-        return math.inf
-    lo = floor
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= mid:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        if not stats.removal_precondition_met(floor):
+            continue
+        base = removal_bound_base(stats)
+        if dist <= Fraction(floor) * base:
+            continue
+        if base <= 0:
+            return math.inf
+        c_star = max(c_star, min(_ceil_double(Fraction(dist) / base),
+                                 _precondition_breakpoint(stats)))
+    return c_star

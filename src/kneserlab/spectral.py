@@ -126,12 +126,8 @@ class ResidualBoundReport:
 
 
 def residual_bound_check(family: SetFamily, ell: int) -> ResidualBoundReport:
-    """Residual-norm inequality ||f2||^2 <= ((2l-1)alpha + 2beta) * k/(n-2k)."""
-    params = family.params
-    params.require_gap("residual_bound_check")
-    stats = family_stats(family, ell)
-    dec = decompose_affine(family)
-    n, k = params.n, params.k
-    rhs_exact = ((2 * ell - 1) * stats.alpha + 2 * stats.beta) * Fraction(k, n - 2 * k)
-    return ResidualBoundReport(lhs=float(dec.f2_norm_sq_exact), rhs=float(rhs_exact),
-                               holds=dec.f2_norm_sq_exact <= rhs_exact)
+    """Residual-norm inequality ||f2||^2 <= FamilyStats.excess at l."""
+    family.params.require_gap("residual_bound_check")
+    rhs = family_stats(family, ell).excess
+    lhs = decompose_affine(family).f2_norm_sq_exact
+    return ResidualBoundReport(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs)

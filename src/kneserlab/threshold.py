@@ -41,6 +41,7 @@ DEFAULT_EPSILON = 0.1
 EDGE_GUARD = 2_000_000
 ROW_GUARD = 32 << 20
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
+THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
 CI_MIN_TRIALS = 30
 
 
@@ -260,11 +261,11 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
     return sums, brackets
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
@@ -335,34 +336,29 @@ def critical_probabilities(params: GroundParams) -> dict:
 
 
 def find_threshold(params: GroundParams, trials: int, seed: int, *,
-                   workers: int = 1, width_tol: float = 0.02,
-                   max_iter: int = 30) -> dict:
+                   workers: int = 1) -> dict:
     """Bisection for the p where the EKR-property frequency crosses 1/2.
 
     Each midpoint is estimated with every trial's bracket kept from earlier
     midpoints; the p bracket moves only when the Wilson interval separates
     from 1/2, and the search stops at an undecided midpoint (flagged) or once
-    it is narrower than width_tol.  Reported alongside p_c and p_0.
+    it is no wider than THRESHOLD_WIDTH.  Reported alongside p_c and p_0.
     """
     crit = critical_probabilities(params)
     lo, hi = 0.0, 1.0
-    iterations = 0
-    separated = True
     evaluations = []
     brackets = [_OPEN] * trials
-    while hi - lo > width_tol and iterations < max_iter:
+    while hi - lo > THRESHOLD_WIDTH:
         mid = 0.5 * (lo + hi)
         est = _estimate([ThresholdParams(params, mid, trials, seed)],
                         brackets, workers)[0]
         evaluations.append({"p": mid, "fraction": est["fraction"],
                             "ci_lo": est["ci_lo"], "ci_hi": est["ci_hi"]})
-        iterations += 1
         if est["ci_lo"] > 0.5:
             hi = mid
         elif est["ci_hi"] < 0.5:
             lo = mid
-        else:
-            separated = False
+        else:  # undecided: the bracket closes on mid
             lo = hi = mid
             break
     return {
@@ -371,8 +367,8 @@ def find_threshold(params: GroundParams, trials: int, seed: int, *,
         "p_half": 0.5 * (lo + hi),
         "bracket_lo": lo,
         "bracket_hi": hi,
-        "iterations": iterations,
-        "separated_cleanly": separated,
+        "iterations": len(evaluations),
+        "separated_cleanly": lo < hi,
         "p_c": crit["p_c"],
         "p_0": crit["p_0"],
         "trials_per_point": trials,
@@ -417,11 +413,7 @@ class BoundReport:
     epsilon: float
 
     def to_json_dict(self) -> dict:
-        payload = asdict(self)
-        for key, value in payload.items():
-            if isinstance(value, float) and math.isinf(value):
-                payload[key] = "-inf" if value < 0 else "inf"
-        return payload
+        return asdict(self)
 
 
 def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,

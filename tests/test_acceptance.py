@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_criterion_6_removal_calibration():
             if stats.removal_precondition_met(c_star):
                 qualifying += 1
                 nontrivial += dist > 0
-                if dist > c_star * float(removal_bound_base(stats)) + 1e-9:
+                if dist > Fraction(c_star) * removal_bound_base(stats):
                     violations += 1
     anti_expected = {(5, 2): 4, (7, 3): 15, (9, 4): 56}
     anti_ok = all(antistar_oracle_distance(n, k) == d ==

@@ -123,6 +123,32 @@ def test_large_finite_c_const_reports(capsys, command):
         assert payload["center_set"]["s_bound"] == 1
 
 
+def test_infinite_values_print_as_strings(capsys):
+    # C times a positive bound overflows here, and so does C eps in the case
+    # table; json.dump would print the non-JSON tokens Infinity and -Infinity
+    code, out, _ = run_cli(capsys, "removal", "--n", "10", "--k", "2",
+                           "--family", "random:20:3", "--c-const", "1e308")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["bound"] == "inf"
+    assert payload["cases"][4]["dp_lower_threshold"] == "-inf"
+    # byte-for-byte output of bounds from when BoundReport spelled its own
+    # infinities
+    code, out, _ = run_cli(capsys, "bounds", "--n", "12", "--k", "2",
+                           "--i", "0", "--j", "1")
+    assert code == 0
+    assert strict_json(out)["near_star_base"] == "inf"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1ae072d389060a0431386eafe708056b0894d42e4da098935e8e2ae1a6e8b2c9"
+
+
+def test_spectrum_has_no_c_const(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "10", "--k", "2", "--c-const", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c-const 3" in capsys.readouterr().err
+
+
 def test_baranyai_payload(capsys):
     code, out, _ = run_cli(capsys, "baranyai", "--n", "6", "--k", "2")
     assert code == 0

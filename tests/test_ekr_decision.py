@@ -10,7 +10,7 @@ import pytest
 from kneserlab import threshold
 from kneserlab.families import GroundParams
 from kneserlab.graphs import build_graph
-from kneserlab.mis import DEFAULT_NODE_CAP, max_independent_set_masks
+from kneserlab.mis import NODE_CAP, max_independent_set_masks
 from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
@@ -143,7 +143,7 @@ def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
     sample = sample_subgraph(ThresholdParams(GroundParams(9, 4), 0.85, 1, SEED), trial)
     assert count_superstars(sample) == 0
     assert ekr_holds(sample).holds
-    assert len(nodes) == 1 and nodes[0] < DEFAULT_NODE_CAP // 100
+    assert len(nodes) == 1 and nodes[0] < NODE_CAP // 100
 
 
 

@@ -140,7 +140,13 @@ def test_enumeration_finds_exactly_the_stars(n, k):
     assert all(is_star(f) for f in fams)
 
 
-@pytest.mark.parametrize("n,k", [(7, 2), (9, 2), (12, 2), (8, 3), (9, 3), (4, 2), (6, 3)])
+# every n > 2k >= 4 with C(n,k) <= 200 but (9,4), whose unpruned search
+# passes 3M nodes, and the n = 2k cases (4,2) and (6,3), which are not pruned
+HONEST_CASES = [(n, k) for k in range(2, 5) for n in range(2 * k + 1, 21)
+                if math.comb(n, k) <= 200 and (n, k) != (9, 4)] + [(4, 2), (6, 3)]
+
+
+@pytest.mark.parametrize("n,k", HONEST_CASES)
 def test_spectral_prune_matches_honest_enumeration(n, k):
     g = build_graph(GroundParams(n, k))
     pruned = enumerate_maximum(g)

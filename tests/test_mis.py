@@ -76,14 +76,15 @@ def test_stop_at_early_exit():
     assert best >= size
 
 
-def test_node_cap_raises_instead_of_approximating():
+def test_node_cap_raises_instead_of_approximating(monkeypatch):
     adjacency = random_graph(18, 0.5, 11)
+    monkeypatch.setattr(mis, "NODE_CAP", 1)
     with pytest.raises(SearchBudgetExceeded):
-        max_independent_set_masks(adjacency, node_cap=1)
+        max_independent_set_masks(adjacency)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_loops_are_ignored(seed):
+def test_loops_are_ignored(seed, monkeypatch):
     # a loop (bit v of row v) must neither hang the search nor change alpha:
     # the answers are those of the loop-free graph
     nv = 10 + seed % 9
@@ -92,12 +93,12 @@ def test_loops_are_ignored(seed):
     looped = [row | (rng.random() < 0.5) << v for v, row in enumerate(adjacency)]
     assert looped != adjacency
     alpha, sols = brute_force_maximum(adjacency)
+    monkeypatch.setattr(mis, "NODE_CAP", 10_000)
     for stop_at in (None, alpha):
-        size, mask, _ = max_independent_set_masks(looped, stop_at=stop_at,
-                                                  node_cap=10_000)
+        size, mask, _ = max_independent_set_masks(looped, stop_at=stop_at)
         assert size == alpha == mask.bit_count()
         assert is_independent(mask, adjacency)
-    masks, _ = enumerate_maximum_independent_sets(looped, alpha, node_cap=10_000)
+    masks, _ = enumerate_maximum_independent_sets(looped, alpha)
     assert masks == sorted(sols)
 
 
@@ -112,23 +113,36 @@ def test_enumeration_solution_cap_raises_instead_of_truncating(monkeypatch):
     assert len(masks) == 4096 and nodes > 1000
     # the cap is checked as each set is found, long before the search ends
     monkeypatch.setattr(mis, "SOLUTION_CAP", 100)
+    monkeypatch.setattr(mis, "NODE_CAP", 1000)
     with pytest.raises(SearchBudgetExceeded, match="solution cap 100"):
-        enumerate_maximum_independent_sets(adjacency, 12, node_cap=1000)
+        enumerate_maximum_independent_sets(adjacency, 12)
 
 
-def test_enumeration_node_cap_raises_instead_of_truncating():
+def test_enumeration_node_cap_raises_instead_of_truncating(monkeypatch):
     adjacency = random_graph(18, 0.5, 11)
     alpha = max_independent_set_masks(adjacency)[0]
     assert enumerate_maximum_independent_sets(adjacency, alpha)[1] > 1
+    # the roots share one budget, and the message names the cap, not what a
+    # later root had left of it
+    groups = [(1 << 18) - 1] * 3
+    nodes = enumerate_maximum_independent_sets(adjacency, alpha, containment_groups=groups)[1]
+    monkeypatch.setattr(mis, "NODE_CAP", 1)
     with pytest.raises(SearchBudgetExceeded, match="node cap 1$"):
-        enumerate_maximum_independent_sets(adjacency, alpha, node_cap=1)
+        enumerate_maximum_independent_sets(adjacency, alpha)
+    monkeypatch.setattr(mis, "NODE_CAP", nodes - 1)
+    with pytest.raises(SearchBudgetExceeded, match=f"node cap {nodes - 1}$"):
+        enumerate_maximum_independent_sets(adjacency, alpha, containment_groups=groups)
 
 
 def test_containment_groups_prune_soundly():
-    # a graph whose maximum independent sets all lie inside known groups
+    # each group is a maximum independent set plus extra vertices, so the
+    # search inside it must still tell the solution from the other sets there
     adjacency = random_graph(12, 0.45, 8)
     best, sols = brute_force_maximum(adjacency)
-    groups = sols  # trivially valid containment certificate
+    rng = random.Random(8)
+    full = (1 << 12) - 1
+    groups = [sol | (full & ~sol & rng.getrandbits(12)) for sol in sols]
+    assert all(group != sol for group, sol in zip(groups, sols))
     masks, _ = enumerate_maximum_independent_sets(adjacency, best,
                                                   containment_groups=groups)
     assert masks == sorted(sols)

@@ -1,12 +1,16 @@
 """removal: nearest unions of stars, bound checks, case classification."""
 
 import math
+import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from kneserlab.errors import DomainError
 from kneserlab.families import (
+    FamilyStats,
     GroundParams,
     SetFamily,
     build_family,
@@ -22,10 +26,12 @@ from kneserlab.removal import (
     case_table,
     center_set_check,
     nearest_union_exact,
+    removal_bound_base,
     removal_bound_check,
     union_distance,
     union_size,
 )
+from kneserlab.spectral import residual_bound_check
 from oracles import nearest_union_heuristic
 
 
@@ -46,8 +52,6 @@ def exhaustive_union_oracle(family, ell):
 
 def perturbed_star(params, removals, additions, seed):
     star = build_family(params, "star:1")
-    import random
-
     rng = random.Random(seed)
     members = list(star.members)
     for m in rng.sample(members, removals):
@@ -185,6 +189,24 @@ def test_removal_bound_star_minus_two_at_24_2():
     assert rep.holds
 
 
+@pytest.mark.parametrize("n,k,ell,spec", [
+    (24, 2, 1, "random:30:1"), (13, 3, 1, "antistar:2"), (20, 2, 2, "union:1,2"),
+    (19, 2, 2, "random:40:7"),
+])
+def test_removal_bound_is_the_lemma_bound(n, k, ell, spec):
+    # the report reads excess = ((2l-1) alpha + 2 beta) k/(n-2k) for epsilon
+    # and the residual bound; its base is the lemma's
+    # ((2l-1) alpha + 2 beta) n/(n-2k) C(n-1,k-1)
+    params = GroundParams(n, k)
+    fam = build_family(params, spec)
+    stats = family_stats(fam, ell)
+    weight = (2 * ell - 1) * stats.alpha + 2 * stats.beta
+    assert removal_bound_base(stats) == weight * Fraction(n, n - 2 * k) * params.star_size
+    rep = removal_bound_check(fam, RemovalConfig(ell, 2.0))
+    assert rep.epsilon == float(weight * Fraction(k, n - 2 * k))
+    assert residual_bound_check(fam, ell).rhs == rep.epsilon
+
+
 def test_removal_bound_antistar_preconditions_fail_but_report_returns():
     rep = removal_bound_check(build_family(GroundParams(5, 2), "antistar:5"),
                           RemovalConfig(1, 2.0))
@@ -275,6 +297,65 @@ def test_calibrate_constant_on_star_perturbations():
     cfg_c = max(c_star, 1.000001)
     for stats, dist in entries:
         if stats.removal_precondition_met(cfg_c):
-            from kneserlab.removal import removal_bound_base
+            assert dist <= Fraction(cfg_c) * removal_bound_base(stats)
 
-            assert dist <= cfg_c * float(removal_bound_base(stats)) + 1e-9
+
+def synthetic_stats(params, size, dp):
+    """FamilyStats at l = 1 of a family of this size and dp, as family_stats
+    computes them."""
+    star = params.star_size
+    return FamilyStats(params, 1, size, dp, 1 - Fraction(size, star),
+                       Fraction(dp, star * params.star_disjoint_degree))
+
+
+def random_entries(rng):
+    """Four (stats, distance) entries near a star at one (n,k): the
+    preconditions hold up to C of about 1 to 2, and dist/base lies in 0..3."""
+    n, k = rng.choice([(30, 2), (45, 3), (64, 3), (64, 4)])
+    params = GroundParams(n, k)
+    star, cross = params.star_size, params.star_disjoint_degree
+    width = (n - 2 * k) / (400 * n)  # the bound on max(2|alpha|, |beta|) at C = 1
+    entries = []
+    while len(entries) < 4:
+        stats = synthetic_stats(params, star - round(rng.uniform(-0.3, 0.3) * width * star),
+                                round(rng.uniform(0, 1.1) * width * star * cross))
+        base = removal_bound_base(stats)
+        # a family's base is never negative: its excess bounds ||f2||^2
+        if base > 0:
+            entries.append((stats, rng.randint(0, int(3 * base) + 1)))
+        elif base == 0:
+            entries.append((stats, rng.choice([0, 0, 0, 1])))
+    return entries
+
+
+def test_calibrate_constant_is_exact_and_least():
+    # the float bisection this replaced returned a C below some qualifying
+    # entry's exact ratio dist/base on 11 of these 200 sets
+    floor = 1.000001
+    rng = random.Random(1)
+    kinds = Counter()
+    for _ in range(200):
+        entries = random_entries(rng)
+        c_star = calibrate_constant(entries, floor=floor)
+        if math.isinf(c_star):
+            assert any(stats.removal_precondition_met(floor)
+                       and removal_bound_base(stats) <= 0 < dist
+                       for stats, dist in entries)
+            kinds["inf"] += 1
+            continue
+        assert c_star >= floor
+        assert all(dist <= Fraction(c_star) * removal_bound_base(stats)
+                   for stats, dist in entries if stats.removal_precondition_met(c_star))
+        if c_star == floor:
+            kinds["floor"] += 1
+            continue
+        below = math.nextafter(c_star, 0)
+        failing = [stats for stats, dist in entries
+                   if stats.removal_precondition_met(below)
+                   and dist > Fraction(below) * removal_bound_base(stats)]
+        assert failing
+        # an entry failing just below C* is satisfied at C* by its ratio if it
+        # still qualifies there, else by leaving the preconditions
+        still = any(stats.removal_precondition_met(c_star) for stats in failing)
+        kinds["ratio" if still else "breakpoint"] += 1
+    assert min(kinds[key] for key in ("inf", "floor", "ratio", "breakpoint")) > 0, kinds

@@ -109,11 +109,11 @@ def test_pool_size_follows_the_jobs(monkeypatch):
     assert rows == estimate_probabilities(GroundParams(8, 2), ps, 30, 3)
 
 
-def reference_bisection(params, trials, seed, width_tol=0.02, max_iter=30):
+def reference_bisection(params, trials, seed, width_tol=0.02):
     """find_threshold's bisection with an independent estimate per midpoint."""
     lo, hi = 0.0, 1.0
     evaluations = []
-    while hi - lo > width_tol and len(evaluations) < max_iter:
+    while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
         successes, _ = reference_counts(params, mid, trials, seed)
         ci_lo, ci_hi = wilson_interval(successes, trials)

@@ -187,18 +187,20 @@ def test_wilson_interval_basic():
     assert wilson_interval(50, 50)[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_find_threshold_brackets():
-    rep = find_threshold(GroundParams(8, 2), trials=60, seed=5, width_tol=0.1)
+def test_find_threshold_brackets(monkeypatch):
+    monkeypatch.setattr(threshold, "THRESHOLD_WIDTH", 0.1)
+    rep = find_threshold(GroundParams(8, 2), trials=60, seed=5)
     assert 0.0 < rep["p_half"] < 1.0
     assert rep["iterations"] >= 1
     assert rep["p_c"] == pytest.approx(
         math.log(8 * math.comb(7, 2)) / math.comb(5, 1))
 
 
-def test_find_threshold_exceeds_analytic_upper_bound_region():
+def test_find_threshold_exceeds_analytic_upper_bound_region(monkeypatch):
     # (1 - (1-p)^C(n-k-1,k-1))^C(n-1,k) bounds the success probability from
     # above, so any p where it sits well below 1/2 lies below the crossing
-    rep = find_threshold(GroundParams(8, 2), trials=120, seed=12, width_tol=0.05)
+    monkeypatch.setattr(threshold, "THRESHOLD_WIDTH", 0.05)
+    rep = find_threshold(GroundParams(8, 2), trials=120, seed=12)
     d = math.comb(5, 1)
     count = math.comb(7, 2)
     p_low = None
@@ -210,9 +212,9 @@ def test_find_threshold_exceeds_analytic_upper_bound_region():
     assert rep["p_half"] > p_low
 
 
-def test_find_threshold_decreases_with_n():
-    halves = [find_threshold(GroundParams(n, 2), trials=160, seed=31,
-                             width_tol=0.04)["p_half"]
+def test_find_threshold_decreases_with_n(monkeypatch):
+    monkeypatch.setattr(threshold, "THRESHOLD_WIDTH", 0.04)
+    halves = [find_threshold(GroundParams(n, 2), trials=160, seed=31)["p_half"]
               for n in (10, 12, 14)]
     assert halves[0] > halves[1] > halves[2]
 
