@@ -12,7 +12,6 @@ solution cap is refused before any search.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -61,12 +60,6 @@ class KneserGraph:
         u.flags.writeable = v.flags.writeable = False  # every trial reads them
         return u, v
 
-    def vertex_index(self, mask: int) -> int:
-        i = bisect.bisect_left(self.vertices, mask)
-        if i == len(self.vertices) or self.vertices[i] != mask:
-            raise DomainError(f"{elements_from_mask(mask)} is not a vertex")
-        return i
-
     def family_from_vertex_mask(self, vmask: int) -> SetFamily:
         masks = []
         m = vmask
@@ -77,11 +70,15 @@ class KneserGraph:
         return SetFamily.from_masks(self.params, masks)
 
 
+def _require_graph(params: GroundParams) -> None:
+    if params.n < 2 * params.k:
+        raise DomainError(f"Kneser graph needs n >= 2k, got n={params.n} k={params.k}")
+
+
 def build_graph(params: GroundParams) -> KneserGraph:
     """Materialise K(n,k); requires n >= 2k and C(n,k) <= BUILD_GUARD."""
+    _require_graph(params)
     n, k = params.n, params.k
-    if n < 2 * k:
-        raise DomainError(f"Kneser graph needs n >= 2k, got n={n} k={k}")
     nv = params.slice_size
     if nv > BUILD_GUARD:
         raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {BUILD_GUARD}")
@@ -343,6 +340,7 @@ class BaranyaiPartition:
             raise AssertionError("classes do not cover C([n],k)")
 
 
+@functools.lru_cache(maxsize=1)
 def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     """Constructive Baranyai partition by one integral flow per element.
 
@@ -350,7 +348,8 @@ def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     extend exactly one slot, and each partial set S must absorb the element in
     exactly C(n-m-1, k-|S|-1) of its occurrences; the fractional solution
     sends (k-|S|)/(n-m) per slot, and an integral flow of the same value
-    always exists.
+    always exists.  The most recent partition is kept, so the `baranyai`
+    command and extremal_subgraph share one construction.
     """
     n, k = params.n, params.k
     if n % k != 0:
@@ -432,11 +431,11 @@ def extremal_subgraph(params: GroundParams) -> dict:
     """
     n, k = params.n, params.k
     partition = baranyai_partition(params)
-    graph = build_graph(params)
-    nv = graph.vertex_count
-    adjacency = [0] * nv
+    _require_graph(params)
+    index = {mask: i for i, mask in enumerate(enumerate_masks(n, k))}  # K(n,k)'s order
+    adjacency = [0] * len(index)
     for fam in partition.classes:
-        idxs = [graph.vertex_index(m) for m in fam.members]
+        idxs = [index[m] for m in fam.members]
         cm = 0
         for i in idxs:
             cm |= 1 << i

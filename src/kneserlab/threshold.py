@@ -2,20 +2,23 @@
 
 Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
-how trials are scheduled across workers.  A sample is one numpy pass over
-the edge arrays of K(n,k), one uniform per edge: it keeps the retained edges
-and ORs each vertex's retained neighbours into the elements blocked for it.
-The unblocked ones certify superstars, which give the superstar count, star
-survival and a search-free EKR failure; the ratio bound proves EKR, again
-without a search, on a sample that keeps every edge.  Any other sample is
-decided by branch and bound on a copy relabelled by ascending degree (MCQ's
-initial vertex order, carried over to independent sets), packed from the
-retained edges; a star is its incumbent, so it looks only for a set one
-larger.  EKR is monotone in p under this coupling, so a trial walks its p
-values ascending: a search proving EKR settles every larger p, and a
-refuting witness, mapped back to the sample's vertex order, every p up to
-its least edge uniform.  Analytic evaluators work in log-space: the
-exponents reach C(n-1,k-1) and overflow doubles quickly.
+how trials are scheduled across workers; one Philox per process is re-keyed
+for each trial.  A sample draws one uniform per edge of K(n,k) and keeps the
+mask of retained edges.  K(n,k) is regular, so a slot table built once per
+(n,k) lists each vertex's incident edges and the element masks across them,
+and one gather-and-reduce pass over it ORs each vertex's retained neighbours
+into the elements blocked for it.  The unblocked ones certify superstars,
+which give the superstar count, star survival and a search-free EKR failure;
+the ratio bound proves EKR, again without a search, on a sample that keeps
+every edge.  Any other sample is decided by branch and bound on a copy
+relabelled by ascending degree (MCQ's initial vertex order, carried over to
+independent sets), packed from the retained edges, which are listed only
+then; a star is its incumbent, so it looks only for a set one larger.  EKR
+is monotone in p under this coupling, so a trial walks its p values
+ascending: a search proving EKR settles every larger p, and a refuting
+witness, mapped back to the sample's vertex order, every p up to its least
+edge uniform.  Analytic evaluators work in log-space: the exponents reach
+C(n-1,k-1) and overflow doubles quickly.
 """
 
 from __future__ import annotations
@@ -33,16 +36,22 @@ from .graphs import build_graph, ratio_bound
 from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
-# _SampleContext keeps two int32 endpoints per edge of K(n,k) and a trial
-# draws one double per edge: 15 MB each for K(64,2)'s 1.9M edges, whose
-# context build peaks at +44 MB RSS.  Refuse more edges.  The graph and each
-# trial also hold nv * ceil(nv/8) bytes of adjacency rows: K(18,9) has 24,310
-# edges but 295 MB of rows, (16,8) 20.7 MB.  Refuse over ROW_GUARD bytes.
+# _SampleContext keeps, per vertex and incident edge, an int32 edge id and the
+# uint64 element mask across that edge: 46 MB for K(64,2)'s 1.9M edges.  A
+# trial draws one double per edge (15 MB there) and ORs SLOT_BLOCK slots at a
+# time; a search reads the graph's two int32 endpoints per edge (15 MB more),
+# built on first use.  In a fresh process (ru_maxrss) at K(64,2) the context
+# build peaks at +50 MB, one trial at +67 MB, and listing its retained edges
+# for a search at +96 MB.  Refuse more edges.  The graph and each trial also
+# hold nv * ceil(nv/8) bytes of adjacency rows: K(18,9) has 24,310 edges but
+# 295 MB of rows, (16,8) 20.7 MB.  Refuse over ROW_GUARD bytes.
 EDGE_GUARD = 2_000_000
 ROW_GUARD = 32 << 20
+SLOT_BLOCK = 1 << 16  # slots ORed per step of a sample's blocked-mask pass
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
 CI_MIN_TRIALS = 30
+_ZERO4 = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
 
 
 @dataclass(frozen=True)
@@ -62,40 +71,59 @@ class ThresholdParams:
 
 
 class _SampleContext:
-    """Per-(n,k) immutable data shared by all trials."""
+    """Per-(n,k) immutable data shared by all trials, and the trials' Philox.
+
+    K(n,k) is C(n-k,k)-regular, so its incidences fill an (nv, degree) slot
+    table: row f lists f's neighbours in index order, slot_edge holds the id
+    of the edge to each (ids in the order of graph.edges) and slot_mask the
+    neighbour's element mask.
+    """
 
     def __init__(self, params: GroundParams) -> None:
         nv = params.slice_size if params.n >= 2 * params.k else 0  # n < 2k has no graph
         self.width = (nv + 7) // 8  # bytes per packed adjacency row
-        edge_count = nv * params.kneser_degree // 2
-        if edge_count > EDGE_GUARD or nv * self.width > ROW_GUARD:
-            raise GuardError(f"K({params.n},{params.k}) has {edge_count} edges and "
+        degree = params.kneser_degree
+        self.edge_count = nv * degree // 2
+        if self.edge_count > EDGE_GUARD or nv * self.width > ROW_GUARD:
+            raise GuardError(f"K({params.n},{params.k}) has {self.edge_count} edges and "
                              f"{nv * self.width} bytes of adjacency rows, over the "
                              f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
         self.graph = build_graph(params)
-        self.u, self.v = self.graph.edges
         self.element_masks = np.array(self.graph.vertices, dtype=np.uint64)
-        self.all_elements = np.uint64((1 << params.n) - 1)
+        all_elements = np.uint64((1 << params.n) - 1)
+        self.free = all_elements & ~self.element_masks  # elements outside each vertex
         # the star at centre 1, per vertex: independent in every K_p
         self.star = (self.element_masks & np.uint64(1)).astype(bool)
+        self.slot_edge = np.empty((nv, degree), dtype=np.int32)
+        self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
+        # counting placement: a row's earlier neighbours fill its first slots,
+        # each written by that neighbour's own row, which is visited first
+        placed = np.zeros(nv, dtype=np.intp)  # slots filled so far, per row
+        first = 0  # id of the next edge, by lower endpoint then upper
+        for f, row in enumerate(self.graph.adjacency):
+            bits = np.frombuffer(row.to_bytes(self.width, "little"), np.uint8)
+            nbrs = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+            self.slot_mask[f] = self.element_masks[nbrs]
+            later = nbrs[placed[f]:]
+            ids = np.arange(first, first + len(later), dtype=np.int32)
+            first += len(later)
+            self.slot_edge[f, placed[f]:] = ids
+            self.slot_edge[later, placed[later]] = ids
+            placed[later] += 1
+        self.block_rows = max(1, SLOT_BLOCK // degree)
+        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per trial
 
 
-_CONTEXTS: dict[GroundParams, _SampleContext] = {}
+_CONTEXTS: dict[GroundParams, _SampleContext] = {}  # the most recent (n,k) only
 
 
 def _context(params: GroundParams) -> _SampleContext:
     ctx = _CONTEXTS.get(params)
     if ctx is None:
+        _CONTEXTS.clear()  # drop the previous context before building this one
         ctx = _SampleContext(params)
         _CONTEXTS[params] = ctx
     return ctx
-
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by (master_seed, trial_index)."""
-    key = np.array([master_seed & (2**64 - 1), trial_index & (2**64 - 1)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
@@ -127,14 +155,21 @@ def _mask(bits: np.ndarray) -> int:
 class EdgeSample:
     """A sampled subgraph: its retained edges plus its superstar certificate.
 
-    edges holds the retained (u, v) endpoint arrays, a subset of K(n,k)'s.
-    unblocked[f] has bit x-1 set iff x is not in vertex f and no retained
-    edge joins f to the star S_x, that is, iff (S_x, f) is a superstar.
+    keep[e] is True iff edge e of K(n,k), in the order of graph.edges, is
+    retained.  unblocked[f] has bit x-1 set iff x is not in vertex f and no
+    retained edge joins f to the star S_x, that is, iff (S_x, f) is a
+    superstar.
     """
 
     params: GroundParams
-    edges: tuple[np.ndarray, np.ndarray]
+    keep: np.ndarray
     unblocked: np.ndarray
+
+    @functools.cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The retained (u, v) endpoint arrays, a subset of K(n,k)'s."""
+        u, v = _context(self.params).graph.edges
+        return u[self.keep], v[self.keep]
 
     @functools.cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -143,13 +178,24 @@ class EdgeSample:
 
     @property
     def retained_count(self) -> int:
-        return len(self.edges[0])
+        return int(np.count_nonzero(self.keep))
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
-    """The trial's uniform draws, one per K(n,k) edge (for coupled sampling)."""
+    """The trial's uniform draws, one per K(n,k) edge (for coupled sampling).
+
+    They are the stream of a Philox keyed by (master_seed, trial_index), each
+    mod 2^64, from counter zero: the context's one Philox is re-keyed, with
+    its counter zeroed and its buffer emptied.
+    """
     ctx = _context(tp.params)
-    return trial_rng(tp.master_seed, trial_index).random(len(ctx.u))
+    key = np.array([tp.master_seed & (2**64 - 1), trial_index & (2**64 - 1)],
+                   dtype=np.uint64)
+    ctx.rng.bit_generator.state = {"bit_generator": "Philox",
+                                   "state": {"counter": _ZERO4, "key": key},
+                                   "buffer": _ZERO4, "buffer_pos": 4,  # 4: empty
+                                   "has_uint32": 0, "uinteger": 0}
+    return ctx.rng.random(ctx.edge_count)
 
 
 def sample_subgraph(tp: ThresholdParams, trial_index: int,
@@ -163,17 +209,19 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     if uniforms is None:
         uniforms = trial_uniforms(tp, trial_index)
     keep = uniforms < tp.p
-    u, v = ctx.u[keep], ctx.v[keep]
-    blocked = np.zeros(ctx.graph.vertex_count, dtype=np.uint64)
-    np.bitwise_or.at(blocked, np.concatenate((u, v)),
-                     ctx.element_masks[np.concatenate((v, u))])
-    return EdgeSample(params=tp.params, edges=(u, v),
-                      unblocked=ctx.all_elements & ~(blocked | ctx.element_masks))
+    # per vertex, the OR of its retained neighbours' element masks, reduced
+    # over SLOT_BLOCK slots at a time so that the temporaries stay small
+    blocked = np.empty(ctx.graph.vertex_count, dtype=np.uint64)
+    for lo in range(0, len(blocked), ctx.block_rows):
+        rows = slice(lo, lo + ctx.block_rows)
+        np.bitwise_or.reduce(ctx.slot_mask[rows] * keep.take(ctx.slot_edge[rows]),
+                             axis=1, out=blocked[rows])
+    return EdgeSample(params=tp.params, keep=keep, unblocked=ctx.free & ~blocked)
 
 
 def count_superstars(sample: EdgeSample) -> int:
     """Pairs (star S_x, F not containing x) with no retained edge between them."""
-    return int(np.unpackbits(sample.unblocked.view(np.uint8)).sum())
+    return int(np.bitwise_count(sample.unblocked).sum())
 
 
 def star_survives(sample: EdgeSample, centre: int) -> bool:
@@ -208,7 +256,7 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
         return EkrSampleResult(holds=False)
     ctx = _context(sample.params)
     target = sample.params.star_size + 1
-    if sample.retained_count == len(ctx.u) and ratio_bound(sample.params) < target:
+    if sample.keep.all() and ratio_bound(sample.params) < target:
         return EkrSampleResult(holds=True, witness=_mask(ctx.star))
     u, v = sample.edges
     nv = ctx.graph.vertex_count
@@ -254,7 +302,8 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
                 holds_from = tp.p
             else:  # the witness stays independent up to its least edge uniform
                 inside = _bits(ekr.witness, ctx.width)
-                fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
+                u, v = ctx.graph.edges
+                fails_upto = uniforms[inside[u] & inside[v]].min(initial=1.0)
         for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
             acc[0] += tp.p >= holds_from
         brackets[t - lo] = (fails_upto, holds_from)

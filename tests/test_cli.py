@@ -159,6 +159,30 @@ def test_baranyai_payload(capsys):
     assert payload["extremal"]["edges"] == 15
 
 
+def test_baranyai_builds_one_partition_and_no_graph(capsys, monkeypatch):
+    from kneserlab import graphs
+
+    flows, real = [], graphs._baranyai_flow
+
+    def flow(n, k):
+        flows.append((n, k))
+        return real(n, k)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("K(n,k) must not be built")
+
+    monkeypatch.setattr(graphs, "_baranyai_flow", flow)
+    monkeypatch.setattr(graphs, "build_graph", no_build)
+    graphs.baranyai_partition.cache_clear()
+    code, out, _ = run_cli(capsys, "baranyai", "--n", "12", "--k", "3")
+    assert code == 0 and flows == [(12, 3)]
+    assert json.loads(out)["extremal"] == {"alpha": 55, "degree": 3, "regular": True,
+                                           "edges": 330, "expected_edges": 330}
+    # n = k has a partition (one class) but no Kneser graph
+    code, out, err = run_cli(capsys, "baranyai", "--n", "4", "--k", "4")
+    assert code == 1 and out == "" and "needs n >= 2k" in err
+
+
 def test_simulate_csv_format(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",
                              "--p", "0.0,1.0", "--trials", "30", "--seed", "9")

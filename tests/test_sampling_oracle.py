@@ -24,7 +24,7 @@ from kneserlab.threshold import (
 )
 from oracles import brute_force_maximum
 
-ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4)]
+ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4), (6, 3), (8, 4)]
 ORACLE_PS = [0.0, 0.3, 0.5, 1.0]
 
 
@@ -96,8 +96,13 @@ def test_edge_enumeration_matches_bit_walk(n, k):
     buf = io.StringIO()
     export_edges(graph, buf)
     assert buf.getvalue().splitlines()[1:] == [f"{a} {b}" for a, b in reference_edges(graph)]
+    # slot j of row f: the edge id and the element mask of f's j-th neighbour
     ctx = threshold._context(graph.params)
-    assert ctx.u.tolist() == u.tolist() and ctx.v.tolist() == v.tolist()
+    edge_id = {edge: i for i, edge in enumerate(reference_edges(graph))}
+    for f in range(graph.vertex_count):
+        nbrs = [g for g in range(graph.vertex_count) if graph.adjacency[f] >> g & 1]
+        assert ctx.slot_edge[f].tolist() == [edge_id[min(f, g), max(f, g)] for g in nbrs]
+        assert ctx.slot_mask[f].tolist() == [graph.vertices[g] for g in nbrs]
 
 
 def test_star_survives_rejects_centre_out_of_range():
@@ -181,7 +186,8 @@ def test_adjacency_is_packed_on_first_use_at_15_7():
     nv = math.comb(15, 7)
     packed = nv * ((nv + 7) // 8)
     sample = sample_subgraph(ThresholdParams(params, 0.5, 1, 3), 0)
-    assert "adjacency" not in vars(sample)  # sampling alone packs nothing
+    # sampling alone packs nothing and lists no retained edge
+    assert "adjacency" not in vars(sample) and "edges" not in vars(sample)
     tracemalloc.start()
     try:
         adjacency = sample.adjacency

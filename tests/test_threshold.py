@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kneserlab import threshold
@@ -73,6 +74,14 @@ def test_sampling_context_guards_adjacency_rows(monkeypatch):
             threshold._context(GroundParams(n, k))
 
 
+def test_only_the_most_recent_context_is_kept(monkeypatch):
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    first = threshold._context(P5)
+    assert threshold._context(P5) is first
+    threshold._context(P12)
+    assert list(threshold._CONTEXTS) == [P12]
+
+
 def test_sample_trivial_probabilities():
     empty = sample_subgraph(ThresholdParams(P5, 0.0, 1, 0), 0)
     assert empty.retained_count == 0
@@ -87,6 +96,22 @@ def test_sample_reproducible_and_trialwise_distinct():
     c = sample_subgraph(tp, 4)
     assert a.adjacency == b.adjacency
     assert a.adjacency != c.adjacency
+
+
+def test_trial_uniforms_is_a_fresh_philox_stream():
+    # the one re-keyed Philox must give, draw after draw, the stream of a
+    # Generator(Philox) freshly keyed by (seed mod 2^64, trial mod 2^64)
+    def fresh(seed, t):
+        key = np.array([seed % 2**64, t % 2**64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random(1485)
+
+    draws = [(seed, t) for seed in (0, 1961, -1, -7885, 2**64 + 3, 2**70 - 1)
+             for t in (0, 1, 2**64 + 1)]
+    draws += [(1961, 4), (1961, 4), (1961, 5)]  # the same trial twice, then the next
+    kept = [(seed, t, trial_uniforms(ThresholdParams(P12, 0.5, 1, seed), t))
+            for seed, t in draws]
+    for seed, t, uniforms in kept:  # later draws leave earlier arrays intact
+        assert np.array_equal(uniforms, fresh(seed, t)), (seed, t)
 
 
 def test_sample_mean_retained_within_binomial_ci():
