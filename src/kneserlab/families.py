@@ -30,7 +30,7 @@ ENUMERATION_GUARD = 5_000_000
 
 # The subset-count table refuses families with over this many (member, submask)
 # pairs, m * 2^k.  At the cap, 16,384 random 8-sets of [64] have 2.0M distinct
-# subsets; the build peaks at ~121 MB traced and keeps 16 B per subset (~33 MB).
+# subsets; the build peaks at ~87 MB traced and keeps 16 B per subset (~33 MB).
 SUBSET_TABLE_GUARD = 1 << 22
 MASK64 = (1 << 64) - 1
 
@@ -95,6 +95,10 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _size_fault(mask: int, k: int) -> DomainError:
+    return DomainError(f"member {elements_from_mask(mask)} is not a {k}-set")
+
+
 def enumerate_masks(n: int, k: int) -> Iterator[int]:
     """All k-subset masks of [n] in increasing numeric order (Gosper's hack)."""
     if k == 0:
@@ -140,12 +144,24 @@ class SetFamily:
             if m & ~full:
                 raise DomainError("member uses elements beyond n")
             if m.bit_count() != k:
-                raise DomainError(f"member {elements_from_mask(m)} is not a {k}-set")
+                raise _size_fault(m, k)
             prev = m
 
     @classmethod
     def from_masks(cls, params: GroundParams, masks) -> "SetFamily":
         return cls(params, tuple(sorted(set(masks))))
+
+    @classmethod
+    def _from_parsed(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
+        """The family of sorted, distinct uint64 masks of subsets of [n], with
+        only their sizes left to check; members are not checked again."""
+        wrong = np.bitwise_count(masks) != params.k
+        if wrong.any():  # the first wrong member, as __post_init__ names it
+            raise _size_fault(int(masks[wrong.argmax()]), params.k)
+        family = object.__new__(cls)
+        object.__setattr__(family, "params", params)
+        object.__setattr__(family, "members", tuple(masks.tolist()))
+        return family
 
     def __len__(self) -> int:
         return len(self.members)
@@ -293,8 +309,8 @@ def load_family(path: Path) -> SetFamily:
     if hm:
         params = GroundParams(int(hm.group(1)), int(hm.group(2)))
         masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params.n)
-        if masks is not None:  # sorted and distinct
-            return SetFamily(params, tuple(masks.tolist()))
+        if masks is not None:  # sorted and distinct subsets of [n]
+            return SetFamily._from_parsed(params, masks)
     lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
              if line and not line.startswith("#")]
     if not lines:
@@ -322,13 +338,12 @@ def _bulk_masks(text: np.ndarray, n: int) -> np.ndarray | None:
     gaps = np.diff(seps)  # token lengths plus one
     if ((gaps < 2) | (gaps > 3)).any():
         return None
-    two = gaps == 3
     ends = seps[1:]
-    elements = digits[ends - 1]
-    elements[two] += 10 * digits[ends[two] - 2]
+    # a one-digit token's tens place reads its separator, times zero
+    elements = digits.take(ends - 1) + 10 * digits.take(ends - 2) * (gaps == 3)
     if ((elements < 1) | (elements > n)).any():
         return None
-    line_ends = np.flatnonzero(newline[ends])  # index of each line's last token
+    line_ends = np.flatnonzero(newline.take(ends))  # index of each line's last token
     counts = np.diff(line_ends, prepend=-1)
     bits = (elements - np.uint8(1)).astype(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
@@ -361,30 +376,91 @@ def save_family(family: SetFamily, path: Path) -> None:
 
 # ── combinatorial statistics ─────────────────────────────────────────────
 
-@functools.lru_cache(maxsize=1)
+class _RecentFamily:
+    """What has been computed from the most recent family: per memoised
+    function, its other arguments and its value.
+
+    A call with the memo's family object is a hit by identity.  A call with
+    another object compares the two families once, member by member: if they
+    are equal the memo is re-keyed to the new object, so that later calls hit
+    by identity, and otherwise it is emptied for the new family.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.family: SetFamily | None = None
+        self.values: dict = {}
+
+    def get(self, fn, family: SetFamily, args: tuple):
+        if family is not self.family:
+            if self.family is None or family != self.family:
+                self.values = {}
+            self.family = family
+        hit = self.values.get(fn)
+        if hit is None or hit[0] != args:
+            # through __wrapped__, which a test may replace to count the calls
+            hit = self.values[fn] = args, fn.__wrapped__(family, *args)
+        return hit[1]
+
+
+_RECENT = _RecentFamily()
+
+
+def recent_family_memo(compute):
+    """Memoise compute(family, *args) for the most recent family and, per
+    function, the most recent args.  Every memoised function shares the one
+    family key, so a new family object is compared with the last one once."""
+    @functools.wraps(compute)
+    def memoised(family: SetFamily, *args):
+        return _RECENT.get(memoised, family, args)
+
+    memoised.cache_clear = _RECENT.clear  # forgets the family and every value
+    return memoised
+
+
+@recent_family_memo
 def _subset_table(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
-    """(sorted subset keys, counts, dp, degree profile) of the most recent family."""
+    """(sorted subset keys, counts, dp, degree profile) of the family."""
     m, k = len(family), family.params.k
     if m << k > SUBSET_TABLE_GUARD:
         raise GuardError(
             f"subset-count table needs {m} * 2^{k} entries, over the guard "
             f"{SUBSET_TABLE_GUARD}")
-    rest = np.array(family.members, dtype=np.uint64)
-    subs = np.zeros((1 << k, m), dtype=np.uint64)
-    for j in range(k):  # double the submasks of each member, one element at a time
-        low = rest & (~rest + np.uint64(1))
-        rest ^= low
-        np.bitwise_or(subs[:1 << j], low, out=subs[1 << j:2 << j])
-    keys, counts = np.unique(subs, return_counts=True)
+    keys, counts = _count_submasks(family.members, k)
     sizes = np.bitwise_count(keys)
     # sum_S (-1)^|S| c_S^2 < m^2 2^k <= 2^44 counts ordered pairs, exactly in int64
     squares = counts * counts
     ordered = int(squares.sum()) - 2 * int(squares[sizes & 1 == 1].sum())
     degrees = np.zeros(family.params.n, dtype=np.int64)
     degrees[np.bitwise_count(keys[sizes == 1] - np.uint64(1))] = counts[sizes == 1]
-    # a 64-element sentinel ends the keys: no member of a guarded family has that many
-    keys, counts = np.append(keys, np.uint64(MASK64)), np.append(counts, 0)
     return keys, counts, ordered // 2, tuple(degrees.tolist())
+
+
+def _count_submasks(members: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct submask of a member in increasing order, then a 64-element
+    sentinel, which no member of a guarded family has; and the number of
+    members containing each, 0 for the sentinel.  The build holds the sorted
+    submasks, a bool per submask and three 8-byte words per distinct one."""
+    m = len(members)
+    subs = np.empty((m << k) + 1, dtype=np.uint64)
+    subs[-1] = MASK64
+    table = subs[:-1].reshape(1 << k, m)
+    table[0] = 0
+    rest = np.array(members, dtype=np.uint64)
+    for j in range(k):  # double the submasks of each member, one element at a time
+        low = rest & (~rest + np.uint64(1))
+        rest ^= low
+        np.bitwise_or(table[:1 << j], low, out=table[1 << j:2 << j])
+    subs.sort()  # in place: np.unique would sort a copy
+    fresh = np.ones(len(subs), dtype=bool)  # where each distinct submask starts
+    np.not_equal(subs[1:], subs[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = 0
+    return subs[starts], counts
 
 
 def subset_counts(family: SetFamily, subsets: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
+BLOCK_BYTES = 8 << 20  # build_graph's uint64 temporary, one block of rows by nv
 SPECTRUM_GUARD = 500
 ENUMERATION_VERTEX_GUARD = 200
 
@@ -85,7 +86,7 @@ def build_graph(params: GroundParams) -> KneserGraph:
     vertices = tuple(enumerate_masks(n, k))
     arr = np.array(vertices, dtype=np.uint64)
     adjacency: list[int] = []
-    step = max(1, min(2048, (1 << 24) // max(nv, 1)))
+    step = max(1, BLOCK_BYTES // (8 * nv))  # rows per block of uint64 ANDs
     for i0 in range(0, nv, step):
         blk = arr[i0:i0 + step]
         disj = (blk[:, None] & arr[None, :]) == 0

@@ -11,7 +11,6 @@ chunks of about MISS_CHUNK lookups unranked in lexicographic order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .families import (
     SetFamily,
     disjoint_pairs,
     family_stats,
+    recent_family_memo,
     subset_counts,
 )
 from .spectral import decompose_affine
@@ -152,7 +152,7 @@ class CenterSetReport:
         }
 
 
-@functools.lru_cache(maxsize=1)
+@recent_family_memo
 def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     """Search for a small centre set S with f or 1-f close to max_{i in S} x_i.
 

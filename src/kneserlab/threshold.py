@@ -37,14 +37,14 @@ from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
 # _SampleContext keeps, per vertex and incident edge, an int32 edge id and the
-# uint64 element mask across that edge: 46 MB for K(64,2)'s 1.9M edges.  A
-# trial draws one double per edge (15 MB there) and ORs SLOT_BLOCK slots at a
-# time; a search reads the graph's two int32 endpoints per edge (15 MB more),
-# built on first use.  In a fresh process (ru_maxrss) at K(64,2) the context
-# build peaks at +50 MB, one trial at +67 MB, and listing its retained edges
-# for a search at +96 MB.  Refuse more edges.  The graph and each trial also
-# hold nv * ceil(nv/8) bytes of adjacency rows: K(18,9) has 24,310 edges but
-# 295 MB of rows, (16,8) 20.7 MB.  Refuse over ROW_GUARD bytes.
+# uint64 element mask across that edge, and two int32 endpoints per edge: 61 MB
+# for K(64,2)'s 1.9M edges.  A trial draws one double per edge (15 MB there)
+# and ORs SLOT_BLOCK slots at a time.  In a fresh process (ru_maxrss) at
+# K(64,2) the context build peaks at +65 MB and one trial at +82 MB, which
+# listing its retained edges for a search does not raise.  Refuse more edges.
+# The graph and each trial also hold nv * ceil(nv/8) bytes of adjacency rows:
+# K(18,9) has 24,310 edges but 295 MB of rows, (16,8) 20.7 MB.  Refuse over
+# ROW_GUARD bytes.
 EDGE_GUARD = 2_000_000
 ROW_GUARD = 32 << 20
 SLOT_BLOCK = 1 << 16  # slots ORed per step of a sample's blocked-mask pass
@@ -75,8 +75,8 @@ class _SampleContext:
 
     K(n,k) is C(n-k,k)-regular, so its incidences fill an (nv, degree) slot
     table: row f lists f's neighbours in index order, slot_edge holds the id
-    of the edge to each (ids in the order of graph.edges) and slot_mask the
-    neighbour's element mask.
+    of the edge to each and slot_mask the neighbour's element mask.  Edge e
+    joins u[e] < v[e]; the ids run in the order of graph.edges, by u then v.
     """
 
     def __init__(self, params: GroundParams) -> None:
@@ -96,6 +96,9 @@ class _SampleContext:
         self.star = (self.element_masks & np.uint64(1)).astype(bool)
         self.slot_edge = np.empty((nv, degree), dtype=np.int32)
         self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
+        # the endpoints (u, v), u < v, of each edge id: graph.edges, read-only
+        self.u = np.empty(self.edge_count, dtype=np.int32)
+        self.v = np.empty(self.edge_count, dtype=np.int32)
         # counting placement: a row's earlier neighbours fill its first slots,
         # each written by that neighbour's own row, which is visited first
         placed = np.zeros(nv, dtype=np.intp)  # slots filled so far, per row
@@ -105,11 +108,14 @@ class _SampleContext:
             nbrs = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
             self.slot_mask[f] = self.element_masks[nbrs]
             later = nbrs[placed[f]:]
-            ids = np.arange(first, first + len(later), dtype=np.int32)
-            first += len(later)
+            last = first + len(later)
+            ids = np.arange(first, last, dtype=np.int32)
+            self.u[first:last], self.v[first:last] = f, later
+            first = last
             self.slot_edge[f, placed[f]:] = ids
             self.slot_edge[later, placed[later]] = ids
             placed[later] += 1
+        self.u.flags.writeable = self.v.flags.writeable = False  # every trial reads them
         self.block_rows = max(1, SLOT_BLOCK // degree)
         self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per trial
 
@@ -168,8 +174,8 @@ class EdgeSample:
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The retained (u, v) endpoint arrays, a subset of K(n,k)'s."""
-        u, v = _context(self.params).graph.edges
-        return u[self.keep], v[self.keep]
+        ctx = _context(self.params)
+        return ctx.u[self.keep], ctx.v[self.keep]
 
     @functools.cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -302,8 +308,7 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
                 holds_from = tp.p
             else:  # the witness stays independent up to its least edge uniform
                 inside = _bits(ekr.witness, ctx.width)
-                u, v = ctx.graph.edges
-                fails_upto = uniforms[inside[u] & inside[v]].min(initial=1.0)
+                fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
         for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
             acc[0] += tp.p >= holds_from
         brackets[t - lo] = (fails_upto, holds_from)

@@ -350,6 +350,29 @@ def test_removal_runs_one_centre_set_search(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_two_loads_of_one_file_share_one_table_and_one_search(capsys, monkeypatch,
+                                                            tmp_path):
+    from kneserlab import families, removal
+    from kneserlab.families import GroundParams, SetFamily, build_family, save_family
+
+    path = tmp_path / "fam.txt"
+    save_family(build_family(GroundParams(20, 3), "random:400:7"), path)
+    removal.center_set_check.cache_clear()
+    calls = []
+    for memoised in (families._subset_table, removal.center_set_check):
+        monkeypatch.setattr(memoised, "__wrapped__",
+                            lambda *a, run=memoised.__wrapped__, name=memoised.__name__:
+                            calls.append(name) or run(*a))
+    eq = SetFamily.__eq__
+    monkeypatch.setattr(SetFamily, "__eq__",
+                        lambda a, b: calls.append("compare") or eq(a, b))
+    outs = [run_cli(capsys, "removal", "--n", "20", "--k", "3", "--l", "1",
+                    "--family", f"file:{path}") for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert calls.count("_subset_table") == calls.count("center_set_check") == 1
+    assert calls.count("compare") <= 1
+
+
 def test_simulate_edge_guard_exit_code(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "20", "--k", "5",
                              "--p", "0.5", "--trials", "30")

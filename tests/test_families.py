@@ -132,16 +132,100 @@ def test_disjoint_pairs_numpy_path_matches_loop():
     assert disjoint_pairs(fam) == dp_oracle(fam)
 
 
-def test_dp_summed_once_per_family():
+def table_builds(monkeypatch):
+    """A list that gets one entry per subset-count table build."""
+    from kneserlab import families
+
+    builds = []
+    build = families._subset_table.__wrapped__
+    monkeypatch.setattr(families._subset_table, "__wrapped__",
+                        lambda family: builds.append(family) or build(family))
+    return builds
+
+
+def test_dp_summed_once_per_family(monkeypatch):
     # family_stats at l = 1 and 2 and dp itself read one table build, and
     # the dp sum is made inside that build
     from kneserlab import families
 
     fam = build_family(GroundParams(11, 3), "random:60:5")
     families._subset_table.cache_clear()
+    builds = table_builds(monkeypatch)
     stats = [family_stats(fam, ell) for ell in (1, 2, 1)]
     assert {st.dp for st in stats} == {disjoint_pairs(fam)} == {dp_oracle(fam)}
-    assert families._subset_table.cache_info().misses == 1
+    assert len(builds) == 1
+
+
+def test_family_differing_in_one_member_gets_its_own_table(monkeypatch):
+    from kneserlab import families
+
+    params = GroundParams(11, 3)
+    fam = build_family(params, "random:60:5")
+    # swap the first member for the first non-member disjoint from the second
+    # member, which changes dp and keeps the size
+    extra = next(m for m in enumerate_masks(11, 3)
+                 if m not in fam and not m & fam.members[1])
+    other = SetFamily.from_masks(params, fam.members[1:] + (extra,))
+    assert len(other) == len(fam) and dp_oracle(other) != dp_oracle(fam)
+    families._subset_table.cache_clear()
+    builds = table_builds(monkeypatch)
+    assert disjoint_pairs(fam) == dp_oracle(fam)
+    assert disjoint_pairs(other) == dp_oracle(other)
+    assert degree_profile(other) == tuple(sum(i in s for s in as_sets(other))
+                                          for i in range(1, 12))
+    # the memo holds one family: an object equal to the first is built again
+    assert disjoint_pairs(SetFamily(params, fam.members)) == dp_oracle(fam)
+    assert builds == [fam, other, fam]
+
+
+def test_equal_family_objects_share_one_table(monkeypatch):
+    # a second, equal object is compared once and then matched by identity
+    params = GroundParams(11, 3)
+    first = build_family(params, "random:60:5")
+    second = SetFamily(params, tuple(first.members))
+    assert second is not first and second == first
+    dp, degrees = disjoint_pairs(first), degree_profile(first)
+    builds = table_builds(monkeypatch)
+    comparisons = []
+    eq = SetFamily.__eq__
+    monkeypatch.setattr(SetFamily, "__eq__",
+                        lambda a, b: comparisons.append(1) or eq(a, b))
+    for _ in range(3):
+        assert (disjoint_pairs(second), degree_profile(second)) == (dp, degrees)
+    assert builds == [] and len(comparisons) == 1
+    assert dp == dp_oracle(first)
+
+
+def test_empty_family_has_an_empty_table(tmp_path):
+    from kneserlab.families import subset_counts
+
+    params = GroundParams(9, 3)
+    path = tmp_path / "empty.txt"
+    save_family(SetFamily(params, ()), path)
+    fam = load_family(path)
+    assert fam == SetFamily(params, ())
+    assert disjoint_pairs(fam) == 0
+    assert degree_profile(fam) == (0,) * 9
+    subsets = np.array([0, 1, 7, 1 << 8], dtype=np.uint64)
+    assert subset_counts(fam, subsets).tolist() == [0, 0, 0, 0]
+    assert family_stats(fam, 1).size == 0
+
+
+@pytest.mark.parametrize("n,k,m,seed", [(9, 3, 40, 1), (9, 4, 126, 2), (10, 4, 90, 3),
+                                        (40, 4, 3000, 4), (64, 3, 5000, 5),
+                                        (64, 1, 64, 6)])
+def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
+    from kneserlab import families
+
+    line_parses = []
+    monkeypatch.setattr(families, "_line_masks", lambda *a: line_parses.append(1))
+    fam = build_family(GroundParams(n, k), f"random:{m}:{seed}")
+    path = tmp_path / "fam.txt"
+    save_family(fam, path)
+    loaded = load_family(path)
+    assert loaded == fam and not line_parses  # the bulk parse took it
+    assert {type(x) for x in loaded.members} == {int}
+    assert SetFamily(loaded.params, loaded.members) == loaded  # passes every check
 
 
 def test_subset_table_guard_raises_before_allocating():

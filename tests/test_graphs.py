@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,27 @@ def test_build_graph_guards(monkeypatch):
     monkeypatch.setattr(graphs, "BUILD_GUARD", 100)
     with pytest.raises(GuardError):
         build_graph(GroundParams(12, 4))
+
+
+def test_build_graph_memory_is_bounded_by_its_blocks(monkeypatch):
+    # K(16,8), which the sampling guards admit, keeps 11.5 MiB of rows; blocks
+    # of 1,303 rows by 12,870 uint64 ANDs took its build to 173 MiB
+    tracemalloc.start()
+    try:
+        g = build_graph(GroundParams(16, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
+    # K(16,8) is a perfect matching: each set's one neighbour is its complement
+    index = {m: i for i, m in enumerate(g.vertices)}
+    full = (1 << 16) - 1
+    assert all(row == 1 << index[full ^ m] for m, row in zip(g.vertices, g.adjacency))
+    # blocks of one, two and five rows give the same rows as a single block
+    whole = build_graph(GroundParams(9, 3)).adjacency
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(graphs, "BLOCK_BYTES", 8 * 84 * rows)
+        assert build_graph(GroundParams(9, 3)).adjacency == whole
 
 
 def test_edge_arrays_are_read_only():

@@ -236,6 +236,30 @@ def test_center_set_examples():
     assert rep.closeness == 0.0
 
 
+def test_center_set_search_runs_again_for_a_family_one_member_apart(monkeypatch):
+    from kneserlab import removal
+
+    params = GroundParams(12, 2)
+    fam = build_family(params, "union:1,2")
+    outside = next(m for m in enumerate_masks(12, 2) if m not in fam)
+    other = SetFamily.from_masks(params, fam.members[1:] + (outside,))
+    cfg = RemovalConfig(1, 2.0)
+    center_set_check.cache_clear()
+    searches = []
+    search = center_set_check.__wrapped__
+    monkeypatch.setattr(removal.center_set_check, "__wrapped__",
+                        lambda f, c: searches.append((f, c)) or search(f, c))
+    first, second = center_set_check(fam, cfg), center_set_check(other, cfg)
+    assert searches == [(fam, cfg), (other, cfg)]
+    assert second.eps_in != first.eps_in
+    assert center_set_check(other, cfg) is second
+    looser = RemovalConfig(1, 3.0)
+    assert center_set_check(other, looser) == search(other, looser)
+    assert searches[2:] == [(other, looser)]
+    center_set_check.cache_clear()
+    assert search(other, cfg) == second
+
+
 def test_center_set_requires_k_at_least_2():
     with pytest.raises(DomainError):
         center_set_check(build_family(GroundParams(5, 1), "star:1"), RemovalConfig(1, 2.0))

@@ -105,6 +105,22 @@ def test_edge_enumeration_matches_bit_walk(n, k):
         assert ctx.slot_mask[f].tolist() == [graph.vertices[g] for g in nbrs]
 
 
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (12, 2), (9, 4)])
+def test_context_endpoints_are_the_graph_edges(n, k):
+    threshold._CONTEXTS.clear()
+    tp = ThresholdParams(GroundParams(n, k), 0.5, 1, 7)
+    sample = sample_subgraph(tp, 0)
+    ctx = threshold._context(tp.params)
+    retained = sample.edges  # listed from the context, with no walk of the rows
+    assert "edges" not in vars(ctx.graph)
+    u, v = ctx.graph.edges
+    assert ctx.u.dtype == ctx.v.dtype == u.dtype
+    assert ctx.u.tolist() == u.tolist() and ctx.v.tolist() == v.tolist()
+    assert [e.tolist() for e in retained] == [u[sample.keep].tolist(),
+                                              v[sample.keep].tolist()]
+    assert not (ctx.u.flags.writeable or ctx.v.flags.writeable)
+
+
 def test_star_survives_rejects_centre_out_of_range():
     sample = sample_subgraph(ThresholdParams(GroundParams(5, 2), 0.5, 1, 0), 0)
     for centre in (0, 6):
