@@ -15,7 +15,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -194,14 +193,7 @@ def star(params: GroundParams, centre: int) -> SetFamily:
     if params.star_size > ENUMERATION_GUARD:
         raise GuardError("star too large to materialise")
     bit = 1 << (centre - 1)
-    others = [i for i in range(params.n) if i != centre - 1]
-    masks = []
-    for combo in combinations(others, params.k - 1):
-        m = bit
-        for pos in combo:
-            m |= 1 << pos
-        masks.append(m)
-    return SetFamily.from_masks(params, masks)
+    return SetFamily(params, tuple(bit | m for m in _avoiding(params.n, centre, params.k - 1)))
 
 
 def antistar(params: GroundParams, avoided: int) -> SetFamily:
@@ -210,14 +202,14 @@ def antistar(params: GroundParams, avoided: int) -> SetFamily:
         raise DomainError(f"anti-star element {avoided} out of range 1..{params.n}")
     if math.comb(params.n - 1, params.k) > ENUMERATION_GUARD:
         raise GuardError("anti-star too large to materialise")
-    others = [i for i in range(params.n) if i != avoided - 1]
-    masks = []
-    for combo in combinations(others, params.k):
-        m = 0
-        for pos in combo:
-            m |= 1 << pos
-        masks.append(m)
-    return SetFamily.from_masks(params, masks)
+    return SetFamily(params, tuple(_avoiding(params.n, avoided, params.k)))
+
+
+def _avoiding(n: int, c: int, size: int) -> Iterator[int]:
+    """The size-subsets of [n] avoiding c, in numeric order: those of [n-1]
+    with every bit from c-1 up moved one place higher, which keeps the order."""
+    low = (1 << (c - 1)) - 1
+    return ((m & low) | (m & ~low) << 1 for m in enumerate_masks(n - 1, size))
 
 
 def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:

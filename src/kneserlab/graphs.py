@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
-BLOCK_BYTES = 8 << 20  # build_graph's uint64 temporary, one block of rows by nv
+BLOCK_BYTES = 256 << 10  # uint64 ANDed per block of disjoint_blocks
 SPECTRUM_GUARD = 500
 ENUMERATION_VERTEX_GUARD = 200
 
@@ -51,14 +51,14 @@ class KneserGraph:
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Shared read-only int32 endpoints (u, v), u < v, by u then v."""
-        width = (self.vertex_count + 7) // 8
-        later = []  # per u, the neighbours v > u
-        for u, row in enumerate(self.adjacency):
-            bits = np.frombuffer((row >> (u + 1)).to_bytes(width, "little"), np.uint8)
-            later.append(np.flatnonzero(np.unpackbits(bits, bitorder="little")) + u + 1)
-        u = np.repeat(np.arange(self.vertex_count, dtype=np.int32), [len(w) for w in later])
-        v = np.concatenate(later).astype(np.int32)
-        u.flags.writeable = v.flags.writeable = False  # every trial reads them
+        us, vs = [], []
+        for i0, nbrs in neighbour_blocks(np.array(self.vertices, dtype=np.uint64)):
+            f = np.arange(i0, i0 + len(nbrs), dtype=np.int32)
+            later = nbrs > f[:, None]
+            us.append(np.repeat(f, later.sum(axis=1)))
+            vs.append(nbrs[later].astype(np.int32))
+        u, v = np.concatenate(us), np.concatenate(vs)
+        u.flags.writeable = v.flags.writeable = False  # every caller shares them
         return u, v
 
     def family_from_vertex_mask(self, vmask: int) -> SetFamily:
@@ -71,37 +71,45 @@ class KneserGraph:
         return SetFamily.from_masks(self.params, masks)
 
 
-def _require_graph(params: GroundParams) -> None:
+def require_graph(params: GroundParams) -> None:
     if params.n < 2 * params.k:
         raise DomainError(f"Kneser graph needs n >= 2k, got n={params.n} k={params.k}")
 
 
+def disjoint_blocks(masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, disj) per block of rows, disj[i, j] True iff masks[i0 + i] & masks[j]
+    is 0, from at most BLOCK_BYTES of uint64 ANDs (and one row at least).  The
+    adjacency rows, the edge list and the sampling context all read it."""
+    step = max(1, BLOCK_BYTES // (8 * len(masks)))
+    for i0 in range(0, len(masks), step):
+        yield i0, (masks[i0:i0 + step, None] & masks[None, :]) == 0
+
+
+def neighbour_blocks(masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """disjoint_blocks of a regular graph, such as K(n,k), as (i0, nbrs):
+    nbrs[i] lists the indices disjoint from masks[i0 + i], ascending."""
+    for i0, disj in disjoint_blocks(masks):
+        nbrs = np.flatnonzero(disj).reshape(len(disj), -1)  # by row, then column
+        nbrs -= len(masks) * np.arange(len(disj))[:, None]  # flat index -> column
+        yield i0, nbrs
+
+
 def build_graph(params: GroundParams) -> KneserGraph:
     """Materialise K(n,k); requires n >= 2k and C(n,k) <= BUILD_GUARD."""
-    _require_graph(params)
+    require_graph(params)
     n, k = params.n, params.k
     nv = params.slice_size
     if nv > BUILD_GUARD:
         raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {BUILD_GUARD}")
     vertices = tuple(enumerate_masks(n, k))
     arr = np.array(vertices, dtype=np.uint64)
-    adjacency: list[int] = []
-    step = max(1, BLOCK_BYTES // (8 * nv))  # rows per block of uint64 ANDs
-    for i0 in range(0, nv, step):
-        blk = arr[i0:i0 + step]
-        disj = (blk[:, None] & arr[None, :]) == 0
-        packed = np.packbits(disj, axis=1, bitorder="little")
-        for row in packed:
-            adjacency.append(int.from_bytes(row.tobytes(), "little"))
-    star_masks = [0] * n
-    for idx, mask in enumerate(vertices):
-        bit = 1 << idx
-        m = mask
-        while m:
-            low = m & -m
-            star_masks[low.bit_length() - 1] |= bit
-            m ^= low
-    return KneserGraph(params, vertices, tuple(adjacency), tuple(star_masks))
+    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for _, disj in disjoint_blocks(arr)
+                      for row in np.packbits(disj, axis=1, bitorder="little"))
+    # per element x, the vertices containing x: column x of the (nv, n) bits
+    contains = (arr[:, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(bool)
+    star_masks = tuple(int.from_bytes(col.tobytes(), "little")
+                       for col in np.packbits(contains, axis=0, bitorder="little").T)
+    return KneserGraph(params, vertices, adjacency, star_masks)
 
 
 def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
@@ -432,7 +440,7 @@ def extremal_subgraph(params: GroundParams) -> dict:
     """
     n, k = params.n, params.k
     partition = baranyai_partition(params)
-    _require_graph(params)
+    require_graph(params)
     index = {mask: i for i, mask in enumerate(enumerate_masks(n, k))}  # K(n,k)'s order
     adjacency = [0] * len(index)
     for fam in partition.classes:

@@ -4,12 +4,13 @@ Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
 how trials are scheduled across workers; one Philox per process is re-keyed
 for each trial.  A sample draws one uniform per edge of K(n,k) and keeps the
-mask of retained edges.  K(n,k) is regular, so a slot table built once per
-(n,k) lists each vertex's incident edges and the element masks across them,
-and one gather-and-reduce pass over it ORs each vertex's retained neighbours
-into the elements blocked for it.  The unblocked ones certify superstars,
-which give the superstar count, star survival and a search-free EKR failure;
-the ratio bound proves EKR, again without a search, on a sample that keeps
+mask of retained edges.  K(n,k) is regular, so a slot table filled once per
+(n,k) from graphs' disjointness pass, with no graph built, lists each
+vertex's incident edges and the element masks across them, and one
+gather-and-reduce pass over it ORs each vertex's retained neighbours into
+the elements blocked for it.  The unblocked ones certify superstars, which
+give the superstar count, star survival and a search-free EKR failure; the
+ratio bound proves EKR, again without a search, on a sample that keeps
 every edge.  Any other sample is decided by branch and bound on a copy
 relabelled by ascending degree (MCQ's initial vertex order, carried over to
 independent sets), packed from the retained edges, which are listed only
@@ -31,8 +32,8 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 
 from .errors import DomainError, GuardError
-from .families import GroundParams
-from .graphs import build_graph, ratio_bound
+from .families import GroundParams, enumerate_masks
+from .graphs import neighbour_blocks, ratio_bound, require_graph
 from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
@@ -42,9 +43,9 @@ DEFAULT_EPSILON = 0.1
 # and ORs SLOT_BLOCK slots at a time.  In a fresh process (ru_maxrss) at
 # K(64,2) the context build peaks at +65 MB and one trial at +82 MB, which
 # listing its retained edges for a search does not raise.  Refuse more edges.
-# The graph and each trial also hold nv * ceil(nv/8) bytes of adjacency rows:
-# K(18,9) has 24,310 edges but 295 MB of rows, (16,8) 20.7 MB.  Refuse over
-# ROW_GUARD bytes.
+# Only a trial that goes to a search holds adjacency rows (the context holds
+# none), nv * ceil(nv/8) bytes: K(18,9) has 24,310 edges but 295 MB of rows,
+# (16,8) 20.7 MB.  Refuse over ROW_GUARD bytes.
 EDGE_GUARD = 2_000_000
 ROW_GUARD = 32 << 20
 SLOT_BLOCK = 1 << 16  # slots ORed per step of a sample's blocked-mask pass
@@ -77,10 +78,12 @@ class _SampleContext:
     table: row f lists f's neighbours in index order, slot_edge holds the id
     of the edge to each and slot_mask the neighbour's element mask.  Edge e
     joins u[e] < v[e]; the ids run in the order of graph.edges, by u then v.
+    All four come from graphs.neighbour_blocks, with no KneserGraph built.
     """
 
     def __init__(self, params: GroundParams) -> None:
-        nv = params.slice_size if params.n >= 2 * params.k else 0  # n < 2k has no graph
+        require_graph(params)
+        nv = self.nv = params.slice_size
         self.width = (nv + 7) // 8  # bytes per packed adjacency row
         degree = params.kneser_degree
         self.edge_count = nv * degree // 2
@@ -88,12 +91,10 @@ class _SampleContext:
             raise GuardError(f"K({params.n},{params.k}) has {self.edge_count} edges and "
                              f"{nv * self.width} bytes of adjacency rows, over the "
                              f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
-        self.graph = build_graph(params)
-        self.element_masks = np.array(self.graph.vertices, dtype=np.uint64)
-        all_elements = np.uint64((1 << params.n) - 1)
-        self.free = all_elements & ~self.element_masks  # elements outside each vertex
+        masks = np.fromiter(enumerate_masks(params.n, params.k), np.uint64, nv)
+        self.free = np.uint64((1 << params.n) - 1) & ~masks  # elements outside each vertex
         # the star at centre 1, per vertex: independent in every K_p
-        self.star = (self.element_masks & np.uint64(1)).astype(bool)
+        self.star = (masks & np.uint64(1)).astype(bool)
         self.slot_edge = np.empty((nv, degree), dtype=np.int32)
         self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
         # the endpoints (u, v), u < v, of each edge id: graph.edges, read-only
@@ -103,18 +104,17 @@ class _SampleContext:
         # each written by that neighbour's own row, which is visited first
         placed = np.zeros(nv, dtype=np.intp)  # slots filled so far, per row
         first = 0  # id of the next edge, by lower endpoint then upper
-        for f, row in enumerate(self.graph.adjacency):
-            bits = np.frombuffer(row.to_bytes(self.width, "little"), np.uint8)
-            nbrs = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-            self.slot_mask[f] = self.element_masks[nbrs]
-            later = nbrs[placed[f]:]
-            last = first + len(later)
-            ids = np.arange(first, last, dtype=np.int32)
-            self.u[first:last], self.v[first:last] = f, later
-            first = last
-            self.slot_edge[f, placed[f]:] = ids
-            self.slot_edge[later, placed[later]] = ids
-            placed[later] += 1
+        for f0, nbrs in neighbour_blocks(masks):
+            np.take(masks, nbrs, out=self.slot_mask[f0:f0 + len(nbrs)])
+            for f, row in enumerate(nbrs, f0):
+                later = row[placed[f]:]
+                last = first + len(later)
+                ids = np.arange(first, last, dtype=np.int32)
+                self.u[first:last], self.v[first:last] = f, later
+                first = last
+                self.slot_edge[f, placed[f]:] = ids
+                self.slot_edge[later, placed[later]] = ids
+                placed[later] += 1
         self.u.flags.writeable = self.v.flags.writeable = False  # every trial reads them
         self.block_rows = max(1, SLOT_BLOCK // degree)
         self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per trial
@@ -135,10 +135,10 @@ def _context(params: GroundParams) -> _SampleContext:
 def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
     """Adjacency bitsets of the graph with edges (u[i], v[i])."""
     # each edge twice, as (row, column) and (column, row); int32 indices
-    # suffice, since nv * width < 2^31 under the graph build guard
+    # suffice, since nv * width < 2^31 under ROW_GUARD
     rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
     width = ctx.width
-    packed = np.zeros(ctx.graph.vertex_count * width, dtype=np.uint8)
+    packed = np.zeros(ctx.nv * width, dtype=np.uint8)
     np.bitwise_or.at(packed, rows * width + (cols >> 3),
                      np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
     buf = memoryview(packed)  # read in place: a copy adds nv^2/8 bytes to the peak
@@ -217,7 +217,7 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
     keep = uniforms < tp.p
     # per vertex, the OR of its retained neighbours' element masks, reduced
     # over SLOT_BLOCK slots at a time so that the temporaries stay small
-    blocked = np.empty(ctx.graph.vertex_count, dtype=np.uint64)
+    blocked = np.empty(ctx.nv, dtype=np.uint64)
     for lo in range(0, len(blocked), ctx.block_rows):
         rows = slice(lo, lo + ctx.block_rows)
         np.bitwise_or.reduce(ctx.slot_mask[rows] * keep.take(ctx.slot_edge[rows]),
@@ -265,7 +265,7 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     if sample.keep.all() and ratio_bound(sample.params) < target:
         return EkrSampleResult(holds=True, witness=_mask(ctx.star))
     u, v = sample.edges
-    nv = ctx.graph.vertex_count
+    nv = ctx.nv
     # vertex r of the relabelled copy is vertex order[r] of the sample
     order = np.argsort(np.bincount(np.concatenate((u, v)), minlength=nv), kind="stable")
     rank = np.empty_like(order)

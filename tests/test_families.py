@@ -12,6 +12,7 @@ from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import (
     GroundParams,
     SetFamily,
+    antistar,
     build_family,
     degree_profile,
     disjoint_pairs,
@@ -20,6 +21,7 @@ from kneserlab.families import (
     family_stats,
     load_family,
     save_family,
+    star,
     sym_diff_size,
 )
 
@@ -62,6 +64,19 @@ def test_antistar_examples():
     fam = build_family(GroundParams(5, 2), "antistar:5")
     assert as_sets(fam) == {frozenset(c) for c in combinations(range(1, 5), 2)}
     assert len(fam) == math.comb(4, 2)
+
+
+def test_stars_and_antistars_match_combinations():
+    # every centre, every k, against sets built element by element
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            params = GroundParams(n, k)
+            for c in range(1, n + 1):
+                rest = [x for x in range(1, n + 1) if x != c]
+                stars = [frozenset((c, *s)) for s in combinations(rest, k - 1)]
+                anti = [frozenset(s) for s in combinations(rest, k)]
+                for family, sets in ((star(params, c), stars), (antistar(params, c), anti)):
+                    assert len(family) == len(sets) and as_sets(family) == set(sets)
 
 
 def test_union_inclusion_exclusion_oracle():

@@ -7,10 +7,11 @@ every (centre, set avoiding the centre) pair for superstars.
 
 import io
 import math
+import tracemalloc
 
 import pytest
 
-from kneserlab import threshold
+from kneserlab import graphs, threshold
 from kneserlab.errors import DomainError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import build_graph, export_edges
@@ -88,37 +89,84 @@ def test_sampling_pass_matches_reference(n, k):
                     reference_star_survives(graph, expected, centre)
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (7, 3), (12, 2)])
-def test_edge_enumeration_matches_bit_walk(n, k):
-    graph = build_graph(GroundParams(n, k))
-    u, v = graph.edges
-    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
-    buf = io.StringIO()
-    export_edges(graph, buf)
-    assert buf.getvalue().splitlines()[1:] == [f"{a} {b}" for a, b in reference_edges(graph)]
-    # slot j of row f: the edge id and the element mask of f's j-th neighbour
+def assert_context_matches_bit_walk(graph):
+    """The context's endpoints and slot tables against the reference edges:
+    slot j of row f holds the edge id and element mask of f's j-th neighbour."""
     ctx = threshold._context(graph.params)
-    edge_id = {edge: i for i, edge in enumerate(reference_edges(graph))}
+    edges = reference_edges(graph)
+    assert list(zip(ctx.u.tolist(), ctx.v.tolist())) == edges
+    edge_id = {edge: i for i, edge in enumerate(edges)}
     for f in range(graph.vertex_count):
         nbrs = [g for g in range(graph.vertex_count) if graph.adjacency[f] >> g & 1]
         assert ctx.slot_edge[f].tolist() == [edge_id[min(f, g), max(f, g)] for g in nbrs]
         assert ctx.slot_mask[f].tolist() == [graph.vertices[g] for g in nbrs]
 
 
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 3), (12, 2), (6, 3), (8, 4), (9, 4)])
+def test_edge_enumeration_matches_bit_walk(n, k, monkeypatch):
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    graph = build_graph(GroundParams(n, k))
+    u, v = graph.edges
+    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
+    buf = io.StringIO()
+    export_edges(graph, buf)
+    assert buf.getvalue().splitlines()[1:] == [f"{a} {b}" for a, b in reference_edges(graph)]
+    assert_context_matches_bit_walk(graph)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("n,k", [(9, 3), (12, 2)])
+def test_blocks_match_bit_walk(n, k, rows, monkeypatch):
+    # a lower slot is placed by its partner's row, often in an earlier block
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    graph = build_graph(GroundParams(n, k))  # the reference, built in one block
+    monkeypatch.setattr(graphs, "BLOCK_BYTES", 8 * graph.vertex_count * rows)
+    u, v = build_graph(graph.params).edges
+    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
+    assert_context_matches_bit_walk(graph)
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (12, 2), (9, 4)])
-def test_context_endpoints_are_the_graph_edges(n, k):
-    threshold._CONTEXTS.clear()
+def test_context_endpoints_are_the_graph_edges(n, k, monkeypatch):
+    builds = []
+    real = graphs.build_graph
+
+    def counting(params):
+        builds.append(params)
+        return real(params)
+
+    monkeypatch.setattr(graphs, "build_graph", counting)
+    # and under the name threshold would call, were it imported there
+    monkeypatch.setattr(threshold, "build_graph", counting, raising=False)
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
     tp = ThresholdParams(GroundParams(n, k), 0.5, 1, 7)
     sample = sample_subgraph(tp, 0)
+    retained = sample.edges  # listed from the context's endpoints
+    assert builds == []  # sampling builds no KneserGraph
     ctx = threshold._context(tp.params)
-    retained = sample.edges  # listed from the context, with no walk of the rows
-    assert "edges" not in vars(ctx.graph)
-    u, v = ctx.graph.edges
+    u, v = build_graph(tp.params).edges
     assert ctx.u.dtype == ctx.v.dtype == u.dtype
     assert ctx.u.tolist() == u.tolist() and ctx.v.tolist() == v.tolist()
     assert [e.tolist() for e in retained] == [u[sample.keep].tolist(),
                                               v[sample.keep].tolist()]
     assert not (ctx.u.flags.writeable or ctx.v.flags.writeable)
+
+
+def test_context_build_memory_is_bounded_by_its_blocks(monkeypatch):
+    # K(64,2), at the edge guard, keeps 61 MB of slot tables and endpoints,
+    # and its build adds 1.3 MB traced; its 2,016 x 1,891 neighbour table
+    # alone, held whole, would add 30 MB as intp
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    params = GroundParams(64, 2)
+    tracemalloc.start()
+    try:
+        ctx = threshold._context(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (ctx.slot_edge, ctx.slot_mask, ctx.u, ctx.v))
+    assert kept == 60_996_096
+    assert peak - kept < 4 << 20, (peak, kept)
 
 
 def test_star_survives_rejects_centre_out_of_range():

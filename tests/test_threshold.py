@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kneserlab import threshold
+from kneserlab import graphs, threshold
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.mis import max_independent_set_masks
@@ -47,10 +47,10 @@ def test_critical_probabilities_asymptotic_agreement():
 
 def test_sampling_context_guards_edges(monkeypatch):
     # (20,5) passes the vertex guard (15,504 vertices) but has ~23.3M edges
-    def no_build(*args, **kwargs):
-        raise AssertionError("the graph must not be built")
+    def no_pass(*args, **kwargs):
+        raise AssertionError("no disjointness block may be built")
 
-    monkeypatch.setattr(threshold, "build_graph", no_build)
+    monkeypatch.setattr(graphs, "disjoint_blocks", no_pass)
     params = GroundParams(20, 5)
     with pytest.raises(GuardError):
         threshold._context(params)
@@ -60,17 +60,17 @@ def test_sampling_context_guards_edges(monkeypatch):
 def test_sampling_context_guards_adjacency_rows(monkeypatch):
     # at n = 2k, K(n,k) is a perfect matching: (18,9) has 24,310 edges, but
     # its 48,620 packed adjacency rows take 295 MB
-    def no_build(*args, **kwargs):
-        raise AssertionError("the graph must not be built")
+    def no_pass(*args, **kwargs):
+        raise AssertionError("no disjointness block may be built")
 
-    monkeypatch.setattr(threshold, "build_graph", no_build)
+    monkeypatch.setattr(graphs, "disjoint_blocks", no_pass)
     monkeypatch.setattr(threshold, "_CONTEXTS", {})
     params = GroundParams(18, 9)
     with pytest.raises(GuardError, match="adjacency rows"):
         threshold._context(params)
     assert params not in threshold._CONTEXTS
     for n, k in ((16, 8), (15, 7)):  # 20.7 MB and 5.2 MB of rows
-        with pytest.raises(AssertionError, match="must not be built"):
+        with pytest.raises(AssertionError, match="no disjointness block"):
             threshold._context(GroundParams(n, k))
 
 
