@@ -44,10 +44,6 @@ class KneserGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
-
     @functools.cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Shared read-only int32 endpoints (u, v), u < v, by u then v."""
@@ -110,13 +106,6 @@ def build_graph(params: GroundParams) -> KneserGraph:
     star_masks = tuple(int.from_bytes(col.tobytes(), "little")
                        for col in np.packbits(contains, axis=0, bitorder="little").T)
     return KneserGraph(params, vertices, adjacency, star_masks)
-
-
-def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
-    """Edge list `u v` with a `# kneser n=<n> k=<k>` header, canonical order."""
-    stream.write(f"# kneser n={graph.params.n} k={graph.params.k}\n")
-    u, v = graph.edges
-    stream.writelines(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
 
 
 # ── exact independence ───────────────────────────────────────────────────

@@ -11,6 +11,7 @@ chunks of about MISS_CHUNK lookups unranked in lexicographic order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,9 @@ from .spectral import decompose_affine
 
 CENTER_ENUM_GUARD = 1_000_000
 CENTER_SET_SEARCH_GUARD = 2_000_000
-MISS_CHUNK = 1 << 14  # table lookups per chunk of centre sets
+# Lookups per chunk of centre sets.  A scan of one chunk (every l <= 2 scan at
+# n <= 64) is cached: 32 keys of <= 2 MISS_CHUNK + 64 words, under 8.5 MB.
+MISS_CHUNK = 1 << 14
 
 DEFAULT_C_CONST = 2.0
 
@@ -58,35 +61,51 @@ def union_size(params, s: int) -> int:
     return params.slice_size - math.comb(params.n - s, params.k)
 
 
-def _miss_counts(family: SetFamily, sets: np.ndarray) -> np.ndarray:
-    """#{A in F : A cap S = empty} for each row S of sets, distinct elements
-    of 1..n, from c_T over T subset S with |T| <= k."""
+def _lookups(sets: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, signs): per row S of sets, distinct elements of 1..n, the T
+    subset S with |T| <= t, whose (-1)^|T| c_T sum to #{A in F : A cap S = empty}."""
     width = sets.shape[1]
-    terms = [cols for t in range(min(family.params.k, width) + 1)
-             for cols in combinations(range(width), t)]
+    terms = [cols for u in range(t + 1) for cols in combinations(range(width), u)]
     pick = np.array([[c in cols for c in range(width)] for cols in terms], dtype=np.uint64)
     signs = np.array([(-1) ** len(cols) for cols in terms])
     bits = np.left_shift(np.uint64(1), (sets - 1).astype(np.uint64))
-    return subset_counts(family, bits @ pick.T) @ signs  # distinct bits: OR is a sum
+    return bits @ pick.T, signs  # distinct bits: OR is a sum
+
+
+def _centre_chunk(n: int, t: int, s: int, lo: int, rows: int) -> tuple[np.ndarray, ...]:
+    """(sets, *_lookups(sets, t)), read-only, for the s-subsets of [n] of
+    lexicographic ranks lo to lo + rows - 1 (or to the last).  Rank r is colex
+    rank C(n,s) - 1 - r of the reflected set {n + 1 - c}, whose i-th smallest
+    element is 1 + the largest d with C(d,i) <= the rank left, for i = s down to 1."""
+    total = math.comb(n, s)
+    rank = np.arange(total - 1 - lo, max(total - 1 - lo - rows, -1), -1)
+    sets = np.empty((len(rank), s), dtype=np.int64)
+    for i in range(s, 0, -1):
+        binom = np.array([math.comb(d, i) for d in range(n)], np.int64)
+        d = np.searchsorted(binom, rank, side="right") - 1
+        rank -= binom[d]
+        sets[:, s - i] = n - d
+    chunk = sets, *_lookups(sets, t)
+    for a in chunk:
+        a.flags.writeable = False
+    return chunk
+
+
+_centre_table = functools.lru_cache(maxsize=32)(_centre_chunk)
 
 
 def _misses(family: SetFamily, s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(centre sets, miss counts) over every s-subset of [n] in lexicographic
-    order, in chunks of about MISS_CHUNK lookups.  Rank r is colex rank
-    C(n,s) - 1 - r of the reflected set {n + 1 - c}, whose i-th smallest element
-    is 1 + the largest d with C(d,i) <= the rank left, for i = s down to 1."""
-    n, k = family.params.n, family.params.k
+    order, in chunks of about MISS_CHUNK lookups; a scan that fits one chunk
+    reads it from the cache, shared by every scan at one (n, min(k,s), s)."""
+    n, t = family.params.n, min(family.params.k, s)
     total = math.comb(n, s)
-    rows = max(1, MISS_CHUNK // sum(math.comb(s, t) for t in range(min(k, s) + 1)))
-    binom = np.array([[math.comb(d, i) for d in range(n)] for i in range(s + 1)], np.int64)
+    lookups = sum(math.comb(s, u) for u in range(t + 1))  # per centre set
+    rows = max(1, MISS_CHUNK // lookups)
+    chunk = _centre_table if total * lookups <= MISS_CHUNK else _centre_chunk
     for lo in range(0, total, rows):
-        rank = np.arange(total - 1 - lo, max(total - 1 - lo - rows, -1), -1)
-        sets = np.empty((len(rank), s), dtype=np.int64)
-        for i in range(s, 0, -1):
-            d = np.searchsorted(binom[i], rank, side="right") - 1
-            rank -= binom[i, d]
-            sets[:, s - i] = n - d
-        yield sets, _miss_counts(family, sets)
+        sets, masks, signs = chunk(n, t, s, lo, rows)
+        yield sets, subset_counts(family, masks) @ signs
 
 
 def _extreme_sets(family: SetFamily, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -109,9 +128,10 @@ def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
     for c in centres:
         if not (1 <= c <= params.n):
             raise DomainError(f"centre {c} out of range 1..{params.n}")
-    distinct = np.array(sorted(set(centres)), dtype=np.int64)
-    miss = int(_miss_counts(family, distinct[None, :])[0])
-    return union_size(params, len(distinct)) - len(family) + 2 * miss
+    distinct = np.array([sorted(set(centres))], dtype=np.int64)
+    masks, signs = _lookups(distinct, min(params.k, distinct.shape[1]))
+    miss = int((subset_counts(family, masks) @ signs)[0])
+    return union_size(params, distinct.shape[1]) - len(family) + 2 * miss
 
 
 def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], int]:
@@ -241,8 +261,7 @@ def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
             entry.update(extra)
         rows.append(entry)
 
-    if ell >= 1:
-        row("(i)", f"G_s, s <= {ell - 1}", union_size(params, ell - 1))
+    row("(i)", f"G_s, s <= {ell - 1}", union_size(params, ell - 1))
     lower_ii = (ell + 0.5) * star
     row("(ii)", f"G_s, s >= {ell + 1}", union_size(params, ell + 1),
         {"proof_lower_estimate": lower_ii})

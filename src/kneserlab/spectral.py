@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .families import GroundParams, SetFamily, degree_profile, family_stats
+from .families import GroundParams, SetFamily, degree_profile, family_stats, recent_family_memo
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,10 @@ class SpectralDecomposition:
         }
 
 
+@recent_family_memo
 def decompose_affine(family: SetFamily) -> SpectralDecomposition:
-    """Least-squares affine approximation of the family indicator (n > 2k)."""
+    """Least-squares affine approximation of the family indicator (n > 2k),
+    memoised for the most recent family: every check of it reads one."""
     params = family.params
     params.require_gap("decompose_affine")
     n, k = params.n, params.k

@@ -7,7 +7,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from kneserlab.families import (
     enumerate_masks,
     mask_from_elements,
 )
+from kneserlab.graphs import KneserGraph
 from kneserlab.removal import union_distance
 from kneserlab.spectral import SpectralDecomposition
 
@@ -73,6 +74,18 @@ def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
         cand ^= members
         classes.append(members)
     return classes
+
+
+def edge_count(graph: KneserGraph) -> int:
+    """Edges of a built graph, from its adjacency rows."""
+    return sum(a.bit_count() for a in graph.adjacency) // 2
+
+
+def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
+    """Edge list `u v` with a `# kneser n=<n> k=<k>` header, canonical order."""
+    stream.write(f"# kneser n={graph.params.n} k={graph.params.k}\n")
+    u, v = graph.edges
+    stream.writelines(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
 
 
 def quadratic_form(family: SetFamily) -> int:

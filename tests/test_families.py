@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -241,6 +242,56 @@ def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
     assert loaded == fam and not line_parses  # the bulk parse took it
     assert {type(x) for x in loaded.members} == {int}
     assert SetFamily(loaded.params, loaded.members) == loaded  # passes every check
+
+
+def _table_family(n, k, m):
+    """m k-sets of [n]: the first m of the slice, or m random ones at n > 12."""
+    if n > 12:
+        return build_family(GroundParams(n, k), f"random:{m}:{n}")
+    return SetFamily(GroundParams(n, k), tuple(enumerate_masks(n, k))[:m])
+
+
+@pytest.mark.parametrize("n,k,m,dense", [
+    (9, 3, 63, False), (9, 3, 64, True), (9, 3, 65, True),  # 2^9 against m * 2^3
+    (9, 3, 0, False),  # the empty family
+    (10, 4, 210, True),  # the full slice
+    (40, 4, 500, False),
+])
+def test_bincount_and_sort_paths_build_the_same_table(n, k, m, dense, monkeypatch):
+    # the table counts its submasks densely iff 2^n <= m 2^k; passing n = 64,
+    # which every member fits, takes the sort path on the same family
+    from kneserlab import families
+
+    fam = _table_family(n, k, m)
+    assert len(fam) == m
+    build = families._subset_table.__wrapped__
+    bincounts = []
+    real_bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **kw: bincounts.append(1) or real_bincount(*a, **kw))
+    natural = build(fam)
+    assert bool(bincounts) == dense
+    count = families._count_submasks
+    monkeypatch.setattr(families, "_count_submasks",
+                        lambda members, k, n: count(members, k, 64))
+    sort = build(fam)
+    assert len(bincounts) == dense
+    expected = Counter(sub for a in fam.members for sub in submasks(a))
+    for keys, counts, dp, degrees in (natural, sort):
+        assert keys.dtype == np.uint64 and counts.dtype == np.int64
+        assert keys.tolist() == sorted(expected) + [(1 << 64) - 1]
+        assert counts.tolist() == [expected[key] for key in sorted(expected)] + [0]
+        assert dp == dp_oracle(fam)
+        assert degrees == tuple(sum(i in a for a in as_sets(fam)) for i in range(1, n + 1))
+
+
+def submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 def test_subset_table_guard_raises_before_allocating():

@@ -265,6 +265,48 @@ def test_center_set_requires_k_at_least_2():
         center_set_check(build_family(GroundParams(5, 1), "star:1"), RemovalConfig(1, 2.0))
 
 
+@pytest.mark.parametrize("n,k,s,chunk", [
+    (9, 3, 0, None), (9, 3, 1, None), (12, 3, 2, None), (12, 3, 3, None),
+    (64, 2, 2, None),  # the widest one-chunk l = 2 scan
+    (9, 3, 2, 16), (12, 3, 3, 16),  # many chunks of two sets each
+])
+def test_centre_sets_are_the_lexicographic_combinations(n, k, s, chunk, monkeypatch):
+    from kneserlab import removal
+
+    if chunk:
+        monkeypatch.setattr(removal, "MISS_CHUNK", chunk)
+    fam = build_family(GroundParams(n, k), f"random:{3 * n}:{n + s}")
+    chunks = list(removal._misses(fam, s))
+    assert (len(chunks) > 1) == bool(chunk)
+    sets = [tuple(row) for sets, _ in chunks for row in sets.tolist()]
+    assert sets == list(combinations(range(1, n + 1), s))
+    members = [set(elements_from_mask(a)) for a in fam.members]
+    misses = [int(x) for _, miss in chunks for x in miss]
+    assert misses == [sum(not a & set(c) for a in members) for c in sets]
+
+
+def test_a_second_scan_at_one_key_builds_no_centre_table(monkeypatch):
+    from kneserlab import removal
+
+    removal._centre_table.cache_clear()
+    builds = []
+    lookups = removal._lookups
+    monkeypatch.setattr(removal, "_lookups",
+                        lambda sets, t: builds.append((len(sets), t)) or lookups(sets, t))
+    first = build_family(GroundParams(12, 3), "random:50:1")
+    second = build_family(GroundParams(12, 4), "random:50:2")  # min(k, s) = 2 again
+    for fam in (first, second, first):
+        assert nearest_union_exact(fam, 2) == exhaustive_union_oracle(fam, 2)
+    assert builds == [(math.comb(12, 2), 2)]
+    info = removal._centre_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    sets, masks, signs = removal._centre_table(12, 2, 2, 0, removal.MISS_CHUNK // 4)
+    assert sets.shape == (66, 2) and len(builds) == 1
+    for table in (sets, masks, signs):  # shared, so read-only
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_case_classification_examples():
     assert case_classify(build_family(GroundParams(5, 2), "star:1"),
                          RemovalConfig(1, 2.0)) == "(vi)"

@@ -212,3 +212,27 @@ def test_integer_decomposition_matches_fraction_loop(n, k):
         got, want = decompose_affine(fam), decompose_affine_fraction(fam)
         assert got == want, spec
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_one_decomposition_per_family(monkeypatch):
+    from kneserlab import spectral
+    from kneserlab.removal import RemovalConfig, center_set_check
+
+    params = GroundParams(12, 3)
+    fam = build_family(params, "random:60:5")
+    outside = next(m for m in enumerate_masks(12, 3) if m not in fam)
+    other = SetFamily.from_masks(params, fam.members[1:] + (outside,))
+    decompose_affine.cache_clear()
+    runs = []
+    run = decompose_affine.__wrapped__
+    monkeypatch.setattr(spectral.decompose_affine, "__wrapped__",
+                        lambda family: runs.append(family) or run(family))
+    for family in (fam, other):
+        dec = decompose_affine(family)
+        residual = [residual_bound_check(family, ell) for ell in (1, 2)]
+        centre = center_set_check(family, RemovalConfig(1))
+        assert [r.lhs for r in residual] == [dec.f2_norm_sq] * 2
+        assert centre.eps_in == dec.f2_norm_sq
+        assert dec == run(family)
+    assert runs == [fam, other]
+    assert decompose_affine(other) != decompose_affine(fam)
