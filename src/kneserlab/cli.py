@@ -227,28 +227,39 @@ _COMMANDS = {
 }
 
 
+def _open_out(path: str | None):
+    """The --out file, opened before the command runs and emptied only once it
+    has succeeded (so a failed command, or one reading that file, finds it
+    intact), or stdout."""
+    try:
+        return open(path, "a") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise DomainError(f"cannot open --out {path}: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    seed = getattr(args, "seed", None)
+    fmt = args.format or ("csv" if args.command == "simulate" else "json")
     try:
-        result = _COMMANDS[args.command](args)
+        with _open_out(args.out) as stream:
+            result = _COMMANDS[args.command](args)
+            if args.out:
+                stream.truncate(0)
+            if seed is not None:
+                print(f"seed={seed}", file=sys.stderr)
+            if fmt == "csv":
+                rows = result if isinstance(result, list) else [result]
+                _emit_csv(rows, stream, seed=seed)
+            else:
+                payload = {"rows": result} if isinstance(result, list) else result
+                _emit_json(payload if seed is None else {**payload, "seed": seed}, stream)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        print(f"seed={seed}", file=sys.stderr)
-    fmt = args.format or ("csv" if args.command == "simulate" else "json")
-    sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
-    with sink as stream:
-        if fmt == "csv":
-            rows = result if isinstance(result, list) else [result]
-            _emit_csv(rows, stream, seed=seed)
-        else:
-            payload = {"rows": result} if isinstance(result, list) else result
-            _emit_json(payload if seed is None else {**payload, "seed": seed}, stream)
     return 0
 
 

@@ -296,16 +296,24 @@ def load_family(path: Path) -> SetFamily:
 
     A file exactly as save_family writes it is parsed and validated in bulk.
     Any other file, valid or not, goes to a line-by-line parse, which names
-    the first bad line and the first fault in it.
+    the first bad line and the first fault in it.  A path that cannot be read,
+    or a file that is not UTF-8, raises DomainError naming the path.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     hm = _SAVED_HEADER_RE.match(raw)
     if hm:
         params = GroundParams(int(hm.group(1)), int(hm.group(2)))
         masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params.n)
         if masks is not None:  # sorted and distinct subsets of [n]
             return SetFamily._from_parsed(params, masks)
-    lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        raise DomainError(f"{path} is not UTF-8 text") from None
+    lines = [line for line in map(str.strip, text.splitlines())
              if line and not line.startswith("#")]
     if not lines:
         raise DomainError(f"no header line in {path}")
@@ -493,6 +501,24 @@ def degree_profile(family: SetFamily) -> tuple[int, ...]:
     return _subset_table(family)[3]
 
 
+def _alpha_beta(params: GroundParams, ell: int, size: int, dp: int) -> tuple[int, ...]:
+    """(a, b, star, cross): alpha = a / star and beta = b / (star cross) for a
+    family of size members with dp disjoint pairs at l, where star = C(n-1,k-1)
+    and cross = C(n-k-1,k-1)."""
+    star, cross = params.star_size, params.star_disjoint_degree
+    return ell * star - size, dp - math.comb(ell, 2) * star * cross, star, cross
+
+
+def excess_ratio(params: GroundParams, ell: int, size: int, dp: int) -> tuple[int, int]:
+    """((2l-1) alpha + 2 beta) k/(n-2k), the excess of a family of size members
+    with dp disjoint pairs at l, as (numerator, positive denominator) over
+    C(n-1,k-1) C(n-k-1,k-1) (n-2k): the one definition of the excess."""
+    if ell < 1:
+        raise DomainError(f"l must be a positive integer, got {ell}")
+    a, b, star, cross = _alpha_beta(params, ell, size, dp)
+    return ((2 * ell - 1) * a * cross + 2 * b) * params.k, star * cross * (params.n - 2 * params.k)
+
+
 @dataclass(frozen=True)
 class FamilyStats:
     """The (alpha, beta) parametrisation of a family relative to l full stars.
@@ -510,23 +536,25 @@ class FamilyStats:
 
     @property
     def excess(self) -> Fraction:
-        """((2l-1) alpha + 2 beta) * k/(n-2k): the bound on the residual norm
-        ||f2||^2, and the removal bound over C * C(n,k)."""
-        n, k = self.params.n, self.params.k
-        return ((2 * self.ell - 1) * self.alpha + 2 * self.beta) * Fraction(k, n - 2 * k)
+        """((2l-1) alpha + 2 beta) k/(n-2k), as excess_ratio defines it: the bound
+        on the residual norm ||f2||^2, and the removal bound over C * C(n,k)."""
+        return Fraction(*excess_ratio(self.params, self.ell, self.size, self.dp))
 
     @property
-    def precondition_limit(self) -> Fraction | None:
-        """The largest C^2 with max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n),
-        or None when both vanish and every C meets the preconditions."""
-        worst = max(2 * self.ell * abs(self.alpha), abs(self.beta))
+    def precondition_limit(self) -> tuple[int, int]:
+        """The largest C^2 with max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n), as
+        (numerator, denominator); the denominator is 0 when both vanish, and
+        every C meets the preconditions."""
         n, k = self.params.n, self.params.k
-        return Fraction(n - 2 * k, 400 * n) / worst if worst else None
+        a, b, star, cross = _alpha_beta(self.params, self.ell, self.size, self.dp)
+        worst = max(2 * self.ell * abs(a) * cross, abs(b))  # over star * cross
+        return (n - 2 * k) * star * cross, 400 * n * worst
 
     def removal_precondition_met(self, c_const: float) -> bool:
-        """max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n), exactly in rationals."""
-        limit = self.precondition_limit
-        return limit is None or Fraction(c_const) ** 2 <= limit
+        """max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n), exactly in integers."""
+        num, den = self.precondition_limit
+        p, q = c_const.as_integer_ratio()  # Fraction(c_const), exactly
+        return p * p * den <= num * q * q
 
     def to_json_dict(self) -> dict:
         return {
@@ -550,6 +578,5 @@ def family_stats(family: SetFamily, ell: int) -> FamilyStats:
     params.require_gap("family_stats")
     size = len(family)
     dp = disjoint_pairs(family)
-    alpha = ell - Fraction(size, params.star_size)
-    beta = Fraction(dp, params.star_size * params.star_disjoint_degree) - math.comb(ell, 2)
-    return FamilyStats(params, ell, size, dp, alpha, beta)
+    a, b, star, cross = _alpha_beta(params, ell, size, dp)
+    return FamilyStats(params, ell, size, dp, Fraction(a, star), Fraction(b, star * cross))

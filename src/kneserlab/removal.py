@@ -25,6 +25,7 @@ from .families import (
     FamilyStats,
     SetFamily,
     disjoint_pairs,
+    excess_ratio,
     family_stats,
     recent_family_memo,
     subset_counts,
@@ -178,15 +179,15 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
 
     s_bound = max(1, ceil(C n sqrt(eps)/k)); all centre sets of size
     0..s_bound are tried on both branches; holds = (closeness <= C * eps),
-    decided in rationals.  The report for the most recent (family, cfg) is
+    decided in integers.  The report for the most recent (family, cfg) is
     memoised, so the bound check, the case table and the CLI share one search.
     """
     params = family.params
     n, k = params.n, params.k
     if not (n >= 2 * k and k >= 2):
         raise DomainError("centre-set check needs n >= 2k >= 4")
-    eps_exact = decompose_affine(family).f2_norm_sq_exact
-    eps_in = float(eps_exact)
+    dec = decompose_affine(family)
+    eps_in = dec.f2_norm_sq
     root = math.sqrt(max(eps_in, 0.0))
     # C n may overflow to inf, and inf * 0 is NaN; ceil(min(x, n)) = min(ceil(x), n)
     s_bound = max(1, math.ceil(min(cfg.c_const * n * root / k, n))) if root else 1
@@ -203,14 +204,16 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
         candidates += [(union_size(params, s) - size + 2 * fewest, 0, s, direct),
                        (size + math.comb(n - s, k) - 2 * most, 1, s, complement)]
     dist, rank, s, combo = min(candidates)
+    eps, eps_den = dec.f2_norm_sq_exact.as_integer_ratio()
+    c, c_den = cfg.c_const.as_integer_ratio()  # Fraction(c_const), exactly
     return CenterSetReport(
         eps_in=eps_in,
         s_bound=s_bound,
         best_s=combo,
         closeness=dist / params.slice_size,
         branch="direct" if rank == 0 else "complement",
-        holds=Fraction(dist, params.slice_size) <= Fraction(cfg.c_const) * eps_exact,
-        eps_within_range=eps_exact < Fraction(k, 128 * n),
+        holds=dist * c_den * eps_den <= c * eps * params.slice_size,
+        eps_within_range=eps * 128 * n < k * eps_den,
     )
 
 
@@ -323,19 +326,21 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
         raise DomainError(f"removal_bound_check needs n > 2k l^2, got n={n} k={k} l={ell}")
     stats = family_stats(family, ell)
     centres, distance = nearest_union_exact(family, ell)
-    base = removal_bound_base(stats)
+    num, den = excess_ratio(params, ell, stats.size, stats.dp)
+    base = num * params.slice_size  # over den
+    c, c_den = cfg.c_const.as_integer_ratio()  # Fraction(c_const), exactly
     try:
         label = case_classify(family, cfg)
     except (GuardError, DomainError):
         label = None
     return RemovalReport(
         stats=stats,
-        epsilon=float(stats.excess),
+        epsilon=num / den,
         best_centers=centres,
         distance=distance,
-        bound=cfg.c_const * float(base),
+        bound=cfg.c_const * (base / den),
         preconditions_met=stats.removal_precondition_met(cfg.c_const),
-        holds=distance <= Fraction(cfg.c_const) * base,
+        holds=distance * den * c_den <= c * base,
         case_label=label,
         c_const=cfg.c_const,
     )
@@ -352,10 +357,10 @@ def _precondition_breakpoint(stats: FamilyStats) -> float:
     that is C^2 > limit, for a limit >= 1.  Doubles >= 1 are multiples of
     2^-52, and the least multiple of 2^-52 above sqrt(limit) is
     (isqrt(floor(limit 2^104)) + 1) 2^-52."""
-    limit = stats.precondition_limit
-    if limit is None:
+    num, den = stats.precondition_limit
+    if not den:
         return math.inf
-    root = math.isqrt((limit.numerator << 104) // limit.denominator)
+    root = math.isqrt((num << 104) // den)
     return _ceil_double(Fraction(root + 1, 1 << 52))
 
 

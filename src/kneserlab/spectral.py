@@ -10,7 +10,7 @@ from the degree profile: with y_i = x_i - k/n,
 
 which is c*(n*I - J) with c = k(n-k)/(n^2 (n-1)); on the gauge slice
 sum_i a_i = 0 this is diagonal, so the normal equations solve in O(n).
-All norms are exact rationals; the dataclass carries float views for reports.
+Norms are exact integer ratios; the dataclass keeps float views and the exact ||f2||^2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .families import GroundParams, SetFamily, degree_profile, family_stats, recent_family_memo
+from .families import (GroundParams, SetFamily, degree_profile, disjoint_pairs, excess_ratio,
+                       recent_family_memo)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def eigenvalue_multiplicity(params: GroundParams, i: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """f = f0 + f1 + f2 with exact rational norms and a float report view.
+    """f = f0 + f1 + f2 with float report views and the exact ||f2||^2.
 
     affine_coeffs = (a0, a1..an) describes g = f0 + f1 as a0 + sum a_i x_i
     under the gauge sum_{i>=1} a_i = 0 (the one linear dependency on the
@@ -64,8 +65,6 @@ class SpectralDecomposition:
     f1_norm_sq: float
     f2_norm_sq: float
     parseval_residual: float
-    f0_exact: Fraction = field(repr=False)
-    f1_norm_sq_exact: Fraction = field(repr=False)
     f2_norm_sq_exact: Fraction = field(repr=False)
 
     def to_json_dict(self) -> dict:
@@ -111,8 +110,6 @@ def decompose_affine(family: SetFamily) -> SpectralDecomposition:
         f1_norm_sq=f1_f,
         f2_norm_sq=f2_f,
         parseval_residual=residual,
-        f0_exact=Fraction(size, total),
-        f1_norm_sq_exact=Fraction(f1_num, f1_den),
         f2_norm_sq_exact=Fraction(f2_num, f1_den),
     )
 
@@ -128,8 +125,10 @@ class ResidualBoundReport:
 
 
 def residual_bound_check(family: SetFamily, ell: int) -> ResidualBoundReport:
-    """Residual-norm inequality ||f2||^2 <= FamilyStats.excess at l."""
+    """Residual-norm inequality ||f2||^2 <= FamilyStats.excess at l, decided in
+    integers; int / int true division rounds as float(Fraction) does."""
     family.params.require_gap("residual_bound_check")
-    rhs = family_stats(family, ell).excess
-    lhs = decompose_affine(family).f2_norm_sq_exact
-    return ResidualBoundReport(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs)
+    num, den = excess_ratio(family.params, ell, len(family), disjoint_pairs(family))
+    dec = decompose_affine(family)
+    f2, f2_den = dec.f2_norm_sq_exact.as_integer_ratio()
+    return ResidualBoundReport(dec.f2_norm_sq, num / den, f2 * den <= num * f2_den)

@@ -13,16 +13,18 @@ import numpy as np
 
 from kneserlab.errors import DomainError, SearchBudgetExceeded
 from kneserlab.families import (
+    FamilyStats,
     GroundParams,
     SetFamily,
     degree_profile,
+    disjoint_pairs,
     elements_from_mask,
     enumerate_masks,
     mask_from_elements,
 )
 from kneserlab.graphs import KneserGraph
-from kneserlab.removal import union_distance
-from kneserlab.spectral import SpectralDecomposition
+from kneserlab.removal import CenterSetReport, RemovalReport, union_distance
+from kneserlab.spectral import ResidualBoundReport, SpectralDecomposition
 
 
 def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
@@ -217,10 +219,63 @@ def decompose_affine_fraction(family: SetFamily) -> SpectralDecomposition:
         f1_norm_sq=f1_f,
         f2_norm_sq=f2_f,
         parseval_residual=abs(float(mean) - f0_f * f0_f - f1_f - f2_f),
-        f0_exact=mean,
-        f1_norm_sq_exact=f1,
         f2_norm_sq_exact=f2,
     )
+
+
+def alpha_beta_fraction(params: GroundParams, ell: int, size: int,
+                        dp: int) -> tuple[Fraction, Fraction]:
+    """alpha = l - |F|/C(n-1,k-1) and beta = dp/(C(n-1,k-1) C(n-k-1,k-1)) - C(l,2)."""
+    alpha = ell - Fraction(size, params.star_size)
+    beta = Fraction(dp, params.star_size * params.star_disjoint_degree) - math.comb(ell, 2)
+    return alpha, beta
+
+
+def excess_fraction(params: GroundParams, ell: int, size: int, dp: int) -> Fraction:
+    """((2l-1) alpha + 2 beta) k/(n-2k) as a product of Fractions."""
+    alpha, beta = alpha_beta_fraction(params, ell, size, dp)
+    return ((2 * ell - 1) * alpha + 2 * beta) * Fraction(params.k, params.n - 2 * params.k)
+
+
+def residual_bound_fraction(family: SetFamily, ell: int) -> ResidualBoundReport:
+    """||f2||^2 <= excess with both sides in Fraction, f2 from the
+    all-Fraction decomposition."""
+    rhs = excess_fraction(family.params, ell, len(family), disjoint_pairs(family))
+    lhs = decompose_affine_fraction(family).f2_norm_sq_exact
+    return ResidualBoundReport(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs)
+
+
+def precondition_met_fraction(stats: FamilyStats, c_const: float) -> bool:
+    """max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n) in Fraction, with alpha
+    and beta from the size and dp."""
+    params, ell = stats.params, stats.ell
+    alpha, beta = alpha_beta_fraction(params, ell, stats.size, stats.dp)
+    worst = max(2 * ell * abs(alpha), abs(beta))
+    return not worst or \
+        Fraction(c_const) ** 2 <= Fraction(params.n - 2 * params.k, 400 * params.n) / worst
+
+
+def removal_verdicts_fraction(report: RemovalReport) -> tuple[bool, bool, float, float]:
+    """(preconditions_met, holds, epsilon, bound) of a removal report, from
+    its size, dp, distance and C, compared in Fraction."""
+    stats, c_const = report.stats, report.c_const
+    excess = excess_fraction(stats.params, stats.ell, stats.size, stats.dp)
+    base = excess * stats.params.slice_size
+    return (precondition_met_fraction(stats, c_const),
+            report.distance <= Fraction(c_const) * base, float(excess), c_const * float(base))
+
+
+def center_set_verdicts_fraction(family: SetFamily, report: CenterSetReport,
+                                 c_const: float) -> tuple[bool, bool, float]:
+    """(holds, eps_within_range, eps_in) of a centre-set report, from its
+    best centre set and branch, compared in Fraction."""
+    params = family.params
+    eps = decompose_affine_fraction(family).f2_norm_sq_exact
+    dist = union_distance(family, report.best_s)
+    if report.branch == "complement":
+        dist = params.slice_size - dist
+    return (Fraction(dist, params.slice_size) <= Fraction(c_const) * eps,
+            eps < Fraction(params.k, 128 * params.n), float(eps))
 
 
 def affine_residual_exact(family: SetFamily) -> Fraction:

@@ -422,6 +422,52 @@ def test_out_file_routing(tmp_path, capsys):
     assert json.loads(target.read_text())["alpha"] == 4
 
 
+def one_error_line(code, out, err, path) -> bool:
+    """Exit 1 with nothing on stdout and one `error:` line naming path."""
+    lines = err.splitlines()
+    return (code, out, len(lines)) == (1, "", 1) and lines[0].startswith("error: ") \
+        and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_unreadable_family_file_is_a_domain_error(tmp_path, capsys, case):
+    path = {"missing": tmp_path / "nonexistent", "directory": tmp_path,
+            "not utf-8": tmp_path / "latin1.txt"}[case]
+    if case == "not utf-8":
+        path.write_bytes(b"n=9 k=2\n# caf\xe9\n1,2\n")
+    code, out, err = run_cli(capsys, "stats", "--n", "9", "--k", "2",
+                             "--family", f"file:{path}")
+    assert one_error_line(code, out, err, path), err
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory"])
+def test_out_path_that_cannot_be_opened_fails_before_the_command(
+        tmp_path, capsys, monkeypatch, case):
+    from kneserlab import cli
+
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: ran.append(args))
+    path = tmp_path / "missing" / "out.csv" if case == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "simulate", "--n", "12", "--k", "2", "--p", "0.5",
+                             "--out", str(path))
+    assert one_error_line(code, out, err, path), err
+    assert ran == []
+
+
+def test_out_file_is_emptied_only_after_the_command_succeeds(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text("n=9 k=2\n1,2\n1,3\n")
+    before = path.read_text()
+    code, _, err = run_cli(capsys, "stats", "--n", "9", "--k", "2", "--family",
+                           f"file:{path}", "--l", "0", "--out", str(path))
+    assert code == 1 and "l must be a positive integer" in err
+    assert path.read_text() == before
+    code, out, _ = run_cli(capsys, "stats", "--n", "9", "--k", "2", "--family",
+                           f"file:{path}", "--out", str(path))  # reads it, then replaces it
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["size"] == 2
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "kneserlab.cli", "ekr", "--n", "4", "--k", "2"],
