@@ -10,16 +10,12 @@ One branch and bound, run on an explicit stack so that search depth is not
 bounded by the interpreter's recursion limit.  It branches in colour order
 (Tomita & Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC) with
 cliques of G as the colour classes: each node partitions its candidates into
-cliques by first fit in ascending vertex order, forces in the vertices
+cliques by first fit in descending vertex order, forces in the vertices
 isolated among them, and branches on the rest in reverse class order, taking
-each class's vertices lowest first and cutting as soon as the classes left
-cannot beat the incumbent.
-
-The search runs on a mirror of the graph, with vertex v relabelled nv-1-v
-and the loops cleared, built once per entry-point call.  Lowest-first in the
-caller's labelling is then highest-first on the mirror, so every step reads
-its vertex as x.bit_length() - 1 and the search visits the same tree, with
-the same witness and node count, as the lowest-bit walk on the caller's rows.
+each class's vertices highest first and cutting as soon as the classes left
+cannot beat the incumbent.  Every step reads its vertex as
+x.bit_length() - 1, so the walk is highest bit first in the caller's own
+labels; a caller that wants a vertex visited early gives it a high index.
 Two entry points run it:
 
 * max_independent_set_masks: optimisation from a greedy incumbent with an
@@ -45,10 +41,10 @@ SOLUTION_CAP = 1_000_000
 
 
 def greedy_independent_set(adjacency: Sequence[int]) -> int:
-    """Ascending-index greedy independent set, as a vertex mask."""
+    """Descending-index greedy independent set, as a vertex mask."""
     taken = 0
     blocked = 0
-    for v in range(len(adjacency)):
+    for v in range(len(adjacency) - 1, -1, -1):
         bit = 1 << v
         if not blocked & bit:
             taken |= bit
@@ -56,24 +52,20 @@ def greedy_independent_set(adjacency: Sequence[int]) -> int:
     return taken
 
 
-def _mirror(mask: int, nv: int) -> int:
-    """mask with bit v moved to bit nv-1-v (mask must lie below 1 << nv)."""
-    return int(f"{mask:0{nv}b}"[::-1], 2)
-
-
-def _mirrored_rows(adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(rows, excl) of the mirror: loop-free neighbour masks, and the mask of
-    candidates that survive taking each vertex, ~(rows[v] | 1 << v)."""
+def _search_rows(adjacency: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(rows, excl, bits): loop-free neighbour masks, the mask of candidates
+    that survive taking each vertex, ~(rows[v] | bits[v]), and bits[v] = 1 << v."""
     nv = len(adjacency)
     full = (1 << nv) - 1
-    rows = [_mirror(adjacency[nv - 1 - v] & full, nv) & ~(1 << v)
-            for v in range(nv)]
-    return rows, [~(row | 1 << v) for v, row in enumerate(rows)]
+    bits = [1 << v for v in range(nv)]
+    rows = [row & (full ^ bit) for row, bit in zip(adjacency, bits)]
+    return rows, [~(row | bit) for row, bit in zip(rows, bits)], bits
 
 
 def _branch_and_bound(
     rows: Sequence[int],
     excl: Sequence[int],
+    bits: Sequence[int],
     cand: int,
     best: int,
     best_mask: int,
@@ -83,12 +75,11 @@ def _branch_and_bound(
 ) -> tuple[int, int, int]:
     """Search the independent sets inside the root candidate mask cand.
 
-    rows and excl come from _mirrored_rows, and every mask is in the mirror's
-    labelling.  The incumbent (best, best_mask) rises with each larger set
-    found until it reaches goal.  With a `found` set the incumbent stays
-    fixed instead, and every set larger than it is added to found.  More
-    than budget nodes, the part of NODE_CAP left to the call, raise.  Returns
-    (best, best_mask, node_count).
+    rows, excl and bits come from _search_rows.  The incumbent (best,
+    best_mask) rises with each larger set found until it reaches goal.  With
+    a `found` set the incumbent stays fixed instead, and every set larger
+    than it is added to found.  More than budget nodes, the part of NODE_CAP
+    left to the call, raise.  Returns (best, best_mask, node_count).
     """
     nodes = 0
     # One frame per open node: [size, chosen, cand, cover classes not yet
@@ -110,18 +101,19 @@ def _branch_and_bound(
             rest = cand
             while rest:
                 v = rest.bit_length() - 1
-                fits = rest & rows[v]
-                if not fits and not rows[v] & cand:
-                    bit = 1 << v
+                row = rows[v]
+                bit = bits[v]
+                fits = rest & row
+                if not fits and not row & cand:
                     size += 1
                     chosen |= bit
                     cand ^= bit
                     rest ^= bit
                     continue
-                members = 1 << v
+                members = bit
                 while fits:
                     w = fits.bit_length() - 1
-                    members |= 1 << w
+                    members |= bits[w]
                     fits &= rows[w]
                 rest ^= members
                 classes.append(members)
@@ -149,7 +141,7 @@ def _branch_and_bound(
                 continue
             members = classes[-1]
             v = members.bit_length() - 1
-            bit = 1 << v
+            bit = bits[v]
             if members == bit:
                 classes.pop()
             else:
@@ -186,10 +178,8 @@ def max_independent_set_masks(
     goal = nv + 1 if stop_at is None else stop_at
     if best >= goal:
         return best, best_mask, 0
-    rows, excl = _mirrored_rows(adjacency)
-    best, best_mask, nodes = _branch_and_bound(
-        rows, excl, (1 << nv) - 1, best, _mirror(best_mask, nv), goal, NODE_CAP)
-    return best, _mirror(best_mask, nv), nodes
+    return _branch_and_bound(*_search_rows(adjacency), (1 << nv) - 1,
+                             best, best_mask, goal, NODE_CAP)
 
 
 def enumerate_maximum_independent_sets(
@@ -207,14 +197,13 @@ def enumerate_maximum_independent_sets(
     is then searched as its own root.  Returns (sorted solution masks, node
     count); more than SOLUTION_CAP solutions raise.
     """
-    nv = len(adjacency)
-    full = (1 << nv) - 1
+    full = (1 << len(adjacency)) - 1
     roots = [full] if containment_groups is None else [
-        _mirror(g & full, nv) for g in containment_groups]
-    rows, excl = _mirrored_rows(adjacency)
+        g & full for g in containment_groups]
+    tables = _search_rows(adjacency)
     found: set[int] = set()
     nodes = 0
     for root in roots:
-        nodes += _branch_and_bound(rows, excl, root, alpha - 1, 0, alpha,
+        nodes += _branch_and_bound(*tables, root, alpha - 1, 0, alpha,
                                    NODE_CAP - nodes, found)[2]
-    return sorted(_mirror(m, nv) for m in found), nodes
+    return sorted(found), nodes

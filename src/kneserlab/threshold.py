@@ -51,6 +51,7 @@ ROW_GUARD = 32 << 20
 SLOT_BLOCK = 1 << 16  # slots ORed per step of a sample's blocked-mask pass
 WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
+WORKER_GUARD = 64  # most worker processes one estimate may start
 CI_MIN_TRIALS = 30
 _ZERO4 = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
 
@@ -254,9 +255,10 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     sample with one fails without a search, and K(n,k) itself holds without
     one, by the ratio bound, with the star at centre 1 as witness.  Else the
     search runs on a copy relabelled by ascending degree in the sample (ties
-    to index), the vertex order of MCQ carried over to independent sets, with
-    the star at centre 1 as its incumbent, so it only looks for a set one
-    larger.  Its witness is mapped back to K(n,k)'s vertex indices.
+    to index), the vertex order of MCQ carried over to independent sets: the
+    search walks its highest label first, so the vertex of rank r takes label
+    nv-1-r.  The star at centre 1 is its incumbent, so it only looks for a set
+    one larger.  Its witness is mapped back to K(n,k)'s vertex indices.
     """
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
@@ -266,15 +268,15 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
         return EkrSampleResult(holds=True, witness=_mask(ctx.star))
     u, v = sample.edges
     nv = ctx.nv
-    # vertex r of the relabelled copy is vertex order[r] of the sample
+    # vertex order[r], of rank r by ascending degree, gets label nv-1-r
     order = np.argsort(np.bincount(np.concatenate((u, v)), minlength=nv), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(nv)
+    label = np.empty_like(order)
+    label[order] = np.arange(nv - 1, -1, -1)
     size, found, _ = max_independent_set_masks(
-        _pack_rows(ctx, rank[u], rank[v]), stop_at=target, initial=_mask(ctx.star[order]))
-    inside = np.zeros(nv, dtype=bool)
-    inside[order] = _bits(found, ctx.width)[:nv]
-    return EkrSampleResult(holds=size < target, witness=_mask(inside))
+        _pack_rows(ctx, label[u], label[v]), stop_at=target,
+        initial=_mask(ctx.star[order[::-1]]))
+    return EkrSampleResult(holds=size < target,
+                           witness=_mask(_bits(found, ctx.width)[label]))
 
 
 # ── probability estimation ───────────────────────────────────────────────
@@ -332,11 +334,15 @@ def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[
     """Estimates at each p of tps (one params, trials, seed); updates brackets."""
     trials = tps[0].trials
     ascending = sorted(set(tps), key=lambda tp: tp.p)
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    if workers > WORKER_GUARD:
+        raise GuardError(f"workers guarded to {WORKER_GUARD}, got {workers}")
     if trials < CI_MIN_TRIALS:
         raise DomainError(
             f"need at least {CI_MIN_TRIALS} trials for the interval, got {trials}")
     _context(tps[0].params)  # build before forking so children inherit it
-    if workers <= 1:
+    if workers == 1:
         chunks = [_sweep_chunk((ascending, 0, brackets))]
     else:
         bounds = [trials * w // workers for w in range(workers + 1)]

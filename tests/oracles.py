@@ -59,9 +59,9 @@ def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
 def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
     """Greedy partition of cand into cliques, as class member masks.
 
-    Each class starts at the lowest uncovered vertex and takes every later
+    Each class starts at the highest uncovered vertex and takes every lower
     uncovered vertex adjacent to all members so far, one AND per vertex; this
-    is first-fit in ascending vertex order, the cover that the search in
+    is first-fit in descending vertex order, the cover that the search in
     kneserlab.mis computes inline at each node.  An independent set meets
     each class at most once, so the class count bounds alpha of cand.
     """
@@ -70,9 +70,9 @@ def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
         members = 0
         fits = cand
         while fits:
-            low = fits & -fits
-            members |= low
-            fits = (fits ^ low) & adjacency[low.bit_length() - 1]
+            v = fits.bit_length() - 1
+            members |= 1 << v
+            fits = (fits ^ 1 << v) & adjacency[v]
         cand ^= members
         classes.append(members)
     return classes

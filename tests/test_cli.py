@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from kneserlab import threshold
 from kneserlab.cli import main
 
 
@@ -224,6 +225,29 @@ def test_simulate_worker_flag_does_not_change_output(capsys):
     _, out1, _ = run_cli(capsys, *base, "--workers", "1")
     _, out2, _ = run_cli(capsys, *base, "--workers", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--p", "0.55", "--trials", "32"),
+    ("threshold", "--trials", "32"),
+])
+@pytest.mark.parametrize("workers,code,prefix", [
+    ("0", 1, "error: workers must be at least 1, got 0"),
+    ("-3", 1, "error: workers must be at least 1, got -3"),
+    (str(threshold.WORKER_GUARD + 1), 2, "guard: workers guarded to"),
+    ("1000000", 2, "guard: workers guarded to"),
+])
+def test_bad_worker_counts_fail_before_any_process_starts(
+        capsys, monkeypatch, command, workers, code, prefix):
+    def get_context(method):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(threshold, "get_context", get_context)
+    got, out, err = run_cli(capsys, command[0], "--n", "12", "--k", "2",
+                            *command[1:], "--workers", workers)
+    lines = err.splitlines()
+    assert (got, out, len(lines)) == (code, "", 1)
+    assert lines[0].startswith(prefix)
 
 
 def test_removal_pinned_output(capsys):

@@ -5,6 +5,8 @@ with a star; these tests check its verdicts against searches of the sample
 as drawn, and that its witness comes back in the sample's vertex order.
 """
 
+import hashlib
+
 import pytest
 
 from kneserlab import threshold
@@ -15,6 +17,7 @@ from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
     ekr_holds,
+    estimate_probabilities,
     estimate_probability,
     sample_subgraph,
 )
@@ -126,9 +129,9 @@ def test_search_starts_from_the_star(monkeypatch):
     assert set(seen) == {(params.star_size + 1, params.star_size, True)}
 
 
-# K_p(9,4) at p = 0.85: trials with no superstar whose index-order search
-# runs past the default node cap; the ordered search decides each in under
-# 1% of it.
+# K_p(9,4) at p = 0.85: trials with no superstar whose search in K(n,k)'s
+# index order takes 1.1M to 2.5M nodes; the ordered search decides each in
+# under 1% of the node cap.
 @pytest.mark.parametrize("trial", [4, 9, 10])
 def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
     nodes = []
@@ -179,3 +182,47 @@ def test_one_edge_short_of_the_full_graph_is_searched(monkeypatch):
     assert sample.retained_count == 14 and count_superstars(sample) == 0
     ekr_holds(sample)
     assert calls == [10]
+
+
+# Searches, B&B nodes and a digest of every (verdict, witness, nodes) of four
+# 30-trial sweeps at seeds 1961 * 10^6 + i, i < 4.  Witnesses are in the
+# sample's vertex order, so the pins do not depend on the labels the search
+# runs on, only on the tree it visits.
+TREE_PINS = {
+    ((14, 2), (0.5, 0.6, 0.7)): (
+        125, 29_557,
+        "8497904ecae742017d198c336fcc7a70296b9a9276ce122b6d249cea61bc98fc"),
+    ((10, 3), (0.4, 0.5)): (
+        117, 296_618,
+        "64f5c8edd32048d11de4bb73328c72db5520525d4432b385f53812328172a86d"),
+    ((9, 3), (0.5, 0.7)): (
+        125, 51_666,
+        "7ac983c12a95e574021d7014da6bfa28cf9af2a765c996c4a729a459f970c4bc"),
+}
+
+
+@pytest.mark.parametrize("nk,ps", list(TREE_PINS))
+def test_ekr_search_trees_are_pinned(nk, ps, monkeypatch):
+    # any change to the order the EKR searches visit their trees in moves a
+    # node count or a witness, and fails here on purpose
+    nodes = []
+    verdicts = []
+    real_search = threshold.max_independent_set_masks
+    real_ekr = threshold.ekr_holds
+
+    def search(adjacency, **kwargs):
+        result = real_search(adjacency, **kwargs)
+        nodes.append(result[2])
+        return result
+
+    def decide(sample):
+        result = real_ekr(sample)
+        verdicts.append(f"{int(result.holds)} {result.witness:x} {nodes[-1]}")
+        return result
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    monkeypatch.setattr(threshold, "ekr_holds", decide)
+    for i in range(4):
+        estimate_probabilities(GroundParams(*nk), list(ps), 30, SEED * 10**6 + i)
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert (len(nodes), sum(nodes), digest) == TREE_PINS[nk, ps]

@@ -157,10 +157,42 @@ def test_empty_graph_and_complete_graph():
     assert len(masks) == 5
 
 
+def _force_isolated(size, chosen, cand, adjacency):
+    """Take every candidate with no neighbour among the candidates."""
+    iso = sum(1 << v for v in range(len(adjacency))
+              if (cand >> v) & 1 and not adjacency[v] & cand)
+    return size + iso.bit_count(), chosen | iso, cand ^ iso
+
+
+def _children(size, cand, adjacency, best):
+    """The node's children in the solver's order, as (chosen bit, child cand):
+    the cover's classes last first, each class's vertices highest first,
+    stopping once the classes left cannot beat best() read after each child."""
+    classes = greedy_clique_cover(cand, adjacency)
+    for c in range(len(classes), 0, -1):
+        members = classes[c - 1]
+        while members:
+            if size + c <= best():
+                return
+            v = members.bit_length() - 1
+            members ^= 1 << v
+            yield 1 << v, cand & ~adjacency[v] & ~(1 << v)
+            cand ^= 1 << v
+
+
+def descending_greedy(adjacency):
+    """Take each vertex, highest index first, that no taken one is adjacent to."""
+    taken = 0
+    for v in reversed(range(len(adjacency))):
+        if not adjacency[v] & taken:
+            taken |= 1 << v
+    return taken
+
+
 def recursive_search(adjacency, stop_at=None):
     """The solver's search written recursively on the caller's labelling,
-    walking each mask from its lowest bit: (size, witness, node count)."""
-    best_mask = greedy_independent_set(adjacency)
+    walking each mask from its highest bit: (size, witness, node count)."""
+    best_mask = descending_greedy(adjacency)
     best = best_mask.bit_count()
     goal = stop_at if stop_at is not None else len(adjacency) + 1
     if best >= goal:
@@ -170,47 +202,74 @@ def recursive_search(adjacency, stop_at=None):
     def visit(size, chosen, cand):
         nonlocal best, best_mask, nodes
         nodes += 1
-        iso = sum(1 << v for v in range(len(adjacency))
-                  if (cand >> v) & 1 and not adjacency[v] & cand)
-        size += iso.bit_count()
-        chosen |= iso
-        cand ^= iso
+        size, chosen, cand = _force_isolated(size, chosen, cand, adjacency)
         if size > best:
             best, best_mask = size, chosen
             if best >= goal:
                 return True
         if size + cand.bit_count() <= best:
             return False
-        classes = greedy_clique_cover(cand, adjacency)
-        for c in range(len(classes), 0, -1):
-            members = classes[c - 1]
-            while members:
-                if size + c <= best:
-                    return False
-                low = members & -members
-                members ^= low
-                if visit(size + 1, chosen | low,
-                         cand & ~adjacency[low.bit_length() - 1] & ~low):
-                    return True
-                cand ^= low
-        return False
+        return any(visit(size + 1, chosen | bit, child)
+                   for bit, child in _children(size, cand, adjacency, lambda: best))
 
     visit(0, 0, (1 << len(adjacency)) - 1)
     return best, best_mask, nodes
+
+
+def recursive_enumeration(adjacency, alpha, roots):
+    """The enumeration written recursively, with the incumbent held at
+    alpha - 1 and one search per root: (sorted sets, node count)."""
+    found = set()
+    nodes = 0
+
+    def visit(size, chosen, cand):
+        nonlocal nodes
+        nodes += 1
+        size, chosen, cand = _force_isolated(size, chosen, cand, adjacency)
+        if size >= alpha:
+            found.add(chosen)
+        if size + cand.bit_count() < alpha:
+            return
+        for bit, child in _children(size, cand, adjacency, lambda: alpha - 1):
+            visit(size + 1, chosen | bit, child)
+
+    for root in roots:
+        visit(0, 0, root)
+    return sorted(found), nodes
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_explicit_stack_visits_the_recursive_search_tree(seed):
     # equal node counts mean every cut reads the incumbent as it stands after
     # the previous sibling's subtree, as the recursive form does; equal
-    # witnesses mean the mirrored highest-bit walk takes the caller's
-    # vertices lowest first, as this form does
+    # witnesses mean the walk takes the caller's vertices highest first, as
+    # this form does
     adjacency = random_graph(28 + seed, [0.15, 0.3, 0.5][seed % 3], 300 + seed)
     alpha = recursive_search(adjacency)[0]
     for stop_at in (None, alpha, alpha - 1):
         size, mask, nodes = max_independent_set_masks(adjacency, stop_at=stop_at)
         assert (size, mask, nodes) == recursive_search(adjacency, stop_at)
         assert is_independent(mask, adjacency) and mask.bit_count() == size
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_enumeration_visits_the_recursive_enumeration_tree(seed):
+    # the same sets and the same node count, from the whole vertex set and
+    # from containment groups: maximum sets plus random extra vertices, and
+    # one random mask that need not contain any maximum set
+    nv = 20 + seed
+    adjacency = random_graph(nv, [0.2, 0.35, 0.5][seed % 3], 900 + seed)
+    alpha = recursive_search(adjacency)[0]
+    full = (1 << nv) - 1
+    sols, nodes = recursive_enumeration(adjacency, alpha, [full])
+    assert (sols, nodes) == enumerate_maximum_independent_sets(adjacency, alpha)
+    assert sols and nodes > len(sols)
+    rng = random.Random(seed)
+    groups = [sol | rng.getrandbits(nv) for sol in sols[:4]] + [rng.getrandbits(nv)]
+    expected = recursive_enumeration(adjacency, alpha, groups)
+    assert expected == enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=groups)
+    assert set(sols[:4]) <= set(expected[0]) <= set(sols)
 
 
 def test_targets_and_incumbent_against_oracle():
@@ -245,16 +304,19 @@ def test_import_keeps_recursion_limit_and_deep_search_runs():
         assert sys.getrecursionlimit() == limit, sys.getrecursionlimit()
         from kneserlab.mis import max_independent_set_masks
         sys.setrecursionlimit(200)
-        # 300 disjoint paths a-b-c, each centre b at the path's lowest index:
-        # the greedy takes the 300 centres and the search must go 300 deep
+        # 300 disjoint 3-vertex paths, each centre at the path's highest
+        # index: the greedy, walking down, takes the 300 centres, and the
+        # search must go 300 deep to take both ends of every path
         adjacency = [0] * 900
-        for b in range(0, 900, 3):
-            for end in (b + 1, b + 2):
-                adjacency[b] |= 1 << end
-                adjacency[end] |= 1 << b
-        print(max_independent_set_masks(adjacency)[0])
+        for c in range(2, 900, 3):
+            for end in (c - 2, c - 1):
+                adjacency[c] |= 1 << end
+                adjacency[end] |= 1 << c
+        size, _, nodes = max_independent_set_masks(adjacency)
+        print(size, nodes)
     """)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["600"]
+    size, nodes = proc.stdout.split()
+    assert size == "600" and int(nodes) >= 300
