@@ -431,12 +431,11 @@ def _subset_table(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple
             f"subset-count table needs {m} * 2^{k} entries, over the guard "
             f"{SUBSET_TABLE_GUARD}")
     keys, counts = _count_submasks(family.members, k, family.params.n)
-    sizes = np.bitwise_count(keys)
-    # sum_S (-1)^|S| c_S^2 < m^2 2^k <= 2^44 counts ordered pairs, exactly in int64
-    squares = counts * counts
-    ordered = int(squares.sum()) - 2 * int(squares[sizes & 1 == 1].sum())
-    degrees = np.zeros(family.params.n, dtype=np.int64)
-    degrees[np.bitwise_count(keys[sizes == 1] - np.uint64(1))] = counts[sizes == 1]
+    # sum_S (-1)^|S| c_S^2 < m^2 2^k <= 2^44 ordered pairs, by int64 dot products
+    ordered = int(counts @ counts) - 2 * int(counts * counts @ (np.bitwise_count(keys) & 1))
+    singletons = np.uint64(1) << np.arange(family.params.n, dtype=np.uint64)
+    at = np.searchsorted(keys, singletons)  # in range: the sentinel is above 2^63
+    degrees = np.where(keys[at] == singletons, counts[at], 0)
     return keys, counts, ordered // 2, tuple(degrees.tolist())
 
 
@@ -450,11 +449,12 @@ def _count_submasks(members: tuple[int, ...], k: int, n: int) -> tuple[np.ndarra
     subs[-1] = MASK64
     table = subs[:-1].reshape(1 << k, m)
     table[0] = 0
-    rest = np.array(members, dtype=np.uint64)
-    for j in range(k):  # double the submasks of each member, one element at a time
-        low = rest & (~rest + np.uint64(1))
+    rest = np.fromiter(members, np.uint64, m)
+    for j in range(k - 1):  # double the submasks of each member, one element at a time
+        low = rest & -rest  # the lowest element left, by two's complement
         rest ^= low
         np.bitwise_or(table[:1 << j], low, out=table[1 << j:2 << j])
+    np.bitwise_or(table[:1 << k - 1], rest, out=table[1 << k - 1:])  # the one element left
     if 1 << n <= m << k:  # every submask is below 2^n <= 2^22: an int64 view
         dense = np.bincount(subs[:-1].view(np.int64), minlength=1 << n)
         keys = np.flatnonzero(dense)

@@ -90,6 +90,30 @@ def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
     stream.writelines(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
 
 
+def subset_table_by_masks(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+    """The subset-count table read with masks: keys and counts by np.unique over
+    every submask, enumerated member by member, then the 64-bit sentinel with
+    count 0; dp by the sum of all squared counts less twice the masked sum over
+    odd-sized keys; the degrees by a masked scatter of the one-element keys."""
+    subs = []
+    for a in family.members:
+        sub = a
+        while True:
+            subs.append(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & a
+    keys, counts = np.unique(np.array(subs, dtype=np.uint64), return_counts=True)
+    keys = np.append(keys, np.uint64((1 << 64) - 1))
+    counts = np.append(counts.astype(np.int64), 0)
+    sizes = np.bitwise_count(keys)
+    squares = counts * counts
+    ordered = int(squares.sum()) - 2 * int(squares[sizes & 1 == 1].sum())
+    degrees = np.zeros(family.params.n, dtype=np.int64)
+    degrees[np.bitwise_count(keys[sizes == 1] - np.uint64(1))] = counts[sizes == 1]
+    return keys, counts, ordered // 2, tuple(degrees.tolist())
+
+
 def quadratic_form(family: SetFamily) -> int:
     """f^T A f via an explicit double sum over ordered disjoint pairs."""
     mem = family.members

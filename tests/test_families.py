@@ -244,8 +244,37 @@ def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
     assert SetFamily(loaded.params, loaded.members) == loaded  # passes every check
 
 
+def bincount_calls(monkeypatch):
+    """A list that gets one entry per np.bincount call."""
+    calls = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def _sets_of_64(m, bits, extra=0):
+    """m seeded random 3-sets of [64]: extra | each of m distinct subsets of
+    the bit positions bits, of size 3 - popcount(extra)."""
+    pool = list(combinations(bits, 3 - extra.bit_count()))
+    picks = np.random.default_rng(64).choice(len(pool), size=m, replace=False)
+    return SetFamily.from_masks(GroundParams(64, 3), (
+        extra | sum(1 << b for b in pool[i]) for i in picks.tolist()))
+
+
+TABLE_FAMILIES = {
+    # every member holds element 64: 2^63 is the key just below the sentinel
+    "top": lambda: _sets_of_64(300, range(63), extra=1 << 63),
+    # members of odd elements only: each even element has degree 0, and its
+    # singleton sorts before a key of the next odd element or the sentinel
+    "gaps": lambda: _sets_of_64(300, range(0, 64, 2)),
+}
+
+
 def _table_family(n, k, m):
-    """m k-sets of [n]: the first m of the slice, or m random ones at n > 12."""
+    """m k-sets of [n]: the first m of the slice, or m random ones at n > 12;
+    or a named family of TABLE_FAMILIES."""
+    if m in TABLE_FAMILIES:
+        return TABLE_FAMILIES[m]()
     if n > 12:
         return build_family(GroundParams(n, k), f"random:{m}:{n}")
     return SetFamily(GroundParams(n, k), tuple(enumerate_masks(n, k))[:m])
@@ -256,6 +285,8 @@ def _table_family(n, k, m):
     (9, 3, 0, False),  # the empty family
     (10, 4, 210, True),  # the full slice
     (40, 4, 500, False),
+    (64, 3, "top", False), (64, 3, "gaps", False), (64, 3, 0, False),
+    (64, 1, 64, False),  # the full slice at k = 1: no doubling before the last
 ])
 def test_bincount_and_sort_paths_build_the_same_table(n, k, m, dense, monkeypatch):
     # the table counts its submasks densely iff 2^n <= m 2^k; passing n = 64,
@@ -263,12 +294,9 @@ def test_bincount_and_sort_paths_build_the_same_table(n, k, m, dense, monkeypatc
     from kneserlab import families
 
     fam = _table_family(n, k, m)
-    assert len(fam) == m
+    assert len(fam) == (300 if m in TABLE_FAMILIES else m)
     build = families._subset_table.__wrapped__
-    bincounts = []
-    real_bincount = np.bincount
-    monkeypatch.setattr(np, "bincount",
-                        lambda *a, **kw: bincounts.append(1) or real_bincount(*a, **kw))
+    bincounts = bincount_calls(monkeypatch)
     natural = build(fam)
     assert bool(bincounts) == dense
     count = families._count_submasks
@@ -283,6 +311,30 @@ def test_bincount_and_sort_paths_build_the_same_table(n, k, m, dense, monkeypatc
         assert counts.tolist() == [expected[key] for key in sorted(expected)] + [0]
         assert dp == dp_oracle(fam)
         assert degrees == tuple(sum(i in a for a in as_sets(fam)) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(9, 15) for k in range(2, (n + 1) // 2)])
+def test_subset_table_matches_the_masked_reads(n, k, monkeypatch):
+    # seeded random families of sizes on both sides of the bincount/sort switch,
+    # where the slice reaches it, against keys and counts from np.unique and
+    # dp and the degrees read with masks
+    from kneserlab import families
+    from oracles import subset_table_by_masks
+
+    total, switch = math.comb(n, k), 1 << (n - k)  # a bincount iff m >= switch
+    rng = np.random.default_rng(100 * n + k)
+    sizes = {0, 1, total, int(rng.integers(2, min(switch, total + 1)))}
+    if switch <= total:
+        sizes |= {switch - 1, switch, int(rng.integers(switch, total + 1))}
+    bincounts = bincount_calls(monkeypatch)
+    for m in sorted(sizes):
+        fam = build_family(GroundParams(n, k), f"random:{m}:{rng.integers(1 << 30)}")
+        keys, counts, dp, degrees = families._subset_table.__wrapped__(fam)
+        ref_keys, ref_counts, ref_dp, ref_degrees = subset_table_by_masks(fam)
+        assert keys.dtype == np.uint64 and counts.dtype == np.int64
+        assert keys.tolist() == ref_keys.tolist() and counts.tolist() == ref_counts.tolist()
+        assert (dp, degrees) == (ref_dp, ref_degrees)
+    assert len(bincounts) == sum(m >= switch for m in sizes)
 
 
 def submasks(mask):
