@@ -141,7 +141,7 @@ def _cmd_spectrum(args) -> dict:
         "n": args.n,
         "k": args.k,
         "eigenvalues": [
-            {"index": i, "value": kneser_eigenvalue(params, i).value}
+            {"index": i, "value": kneser_eigenvalue(params, i)}
             for i in range(args.k + 1)
         ],
     }

@@ -456,9 +456,12 @@ def _count_submasks(members: tuple[int, ...], k: int, n: int) -> tuple[np.ndarra
         np.bitwise_or(table[:1 << j], low, out=table[1 << j:2 << j])
     np.bitwise_or(table[:1 << k - 1], rest, out=table[1 << k - 1:])  # the one element left
     if 1 << n <= m << k:  # every submask is below 2^n <= 2^22: an int64 view
-        dense = np.bincount(subs[:-1].view(np.int64), minlength=1 << n)
+        dense = np.bincount(subs[:-1].view(np.int64), minlength=(1 << n) + 1)
+        dense[-1] = 1  # slot 2^n, past every submask, holds the sentinel
         keys = np.flatnonzero(dense)
-        return np.append(keys.astype(np.uint64), subs[-1:]), np.append(dense[keys], 0)
+        counts = dense[keys]
+        keys[-1], counts[-1] = -1, 0  # -1 is the sentinel 2^64 - 1 as int64
+        return keys.view(np.uint64), counts
     subs.sort()  # in place: np.unique would sort a copy
     fresh = np.ones(len(subs), dtype=bool)  # where each distinct submask starts
     np.not_equal(subs[1:], subs[:-1], out=fresh[1:])

@@ -44,19 +44,6 @@ class KneserGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    @functools.cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shared read-only int32 endpoints (u, v), u < v, by u then v."""
-        us, vs = [], []
-        for i0, nbrs in neighbour_blocks(np.array(self.vertices, dtype=np.uint64)):
-            f = np.arange(i0, i0 + len(nbrs), dtype=np.int32)
-            later = nbrs > f[:, None]
-            us.append(np.repeat(f, later.sum(axis=1)))
-            vs.append(nbrs[later].astype(np.int32))
-        u, v = np.concatenate(us), np.concatenate(vs)
-        u.flags.writeable = v.flags.writeable = False  # every caller shares them
-        return u, v
-
     def family_from_vertex_mask(self, vmask: int) -> SetFamily:
         masks = []
         m = vmask
@@ -75,7 +62,7 @@ def require_graph(params: GroundParams) -> None:
 def disjoint_blocks(masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, disj) per block of rows, disj[i, j] True iff masks[i0 + i] & masks[j]
     is 0, from at most BLOCK_BYTES of uint64 ANDs (and one row at least).  The
-    adjacency rows, the edge list and the sampling context all read it."""
+    adjacency rows and the sampling context's edge ids and slot tables read it."""
     step = max(1, BLOCK_BYTES // (8 * len(masks)))
     for i0 in range(0, len(masks), step):
         yield i0, (masks[i0:i0 + step, None] & masks[None, :]) == 0
@@ -118,8 +105,8 @@ class MISResult:
 
 def ratio_bound(params: GroundParams) -> int:
     """Hoffman bound V*|lambda_1|/(lambda_0+|lambda_1|); equals C(n-1,k-1)."""
-    lam0 = kneser_eigenvalue(params, 0).value
-    lam1 = -kneser_eigenvalue(params, 1).value
+    lam0 = kneser_eigenvalue(params, 0)
+    lam1 = -kneser_eigenvalue(params, 1)
     return params.slice_size * lam1 // (lam0 + lam1)
 
 
@@ -222,21 +209,19 @@ def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
     nv = params.slice_size
     if nv > SPECTRUM_GUARD:
         raise GuardError(f"spectrum check guarded to C(n,k) <= {SPECTRUM_GUARD}")
-    graph = build_graph(params)
-    dense = np.zeros((nv, nv), dtype=np.float64)
-    u, v = graph.edges
-    dense[u, v] = dense[v, u] = 1.0
+    width = (nv + 7) // 8
+    rows = b"".join(a.to_bytes(width, "little") for a in build_graph(params).adjacency)
+    dense = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(nv, width), axis=1,
+                          count=nv, bitorder="little").astype(np.float64)
     computed = np.sort(np.linalg.eigvalsh(dense))
     expected = []
-    for i in range(params.k + 1):
-        lam = kneser_eigenvalue(params, i).value
-        expected.extend([lam] * eigenvalue_multiplicity(params, i))
-    expected_arr = np.sort(np.array(expected, dtype=np.float64))
-    max_dev = float(np.max(np.abs(computed - expected_arr)))
     pairs: dict[int, int] = {}
     for i in range(params.k + 1):
-        lam = kneser_eigenvalue(params, i).value
-        pairs[lam] = pairs.get(lam, 0) + eigenvalue_multiplicity(params, i)
+        lam, mult = kneser_eigenvalue(params, i), eigenvalue_multiplicity(params, i)
+        expected += [lam] * mult
+        pairs[lam] = pairs.get(lam, 0) + mult
+    expected_arr = np.sort(np.array(expected, dtype=np.float64))
+    max_dev = float(np.max(np.abs(computed - expected_arr)))
     return {
         "n": params.n,
         "k": params.k,

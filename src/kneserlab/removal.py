@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,18 +123,6 @@ def _extreme_sets(family: SetFamily, s: int) -> tuple[tuple[int, tuple[int, ...]
     return fewest, most
 
 
-def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
-    """|F delta G_S| by the miss-count identity."""
-    params = family.params
-    for c in centres:
-        if not (1 <= c <= params.n):
-            raise DomainError(f"centre {c} out of range 1..{params.n}")
-    distinct = np.array([sorted(set(centres))], dtype=np.int64)
-    masks, signs = _lookups(distinct, min(params.k, distinct.shape[1]))
-    miss = int((subset_counts(family, masks) @ signs)[0])
-    return union_size(params, distinct.shape[1]) - len(family) + 2 * miss
-
-
 def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], int]:
     """Exhaustive minimiser of |F delta G_S| over l-element centre sets.
 
@@ -162,15 +150,7 @@ class CenterSetReport:
     eps_within_range: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps_in": self.eps_in,
-            "s_bound": self.s_bound,
-            "best_s": list(self.best_s),
-            "closeness": self.closeness,
-            "branch": self.branch,
-            "holds": self.holds,
-            "eps_within_range": self.eps_within_range,
-        }
+        return asdict(self)
 
 
 @recent_family_memo

@@ -16,7 +16,7 @@ Norms are exact integer ratios; the dataclass keeps float views and the exact ||
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -24,22 +24,14 @@ from .families import (GroundParams, SetFamily, degree_profile, disjoint_pairs, 
                        recent_family_memo)
 
 
-@dataclass(frozen=True)
-class KneserEigenvalue:
+def kneser_eigenvalue(params: GroundParams, i: int) -> int:
     """lambda_i = (-1)^i * C(n-k-i, k-i) for 0 <= i <= k."""
-
-    index: int
-    value: int
-
-
-def kneser_eigenvalue(params: GroundParams, i: int) -> KneserEigenvalue:
     n, k = params.n, params.k
     if n < 2 * k:
         raise DomainError(f"Kneser eigenvalues need n >= 2k, got n={n} k={k}")
     if not (0 <= i <= k):
         raise DomainError(f"eigenvalue index {i} out of range 0..{k}")
-    value = (-1) ** i * math.comb(n - k - i, k - i)
-    return KneserEigenvalue(i, value)
+    return (-1) ** i * math.comb(n - k - i, k - i)
 
 
 def eigenvalue_multiplicity(params: GroundParams, i: int) -> int:
@@ -121,7 +113,7 @@ class ResidualBoundReport:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
+        return asdict(self)
 
 
 def residual_bound_check(family: SetFamily, ell: int) -> ResidualBoundReport:

@@ -78,7 +78,7 @@ class _SampleContext:
     K(n,k) is C(n-k,k)-regular, so its incidences fill an (nv, degree) slot
     table: row f lists f's neighbours in index order, slot_edge holds the id
     of the edge to each and slot_mask the neighbour's element mask.  Edge e
-    joins u[e] < v[e]; the ids run in the order of graph.edges, by u then v.
+    joins u[e] < v[e]; the ids run by u then v.
     All four come from graphs.neighbour_blocks, with no KneserGraph built.
     """
 
@@ -98,7 +98,7 @@ class _SampleContext:
         self.star = (masks & np.uint64(1)).astype(bool)
         self.slot_edge = np.empty((nv, degree), dtype=np.int32)
         self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
-        # the endpoints (u, v), u < v, of each edge id: graph.edges, read-only
+        # the endpoints (u, v), u < v, of each edge id, by u then v, read-only
         self.u = np.empty(self.edge_count, dtype=np.int32)
         self.v = np.empty(self.edge_count, dtype=np.int32)
         # counting placement: a row's earlier neighbours fill its first slots,
@@ -162,10 +162,9 @@ def _mask(bits: np.ndarray) -> int:
 class EdgeSample:
     """A sampled subgraph: its retained edges plus its superstar certificate.
 
-    keep[e] is True iff edge e of K(n,k), in the order of graph.edges, is
-    retained.  unblocked[f] has bit x-1 set iff x is not in vertex f and no
-    retained edge joins f to the star S_x, that is, iff (S_x, f) is a
-    superstar.
+    keep[e] is True iff edge e of K(n,k), by u then v, is retained.
+    unblocked[f] has bit x-1 set iff x is not in vertex f and no retained edge
+    joins f to the star S_x, that is, iff (S_x, f) is a superstar.
     """
 
     params: GroundParams
@@ -182,10 +181,6 @@ class EdgeSample:
     def adjacency(self) -> tuple[int, ...]:
         """Adjacency bitsets in K(n,k)'s vertex order, packed on first use."""
         return _pack_rows(_context(self.params), *self.edges)
-
-    @property
-    def retained_count(self) -> int:
-        return int(np.count_nonzero(self.keep))
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
@@ -570,7 +565,7 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
         lower_bound_prob=safe_exp(log_lower),
         first_moment_bound=safe_exp(log_first_moment_bound),
         log_first_moment_bound=log_first_moment_bound,
-        near_star_base=safe_exp(log_eq2) if i >= 1 else math.inf,
+        near_star_base=safe_exp(log_eq2),
         log_near_star_base=log_eq2,
         far_family_bound=safe_exp(log_far_family_bound),
         log_far_family_bound=log_far_family_bound,

@@ -23,7 +23,7 @@ from kneserlab.families import (
     mask_from_elements,
 )
 from kneserlab.graphs import KneserGraph
-from kneserlab.removal import CenterSetReport, RemovalReport, union_distance
+from kneserlab.removal import CenterSetReport, RemovalReport
 from kneserlab.spectral import ResidualBoundReport, SpectralDecomposition
 
 
@@ -83,11 +83,24 @@ def edge_count(graph: KneserGraph) -> int:
     return sum(a.bit_count() for a in graph.adjacency) // 2
 
 
+def reference_edges(graph: KneserGraph) -> list[tuple[int, int]]:
+    """(u, v) with u < v in canonical order, by a bit-walk over each row."""
+    edges = []
+    for u in range(graph.vertex_count):
+        m = graph.adjacency[u] >> (u + 1)
+        v = u + 1
+        while m:
+            if m & 1:
+                edges.append((u, v))
+            m >>= 1
+            v += 1
+    return edges
+
+
 def export_edges(graph: KneserGraph, stream: IO[str]) -> None:
     """Edge list `u v` with a `# kneser n=<n> k=<k>` header, canonical order."""
     stream.write(f"# kneser n={graph.params.n} k={graph.params.k}\n")
-    u, v = graph.edges
-    stream.writelines(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+    stream.writelines(f"{a} {b}\n" for a, b in reference_edges(graph))
 
 
 def subset_table_by_masks(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
@@ -125,6 +138,17 @@ def residual_min_eigenvalue(params: GroundParams) -> int:
     if params.k < 3:
         return 0
     return -math.comb(params.n - params.k - 3, params.k - 3)
+
+
+def union_distance(family: SetFamily, centres: Sequence[int]) -> int:
+    """|F delta G_S|, member by member: G_S less the members meeting S, plus
+    the members missing S."""
+    n, k = family.params.n, family.params.k
+    distinct = sorted(set(centres))
+    smask = mask_from_elements(distinct, n)
+    misses = sum(1 for a in family.members if not a & smask)
+    union = math.comb(n, k) - math.comb(n - len(distinct), k)
+    return union - (len(family) - misses) + misses
 
 
 def nearest_union_heuristic(family: SetFamily, ell: int) -> tuple[tuple[int, ...], int]:

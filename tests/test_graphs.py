@@ -1,12 +1,13 @@
 """kneser_exact: graph construction, EKR, spectra, Baranyai, extremal subgraph."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
 
 import pytest
 
-from kneserlab import graphs, mis
+from kneserlab import graphs, mis, threshold
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.graphs import (
@@ -77,12 +78,14 @@ def test_build_graph_memory_is_bounded_by_its_blocks(monkeypatch):
         assert build_graph(GroundParams(9, 3)).adjacency == whole
 
 
-def test_edge_arrays_are_read_only():
-    g = build_graph(GroundParams(6, 2))
-    for ends in g.edges:
+def test_edge_arrays_are_read_only(monkeypatch):
+    # the sampling context's endpoints are the one edge list, shared by every trial
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    ctx = threshold._context(GroundParams(6, 2))
+    for ends in (ctx.u, ctx.v):
         with pytest.raises(ValueError, match="read-only"):
             ends[0] = 1
-    assert g.edges[0][0] == 0
+    assert ctx.u[0] == 0
 
 
 def test_adjacency_matches_disjointness():
@@ -198,6 +201,20 @@ def test_spectrum_cross_check_examples():
     assert rep["spectrum"] == [(-1, 10), (1, 10)]
     with pytest.raises(GuardError):
         spectrum_cross_check(GroundParams(13, 4))
+
+
+def test_spectrum_cross_check_reads_the_adjacency_rows(monkeypatch):
+    params = GroundParams(7, 2)
+    graph = build_graph(params)
+    monkeypatch.setattr(graphs, "build_graph", lambda _: graph)
+    assert spectrum_cross_check(params)["ok"]
+    rows = list(graph.adjacency)
+    rows[0] ^= 1 << 1  # {1,2} and {1,3} meet: one edge too many
+    rows[1] ^= 1 << 0
+    flipped = dataclasses.replace(graph, adjacency=tuple(rows))
+    monkeypatch.setattr(graphs, "build_graph", lambda _: flipped)
+    rep = spectrum_cross_check(params)
+    assert not rep["ok"] and rep["max_deviation"] > 0.5
 
 
 def test_partition_classes_are_cliques_and_partition_vertices():

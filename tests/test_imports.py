@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every public
+definition of the package is read by some code other than its own."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kneserlab"
+import kneserlab
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kneserlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,66 @@ def test_unused_imports_finds_a_dead_name():
     p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_its_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """Each name read in tree: loaded names and attributes, and the names
+    imported from a module."""
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(a.name for a in node.names)
+    return reads
+
+
+def unread_definitions(package: dict[str, str], readers: list[str],
+                       exported: set[str]) -> list[str]:
+    """The public top-level functions and classes, and the public methods, of
+    the package sources (file name -> source) whose name nothing reads: not the
+    package outside the definition itself, not the reader sources and not
+    exported.  Names are matched as written, with no type resolved, so a
+    method counts as read wherever an attribute of its name is."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    inside = sum((_reads(tree) for tree in trees.values()), Counter())
+    outside = sum((_reads(ast.parse(source)) for source in readers), Counter())
+    unread = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        for qualname, defn in defs:
+            name = defn.name
+            if name.startswith("_") or name in exported or outside[name]:
+                continue
+            if inside[name] == _reads(defn)[name]:  # read only by itself
+                unread.append(f"{module}:{qualname}")
+    return sorted(unread)
+
+
+def test_unread_definitions_finds_dead_names():
+    package = {"m.py": (
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def dead(x):\n    return dead(x - 1) if x else 0\n\n"
+        "class C:\n"
+        "    def live(self):\n        return 0\n\n"
+        "    def gone(self):\n        return self.gone()\n\n"
+        "    def _private(self):\n        return 1\n")}
+    readers = ["from m import used\nobj.live()\n"]
+    assert unread_definitions(package, readers, {"C"}) == ["m.py:C.gone", "m.py:dead"]
+    assert unread_definitions(package, readers, set()) == ["m.py:C", "m.py:C.gone", "m.py:dead"]
+
+
+def test_every_public_definition_is_read():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_definitions(package, readers, set(kneserlab.__all__)) == []

@@ -28,11 +28,10 @@ from kneserlab.removal import (
     nearest_union_exact,
     removal_bound_base,
     removal_bound_check,
-    union_distance,
     union_size,
 )
 from kneserlab.spectral import residual_bound_check
-from oracles import nearest_union_heuristic
+from oracles import nearest_union_heuristic, union_distance
 
 
 def exhaustive_union_oracle(family, ell):
@@ -346,6 +345,9 @@ def test_union_distance_matches_sym_diff():
     for centres in [(1,), (3,), (1, 2), (2, 5)]:
         union = build_family(params, "union:" + ",".join(map(str, centres)))
         assert union_distance(fam, centres) == sym_diff_size(fam, union)
+    for ell in (1, 2):  # the miss counts read off the subset-count table
+        centres, dist = nearest_union_exact(fam, ell)
+        assert union_distance(fam, centres) == dist
 
 
 def test_calibrate_constant_on_star_perturbations():

@@ -9,6 +9,7 @@ import io
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from kneserlab import graphs, threshold
@@ -23,24 +24,10 @@ from kneserlab.threshold import (
     star_survives,
     trial_uniforms,
 )
-from oracles import brute_force_maximum, edge_count, export_edges
+from oracles import brute_force_maximum, edge_count, export_edges, reference_edges
 
 ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4), (6, 3), (8, 4)]
 ORACLE_PS = [0.0, 0.3, 0.5, 1.0]
-
-
-def reference_edges(graph):
-    """(u, v) with u < v in canonical order, by a bit-walk over each row."""
-    edges = []
-    for u in range(graph.vertex_count):
-        m = graph.adjacency[u] >> (u + 1)
-        v = u + 1
-        while m:
-            if m & 1:
-                edges.append((u, v))
-            m >>= 1
-            v += 1
-    return edges
 
 
 def reference_adjacency(graph, uniforms, p):
@@ -106,12 +93,12 @@ def assert_context_matches_bit_walk(graph):
 def test_edge_enumeration_matches_bit_walk(n, k, monkeypatch):
     monkeypatch.setattr(threshold, "_CONTEXTS", {})
     graph = build_graph(GroundParams(n, k))
-    u, v = graph.edges
-    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
+    assert_context_matches_bit_walk(graph)
+    ctx = threshold._context(graph.params)
     buf = io.StringIO()
     export_edges(graph, buf)
-    assert buf.getvalue().splitlines()[1:] == [f"{a} {b}" for a, b in reference_edges(graph)]
-    assert_context_matches_bit_walk(graph)
+    assert buf.getvalue().splitlines()[1:] == [
+        f"{a} {b}" for a, b in zip(ctx.u.tolist(), ctx.v.tolist())]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
@@ -121,13 +108,13 @@ def test_blocks_match_bit_walk(n, k, rows, monkeypatch):
     monkeypatch.setattr(threshold, "_CONTEXTS", {})
     graph = build_graph(GroundParams(n, k))  # the reference, built in one block
     monkeypatch.setattr(graphs, "BLOCK_BYTES", 8 * graph.vertex_count * rows)
-    u, v = build_graph(graph.params).edges
-    assert list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
+    assert build_graph(graph.params).adjacency == graph.adjacency
     assert_context_matches_bit_walk(graph)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (12, 2), (9, 4)])
 def test_context_endpoints_are_the_graph_edges(n, k, monkeypatch):
+    edges = reference_edges(build_graph(GroundParams(n, k)))
     builds = []
     real = graphs.build_graph
 
@@ -144,11 +131,10 @@ def test_context_endpoints_are_the_graph_edges(n, k, monkeypatch):
     retained = sample.edges  # listed from the context's endpoints
     assert builds == []  # sampling builds no KneserGraph
     ctx = threshold._context(tp.params)
-    u, v = build_graph(tp.params).edges
-    assert ctx.u.dtype == ctx.v.dtype == u.dtype
-    assert ctx.u.tolist() == u.tolist() and ctx.v.tolist() == v.tolist()
-    assert [e.tolist() for e in retained] == [u[sample.keep].tolist(),
-                                              v[sample.keep].tolist()]
+    assert ctx.u.dtype == ctx.v.dtype == np.int32
+    assert list(zip(ctx.u.tolist(), ctx.v.tolist())) == edges
+    assert list(zip(*(e.tolist() for e in retained))) == [
+        e for e, kept in zip(edges, sample.keep) if kept]
     assert not (ctx.u.flags.writeable or ctx.v.flags.writeable)
 
 
@@ -218,7 +204,7 @@ def test_superstar_certificate_skips_search(monkeypatch):
     # without a superstar the decision still searches, unless the sample
     # keeps every edge of K(n,k)
     dense = sample_subgraph(ThresholdParams(GroundParams(12, 2), 0.95, 1, 0), 0)
-    assert count_superstars(dense) == 0 and dense.retained_count < 1485
+    assert count_superstars(dense) == 0 and np.count_nonzero(dense.keep) < 1485
     before = len(calls)
     assert ekr_holds(dense).holds and len(calls) == before + 1
 
@@ -240,7 +226,7 @@ def test_sample_memory_is_packed_at_15_7():
     # (one bit per vertex pair) takes 5.2 MB
     packed = nv * ((nv + 7) // 8)
     assert peak < 3 * packed < nv * nv, (peak, packed)
-    assert sample.retained_count == sum(uniforms < 0.5)
+    assert np.count_nonzero(sample.keep) == sum(uniforms < 0.5)
 
 
 def test_adjacency_is_packed_on_first_use_at_15_7():
@@ -260,4 +246,4 @@ def test_adjacency_is_packed_on_first_use_at_15_7():
         tracemalloc.stop()
     assert peak < 3 * packed < nv * nv, (peak, packed)
     assert sample.adjacency is adjacency
-    assert sum(a.bit_count() for a in adjacency) == 2 * sample.retained_count
+    assert sum(a.bit_count() for a in adjacency) == 2 * np.count_nonzero(sample.keep)

@@ -84,9 +84,9 @@ def test_only_the_most_recent_context_is_kept(monkeypatch):
 
 def test_sample_trivial_probabilities():
     empty = sample_subgraph(ThresholdParams(P5, 0.0, 1, 0), 0)
-    assert empty.retained_count == 0
+    assert np.count_nonzero(empty.keep) == 0
     full = sample_subgraph(ThresholdParams(P5, 1.0, 1, 0), 0)
-    assert full.retained_count == 15  # C(5,2) C(3,2) / 2
+    assert np.count_nonzero(full.keep) == 15  # C(5,2) C(3,2) / 2
 
 
 def test_sample_reproducible_and_trialwise_distinct():
@@ -117,7 +117,7 @@ def test_trial_uniforms_is_a_fresh_philox_stream():
 def test_sample_mean_retained_within_binomial_ci():
     trials = 2000
     tp = ThresholdParams(P5, 0.5, trials, 7)
-    total = sum(sample_subgraph(tp, t).retained_count for t in range(trials))
+    total = sum(np.count_nonzero(sample_subgraph(tp, t).keep) for t in range(trials))
     mean = total / trials
     sigma = math.sqrt(15 * 0.25 / trials)
     assert abs(mean - 7.5) <= 3 * sigma
