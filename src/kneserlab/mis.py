@@ -7,15 +7,16 @@ set bit v of adjacency[v] (a loop) is ignored: alpha is that of the loop-free
 graph.
 
 One branch and bound, run on an explicit stack so that search depth is not
-bounded by the interpreter's recursion limit.  It branches in colour order
+bounded by the interpreter's recursion limit.  It bounds by colour classes
 (Tomita & Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC) with
-cliques of G as the colour classes: each node partitions its candidates into
-cliques by first fit in descending vertex order, forces in the vertices
-isolated among them, and branches on the rest in reverse class order, taking
-each class's vertices highest first and cutting as soon as the classes left
-cannot beat the incumbent.  Every step reads its vertex as
-x.bit_length() - 1, so the walk is highest bit first in the caller's own
-labels; a caller that wants a vertex visited early gives it a high index.
+cliques of G as the classes: each node covers its candidates by first fit
+in descending vertex order and stops once it has best - size classes, as
+many as a set through the node may meet without beating the incumbent.  A
+larger set must take a vertex the cover leaves out, so the node branches on
+those alone (the spill), lowest first, each excluded from its later
+siblings; a node with no spill is cut.  The cover reads its vertices as
+x.bit_length() - 1, highest bit first in the caller's own labels, so a
+caller that wants a vertex covered early gives it a high index.
 Two entry points run it:
 
 * max_independent_set_masks: optimisation from a greedy incumbent with an
@@ -80,79 +81,59 @@ def _branch_and_bound(
     a `found` set the incumbent stays fixed instead, and every set larger
     than it is added to found.  More than budget nodes, the part of NODE_CAP
     left to the call, raise.  Returns (best, best_mask, node_count).
+
+    A node covers its candidates with at most best - size first-fit cliques,
+    highest uncovered vertex first, and branches on the spill, the
+    candidates left uncovered, lowest label first.  Each branch takes one
+    vertex, so a larger set shows at the node a branch enters.
     """
     nodes = 0
-    # One frame per open node: [size, chosen, cand, cover classes not yet
-    # exhausted].  cand shrinks as its vertices are branched on.
-    stack: list[list] = []
+    # One frame per open node with a sibling left: (size, chosen, cand,
+    # spill), where cand has lost the spill vertices already branched on.
+    stack: list[tuple[int, int, int, int]] = []
     size, chosen = 0, 0
     while True:
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(f"search exceeded node cap {NODE_CAP}")
+        if size > best:  # only the branch into this node raised size
+            if found is None:
+                best, best_mask = size, chosen
+                if best >= goal:
+                    break
+            else:
+                found.add(chosen)
+                if len(found) > SOLUTION_CAP:
+                    raise SearchBudgetExceeded(
+                        f"enumeration exceeded solution cap {SOLUTION_CAP}")
+        spill = 0
         if size + cand.bit_count() > best:
             # First-fit clique cover from the highest uncovered vertex down:
             # each class takes every lower uncovered vertex adjacent to all
-            # its members so far.  A vertex with no neighbour among the
-            # candidates is forced in instead; it would be a singleton class
-            # of any clique partition, so size + cand.bit_count() and every
-            # other class stay as they were.
-            classes = []
-            rest = cand
-            while rest:
-                v = rest.bit_length() - 1
-                row = rows[v]
-                bit = bits[v]
-                fits = rest & row
-                if not fits and not row & cand:
-                    size += 1
-                    chosen |= bit
-                    cand ^= bit
-                    rest ^= bit
-                    continue
-                members = bit
+            # its members so far.  Whatever best - size classes leave over
+            # is the spill.
+            spill = cand
+            for _ in range(best - size):
+                if not spill:
+                    break
+                v = spill.bit_length() - 1
+                fits = spill & rows[v]
+                spill ^= bits[v]
                 while fits:
                     w = fits.bit_length() - 1
-                    members |= bits[w]
+                    spill ^= bits[w]
                     fits &= rows[w]
-                rest ^= members
-                classes.append(members)
-            if size > best:
-                if found is None:
-                    best, best_mask = size, chosen
-                    if best >= goal:
-                        break
-                else:
-                    found.add(chosen)
-                    if len(found) > SOLUTION_CAP:
-                        raise SearchBudgetExceeded(
-                            f"enumeration exceeded solution cap {SOLUTION_CAP}")
-            if classes:  # else a leaf: nothing left to branch on
-                stack.append([size, chosen, cand, classes])
-        # Descend from the deepest open node into its next vertex, taking the
-        # classes last first.  The vertices left in classes 1..c are covered by
-        # c cliques, so once size + c <= best (best read live, after every
-        # child returns) no set through this node can beat the incumbent.
-        while stack:
-            frame = stack[-1]
-            size, chosen, cand, classes = frame
-            if size + len(classes) <= best:
-                stack.pop()
-                continue
-            members = classes[-1]
-            v = members.bit_length() - 1
-            bit = bits[v]
-            if members == bit:
-                classes.pop()
-            else:
-                classes[-1] = members ^ bit
-            frame[2] = cand ^ bit
-            size += 1
-            chosen |= bit
-            cand &= excl[v]
-            break
-        else:
-            break  # every node is closed: nothing beats best
+        if not spill:  # no set through this node beats best
+            if not stack:
+                break  # every node is closed
+            size, chosen, cand, spill = stack.pop()
+        # Take the lowest spill vertex; its later siblings go without it.
+        bit = spill & -spill
+        if spill != bit:
+            stack.append((size, chosen, cand ^ bit, spill ^ bit))
+        size += 1
+        chosen |= bit
+        cand &= excl[bit.bit_length() - 1]
     return best, best_mask, nodes
 
 

@@ -94,8 +94,9 @@ class _SampleContext:
                              f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
         masks = np.fromiter(enumerate_masks(params.n, params.k), np.uint64, nv)
         self.free = np.uint64((1 << params.n) - 1) & ~masks  # elements outside each vertex
-        # the star at centre 1, per vertex: independent in every K_p
+        # the star at centre 1, per vertex and as a mask: independent in every K_p
         self.star = (masks & np.uint64(1)).astype(bool)
+        self.star_mask = _mask(self.star)
         self.slot_edge = np.empty((nv, degree), dtype=np.int32)
         self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
         # the endpoints (u, v), u < v, of each edge id, by u then v, read-only
@@ -251,16 +252,17 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     one, by the ratio bound, with the star at centre 1 as witness.  Else the
     search runs on a copy relabelled by ascending degree in the sample (ties
     to index), the vertex order of MCQ carried over to independent sets: the
-    search walks its highest label first, so the vertex of rank r takes label
-    nv-1-r.  The star at centre 1 is its incumbent, so it only looks for a set
-    one larger.  Its witness is mapped back to K(n,k)'s vertex indices.
+    search's clique cover starts from its highest label, so the vertex of
+    rank r takes label nv-1-r.  The star at centre 1 is its incumbent, so it
+    only looks for a set one larger.  A proof's witness is that star; a
+    refutation's is mapped back to K(n,k)'s vertex indices.
     """
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
     ctx = _context(sample.params)
     target = sample.params.star_size + 1
     if sample.keep.all() and ratio_bound(sample.params) < target:
-        return EkrSampleResult(holds=True, witness=_mask(ctx.star))
+        return EkrSampleResult(holds=True, witness=ctx.star_mask)
     u, v = sample.edges
     nv = ctx.nv
     # vertex order[r], of rank r by ascending degree, gets label nv-1-r
@@ -270,8 +272,9 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     size, found, _ = max_independent_set_masks(
         _pack_rows(ctx, label[u], label[v]), stop_at=target,
         initial=_mask(ctx.star[order[::-1]]))
-    return EkrSampleResult(holds=size < target,
-                           witness=_mask(_bits(found, ctx.width)[label]))
+    if size < target:  # the star incumbent stood
+        return EkrSampleResult(holds=True, witness=ctx.star_mask)
+    return EkrSampleResult(holds=False, witness=_mask(_bits(found, ctx.width)[label]))
 
 
 # ── probability estimation ───────────────────────────────────────────────

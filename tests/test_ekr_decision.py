@@ -151,6 +151,28 @@ def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
 
 
 
+@pytest.mark.parametrize("n,k", [(12, 2), (14, 2), (9, 3)])
+def test_searched_witnesses(n, k):
+    # a proof's witness is the star at centre 1 in K(n,k)'s vertex order; a
+    # refutation's is a set one larger than a star, independent in the sample
+    params = GroundParams(n, k)
+    star = build_graph(params).star_vertex_masks[0]
+    tp = ThresholdParams(params, 0.5, 1, SEED)
+    verdicts = set()
+    for t in range(40):
+        sample = sample_subgraph(tp, t)
+        if count_superstars(sample):
+            continue
+        result = ekr_holds(sample)
+        verdicts.add(result.holds)
+        if result.holds:
+            assert result.witness == star
+        else:
+            assert result.witness.bit_count() >= params.star_size + 1
+            assert is_independent(sample.adjacency, result.witness)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 4), (9, 4)])
 def test_full_graph_holds_without_a_search(n, k, monkeypatch):
     # a sample that keeps every edge is K(n,k), where the ratio bound
@@ -191,14 +213,14 @@ def test_one_edge_short_of_the_full_graph_is_searched(monkeypatch):
 # runs on, only on the tree it visits.
 TREE_PINS = {
     ((14, 2), (0.5, 0.6, 0.7)): (
-        125, 29_557,
-        "8497904ecae742017d198c336fcc7a70296b9a9276ce122b6d249cea61bc98fc"),
+        125, 30_070,
+        "5f4afbbede6264e141c8731673eeb9c759bb0a58b097cdddc1c86208623d031a"),
     ((10, 3), (0.4, 0.5)): (
-        117, 296_618,
-        "64f5c8edd32048d11de4bb73328c72db5520525d4432b385f53812328172a86d"),
+        117, 308_140,
+        "eb15f7a35902af25c9a2f7044f0ae603ec9d1feca4b565a1f84566d9aab91822"),
     ((9, 3), (0.5, 0.7)): (
-        125, 51_666,
-        "7ac983c12a95e574021d7014da6bfa28cf9af2a765c996c4a729a459f970c4bc"),
+        125, 53_528,
+        "004025ef6eb3a903de9e82f93699b44209f5ac0a7291be0820fe60246eb051f9"),
 }
 
 

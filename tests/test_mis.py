@@ -157,27 +157,19 @@ def test_empty_graph_and_complete_graph():
     assert len(masks) == 5
 
 
-def _force_isolated(size, chosen, cand, adjacency):
-    """Take every candidate with no neighbour among the candidates."""
-    iso = sum(1 << v for v in range(len(adjacency))
-              if (cand >> v) & 1 and not adjacency[v] & cand)
-    return size + iso.bit_count(), chosen | iso, cand ^ iso
-
-
 def _children(size, cand, adjacency, best):
     """The node's children in the solver's order, as (chosen bit, child cand):
-    the cover's classes last first, each class's vertices highest first,
-    stopping once the classes left cannot beat best() read after each child."""
-    classes = greedy_clique_cover(cand, adjacency)
-    for c in range(len(classes), 0, -1):
-        members = classes[c - 1]
-        while members:
-            if size + c <= best():
-                return
-            v = members.bit_length() - 1
-            members ^= 1 << v
-            yield 1 << v, cand & ~adjacency[v] & ~(1 << v)
-            cand ^= 1 << v
+    the vertices that best - size classes of the cover leave uncovered,
+    lowest first, each dropped from the candidates of its later siblings."""
+    covered = 0
+    for members in greedy_clique_cover(cand, adjacency)[:max(best - size, 0)]:
+        covered |= members
+    spill = cand & ~covered
+    while spill:
+        bit = spill & -spill
+        spill ^= bit
+        yield bit, cand & ~adjacency[bit.bit_length() - 1] & ~bit
+        cand ^= bit
 
 
 def descending_greedy(adjacency):
@@ -189,10 +181,12 @@ def descending_greedy(adjacency):
     return taken
 
 
-def recursive_search(adjacency, stop_at=None):
+def recursive_search(adjacency, stop_at=None, initial=0):
     """The solver's search written recursively on the caller's labelling,
-    walking each mask from its highest bit: (size, witness, node count)."""
-    best_mask = descending_greedy(adjacency)
+    each cover from its highest vertex and each spill from its lowest:
+    (size, witness, node count)."""
+    greedy = descending_greedy(adjacency)
+    best_mask = greedy if greedy.bit_count() > initial.bit_count() else initial
     best = best_mask.bit_count()
     goal = stop_at if stop_at is not None else len(adjacency) + 1
     if best >= goal:
@@ -202,7 +196,6 @@ def recursive_search(adjacency, stop_at=None):
     def visit(size, chosen, cand):
         nonlocal best, best_mask, nodes
         nodes += 1
-        size, chosen, cand = _force_isolated(size, chosen, cand, adjacency)
         if size > best:
             best, best_mask = size, chosen
             if best >= goal:
@@ -210,7 +203,7 @@ def recursive_search(adjacency, stop_at=None):
         if size + cand.bit_count() <= best:
             return False
         return any(visit(size + 1, chosen | bit, child)
-                   for bit, child in _children(size, cand, adjacency, lambda: best))
+                   for bit, child in _children(size, cand, adjacency, best))
 
     visit(0, 0, (1 << len(adjacency)) - 1)
     return best, best_mask, nodes
@@ -225,12 +218,11 @@ def recursive_enumeration(adjacency, alpha, roots):
     def visit(size, chosen, cand):
         nonlocal nodes
         nodes += 1
-        size, chosen, cand = _force_isolated(size, chosen, cand, adjacency)
         if size >= alpha:
             found.add(chosen)
         if size + cand.bit_count() < alpha:
             return
-        for bit, child in _children(size, cand, adjacency, lambda: alpha - 1):
+        for bit, child in _children(size, cand, adjacency, alpha - 1):
             visit(size + 1, chosen | bit, child)
 
     for root in roots:
@@ -240,10 +232,10 @@ def recursive_enumeration(adjacency, alpha, roots):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_explicit_stack_visits_the_recursive_search_tree(seed):
-    # equal node counts mean every cut reads the incumbent as it stands after
-    # the previous sibling's subtree, as the recursive form does; equal
-    # witnesses mean the walk takes the caller's vertices highest first, as
-    # this form does
+    # equal node counts mean every node sizes its cover by the incumbent as
+    # it stands after the previous sibling's subtree, as the recursive form
+    # does; equal witnesses mean the cover starts from the caller's highest
+    # vertex and the spill is taken lowest first, as this form does
     adjacency = random_graph(28 + seed, [0.15, 0.3, 0.5][seed % 3], 300 + seed)
     alpha = recursive_search(adjacency)[0]
     for stop_at in (None, alpha, alpha - 1):
@@ -270,6 +262,42 @@ def test_enumeration_visits_the_recursive_enumeration_tree(seed):
     assert expected == enumerate_maximum_independent_sets(
         adjacency, alpha, containment_groups=groups)
     assert set(sols[:4]) <= set(expected[0]) <= set(sols)
+
+
+def planted_graph(nv, planted, seed):
+    """A G(nv, 0.6) graph with no edge inside a random set of `planted`
+    vertices from the lower half, where the descending greedy comes last,
+    drawn again until that set is a maximum one: (adjacency, the planted
+    set, the maximum sets)."""
+    while True:
+        adjacency = random_graph(nv, 0.6, seed)
+        rng = random.Random(seed)
+        inside = sum(1 << v for v in rng.sample(range(nv // 2 + 1), planted))
+        adjacency = [row & ~inside if inside >> v & 1 else row
+                     for v, row in enumerate(adjacency)]
+        alpha, sols = brute_force_maximum(adjacency)
+        if alpha == planted:
+            return adjacency, inside, sols
+        seed += 1000
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_star_style_decision_from_a_planted_incumbent(seed):
+    # ekr_holds's mode: an incumbent passed as `initial` and a target one
+    # above it, here on the caller's labels rather than a degree order
+    nv = 15 + seed % 3
+    adjacency, planted, sols = planted_graph(nv, 7, 500 + seed)
+    alpha = planted.bit_count()
+    # a maximum incumbent stands: the search proves that nothing beats it
+    result = max_independent_set_masks(adjacency, stop_at=alpha + 1, initial=planted)
+    assert result == recursive_search(adjacency, alpha + 1, planted)
+    assert result[:2] == (alpha, planted) and result[2] > 0
+    # one vertex short, the incumbent must be beaten by a maximum set
+    smaller = planted & (planted - 1)
+    assert greedy_independent_set(adjacency).bit_count() < smaller.bit_count()
+    result = max_independent_set_masks(adjacency, stop_at=alpha, initial=smaller)
+    assert result == recursive_search(adjacency, alpha, smaller)
+    assert result[0] == alpha and result[1] in sols
 
 
 def test_targets_and_incumbent_against_oracle():
