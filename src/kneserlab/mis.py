@@ -14,9 +14,11 @@ in descending vertex order and stops once it has best - size classes, as
 many as a set through the node may meet without beating the incumbent.  A
 larger set must take a vertex the cover leaves out, so the node branches on
 those alone (the spill), lowest first, each excluded from its later
-siblings; a node with no spill is cut.  The cover reads its vertices as
-x.bit_length() - 1, highest bit first in the caller's own labels, so a
-caller that wants a vertex covered early gives it a high index.
+siblings; a node with no spill is cut.  The cover reads its vertices
+highest bit first in the caller's own labels, so a caller that wants a
+vertex covered early gives it a high index.  The search's tables hold
+vertex v at index v + 1, the bit length of 1 << v, so a mask's highest
+vertex is read at its bit_length(), with no subtraction.
 Two entry points run it:
 
 * max_independent_set_masks: optimisation from a greedy incumbent with an
@@ -25,7 +27,8 @@ Two entry points run it:
 * enumerate_maximum_independent_sets: every independent set whose size equals
   the (certified) independence number alpha, used to check that the stars
   are the only maximum ones in K(n,k).  The incumbent is held at alpha - 1,
-  so each set that reaches alpha is recorded and none tightens the cut.
+  so each set that reaches alpha is recorded and none tightens the cut.  A
+  root with no edge inside it is one leaf: the root itself.
 
 The node and solution caps, NODE_CAP and SOLUTION_CAP, raise instead of
 returning an approximation.
@@ -54,12 +57,14 @@ def greedy_independent_set(adjacency: Sequence[int]) -> int:
 
 
 def _search_rows(adjacency: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """(rows, excl, bits): loop-free neighbour masks, the mask of candidates
-    that survive taking each vertex, ~(rows[v] | bits[v]), and bits[v] = 1 << v."""
+    """(rows, excl, bits), each indexed by bit length: entry v + 1 holds
+    vertex v's loop-free neighbour mask, the mask of candidates that survive
+    taking v, ~(rows[v + 1] | bits[v + 1]), and its bit 1 << v.  Entry 0,
+    the bit length of no vertex, is never read."""
     nv = len(adjacency)
     full = (1 << nv) - 1
-    bits = [1 << v for v in range(nv)]
-    rows = [row & (full ^ bit) for row, bit in zip(adjacency, bits)]
+    bits = [0] + [1 << v for v in range(nv)]
+    rows = [row & (full ^ bit) for row, bit in zip((0, *adjacency), bits)]
     return rows, [~(row | bit) for row, bit in zip(rows, bits)], bits
 
 
@@ -73,14 +78,18 @@ def _branch_and_bound(
     goal: int,
     budget: int,
     found: set[int] | None = None,
+    chosen: int = 0,
 ) -> tuple[int, int, int]:
-    """Search the independent sets inside the root candidate mask cand.
+    """Search the independent sets chosen | S for S inside the candidate
+    mask cand; the root node holds chosen and cand.
 
-    rows, excl and bits come from _search_rows.  The incumbent (best,
-    best_mask) rises with each larger set found until it reaches goal.  With
-    a `found` set the incumbent stays fixed instead, and every set larger
-    than it is added to found.  More than budget nodes, the part of NODE_CAP
-    left to the call, raise.  Returns (best, best_mask, node_count).
+    rows, excl and bits come from _search_rows, indexed by bit length: the
+    highest vertex of a mask x is read at x.bit_length().  The incumbent
+    (best, best_mask) rises with each larger set found until it reaches
+    goal.  With a `found` set the incumbent stays fixed instead, and every
+    set larger than it is added to found.  More than budget nodes, the part
+    of NODE_CAP left to the call, raise.  Returns (best, best_mask,
+    node_count).
 
     A node covers its candidates with at most best - size first-fit cliques,
     highest uncovered vertex first, and branches on the spill, the
@@ -91,7 +100,7 @@ def _branch_and_bound(
     # One frame per open node with a sibling left: (size, chosen, cand,
     # spill), where cand has lost the spill vertices already branched on.
     stack: list[tuple[int, int, int, int]] = []
-    size, chosen = 0, 0
+    size = chosen.bit_count()
     while True:
         nodes += 1
         if nodes > budget:
@@ -116,11 +125,11 @@ def _branch_and_bound(
             for _ in range(best - size):
                 if not spill:
                     break
-                v = spill.bit_length() - 1
+                v = spill.bit_length()
                 fits = spill & rows[v]
                 spill ^= bits[v]
                 while fits:
-                    w = fits.bit_length() - 1
+                    w = fits.bit_length()
                     spill ^= bits[w]
                     fits &= rows[w]
         if not spill:  # no set through this node beats best
@@ -133,7 +142,7 @@ def _branch_and_bound(
             stack.append((size, chosen, cand ^ bit, spill ^ bit))
         size += 1
         chosen |= bit
-        cand &= excl[bit.bit_length() - 1]
+        cand &= excl[bit.bit_length()]
     return best, best_mask, nodes
 
 
@@ -175,16 +184,23 @@ def enumerate_maximum_independent_sets(
     is then maximal, so the search records it and goes no deeper.
     containment_groups: optional vertex masks with an external guarantee
     that every maximum independent set lies inside one of them; each group
-    is then searched as its own root.  Returns (sorted solution masks, node
-    count); more than SOLUTION_CAP solutions raise.
+    is then searched as its own root.  A root with no edge inside it (a
+    star group of K(n,k)) is one leaf, one node, recorded if its size is
+    alpha.  Returns (sorted solution masks, node count); more than
+    SOLUTION_CAP solutions raise.
     """
     full = (1 << len(adjacency)) - 1
     roots = [full] if containment_groups is None else [
         g & full for g in containment_groups]
-    tables = _search_rows(adjacency)
+    rows, _, bits = tables = _search_rows(adjacency)
     found: set[int] = set()
     nodes = 0
     for root in roots:
-        nodes += _branch_and_bound(*tables, root, alpha - 1, 0, alpha,
-                                   NODE_CAP - nodes, found)[2]
+        # a root with no edge inside it is one leaf, the set root itself
+        rest = root
+        while rest and not rows[rest.bit_length()] & root:
+            rest ^= bits[rest.bit_length()]
+        cand, chosen = (root, 0) if rest else (0, root)
+        nodes += _branch_and_bound(*tables, cand, alpha - 1, 0, alpha,
+                                   NODE_CAP - nodes, found, chosen)[2]
     return sorted(found), nodes

@@ -54,6 +54,7 @@ THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
 WORKER_GUARD = 64  # most worker processes one estimate may start
 CI_MIN_TRIALS = 30
 _ZERO4 = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
+_BIT8 = np.array([1 << i for i in range(8)], dtype=np.uint8)  # bit i of a byte
 
 
 @dataclass(frozen=True)
@@ -135,17 +136,21 @@ def _context(params: GroundParams) -> _SampleContext:
 
 
 def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
-    """Adjacency bitsets of the graph with edges (u[i], v[i])."""
+    """Adjacency bitsets of the graph with distinct loop-free edges (u[i], v[i])."""
     # each edge twice, as (row, column) and (column, row); int32 indices
-    # suffice, since nv * width < 2^31 under ROW_GUARD
+    # suffice, since nv * width < 2^31 under ROW_GUARD.  The edges are
+    # distinct and loop-free, so no (row, column) bit is set twice and the
+    # sum add.at forms (numpy's indexed fast loop; bitwise_or.at has none)
+    # is the OR of the bits, with no carry.
     rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
     width = ctx.width
     packed = np.zeros(ctx.nv * width, dtype=np.uint8)
-    np.bitwise_or.at(packed, rows * width + (cols >> 3),
-                     np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)))
-    buf = memoryview(packed)  # read in place: a copy adds nv^2/8 bytes to the peak
-    return tuple(int.from_bytes(buf[i:i + width], "little")
-                 for i in range(0, len(buf), width))
+    np.add.at(packed, rows * width + (cols >> 3), _BIT8[cols & 7])
+    # each item of a fixed-width bytes view is one row, copied out only as
+    # it is read, so the peak holds the rows at most twice: packed and as
+    # ints.  numpy drops an item's trailing zero bytes, the high bytes of a
+    # little-endian row, so its value is unchanged.
+    return tuple(int.from_bytes(row, "little") for row in packed.view(f"S{width}"))
 
 
 def _bits(mask: int, width: int) -> np.ndarray:
@@ -176,7 +181,8 @@ class EdgeSample:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The retained (u, v) endpoint arrays, a subset of K(n,k)'s."""
         ctx = _context(self.params)
-        return ctx.u[self.keep], ctx.v[self.keep]
+        kept = np.flatnonzero(self.keep)
+        return ctx.u.take(kept), ctx.v.take(kept)
 
     @functools.cached_property
     def adjacency(self) -> tuple[int, ...]:

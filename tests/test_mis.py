@@ -157,6 +157,42 @@ def test_empty_graph_and_complete_graph():
     assert len(masks) == 5
 
 
+def test_tables_indexed_by_bit_length_at_the_edges():
+    # no vertex: one node, the empty set
+    assert max_independent_set_masks([]) == (0, 0, 1)
+    assert enumerate_maximum_independent_sets([], 0) == ([0], 1)
+    # one vertex, with and without a loop: the greedy takes it, and a search
+    # from it has no candidate left to beat it with
+    for row in (0, 1):
+        assert max_independent_set_masks([row]) == (1, 1, 1)
+        assert max_independent_set_masks([row], stop_at=1) == (1, 1, 0)
+        assert enumerate_maximum_independent_sets([row], 1) == ([1], 1)
+    # an empty containment group is one leaf, below alpha, so nothing is
+    # recorded; no group at all searches nothing
+    adjacency = random_graph(12, 0.4, 5)
+    alpha, sols = brute_force_maximum(adjacency)
+    assert enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=[0]) == ([], 1)
+    assert enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=[]) == ([], 0)
+    masks, nodes = enumerate_maximum_independent_sets(adjacency, alpha)
+    assert masks == sorted(sols)
+    assert enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=[0, (1 << 12) - 1]) == (masks, nodes + 1)
+
+
+def test_edgeless_root_is_one_leaf():
+    # a star group of K(n,k) is independent: it is recorded in one node, not
+    # walked one vertex per node
+    adjacency = random_graph(16, 0.3, 21)
+    alpha, sols = brute_force_maximum(adjacency)
+    assert enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=sols) == (sorted(sols), len(sols))
+    smaller = [sol & (sol - 1) for sol in sols]
+    assert enumerate_maximum_independent_sets(
+        adjacency, alpha, containment_groups=smaller) == ([], len(sols))
+
+
 def _children(size, cand, adjacency, best):
     """The node's children in the solver's order, as (chosen bit, child cand):
     the vertices that best - size classes of the cover leave uncovered,
@@ -211,7 +247,8 @@ def recursive_search(adjacency, stop_at=None, initial=0):
 
 def recursive_enumeration(adjacency, alpha, roots):
     """The enumeration written recursively, with the incumbent held at
-    alpha - 1 and one search per root: (sorted sets, node count)."""
+    alpha - 1 and one search per root, where a root with no edge inside it
+    is one leaf, the root itself: (sorted sets, node count)."""
     found = set()
     nodes = 0
 
@@ -226,7 +263,10 @@ def recursive_enumeration(adjacency, alpha, roots):
             visit(size + 1, chosen | bit, child)
 
     for root in roots:
-        visit(0, 0, root)
+        if is_independent(root, adjacency):
+            visit(root.bit_count(), root, 0)
+        else:
+            visit(0, 0, root)
     return sorted(found), nodes
 
 
@@ -247,8 +287,10 @@ def test_explicit_stack_visits_the_recursive_search_tree(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_enumeration_visits_the_recursive_enumeration_tree(seed):
     # the same sets and the same node count, from the whole vertex set and
-    # from containment groups: maximum sets plus random extra vertices, and
-    # one random mask that need not contain any maximum set
+    # from containment groups: maximum sets plus random extra vertices, one
+    # random mask that need not contain any maximum set, and the edgeless
+    # roots that are one leaf each (a maximum set, a smaller independent
+    # set and the empty set)
     nv = 20 + seed
     adjacency = random_graph(nv, [0.2, 0.35, 0.5][seed % 3], 900 + seed)
     alpha = recursive_search(adjacency)[0]
@@ -258,10 +300,12 @@ def test_enumeration_visits_the_recursive_enumeration_tree(seed):
     assert sols and nodes > len(sols)
     rng = random.Random(seed)
     groups = [sol | rng.getrandbits(nv) for sol in sols[:4]] + [rng.getrandbits(nv)]
-    expected = recursive_enumeration(adjacency, alpha, groups)
+    leaves = [sols[-1], sols[-1] & (sols[-1] - 1), 0]
+    expected = recursive_enumeration(adjacency, alpha, groups + leaves)
     assert expected == enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=groups)
-    assert set(sols[:4]) <= set(expected[0]) <= set(sols)
+        adjacency, alpha, containment_groups=groups + leaves)
+    assert set(sols[:4]) | {sols[-1]} <= set(expected[0]) <= set(sols)
+    assert expected[1] == recursive_enumeration(adjacency, alpha, groups)[1] + 3
 
 
 def planted_graph(nv, planted, seed):

@@ -76,6 +76,40 @@ def test_sampling_pass_matches_reference(n, k):
                     reference_star_survives(graph, expected, centre)
 
 
+@pytest.mark.parametrize("n,k", ORACLE_PARAMS)
+def test_endpoints_are_distinct_ordered_pairs(n, k, monkeypatch):
+    # _pack_rows adds each (row, column) bit instead of ORing it in, which
+    # is the same only while no edge is a loop or listed twice
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    ctx = threshold._context(GroundParams(n, k))
+    u, v = ctx.u.astype(np.int64), ctx.v.astype(np.int64)
+    assert (u < v).all()
+    assert len(np.unique(u * ctx.nv + v)) == ctx.edge_count == len(u)
+
+
+@pytest.mark.parametrize("n,k", [(14, 2), (11, 3)])
+def test_relabelled_pack_matches_reference(n, k):
+    # the pack ekr_holds searches: a sample's edges under a vertex
+    # permutation, against the reference adjacency moved to the new labels
+    params = GroundParams(n, k)
+    graph = build_graph(params)
+    ctx = threshold._context(params)
+    rng = np.random.default_rng(1000 * n + k)
+    for p in ORACLE_PS:
+        tp = ThresholdParams(params, p, 1, 1000 * n + k)
+        for t in range(2):
+            uniforms = trial_uniforms(tp, t)
+            expected = reference_adjacency(graph, uniforms, p)
+            label = rng.permutation(ctx.nv).astype(np.int32)
+            relabelled = [0] * ctx.nv
+            for f, row in enumerate(expected):
+                for g in range(ctx.nv):
+                    if row >> g & 1:
+                        relabelled[label[f]] |= 1 << int(label[g])
+            u, v = sample_subgraph(tp, t, uniforms).edges
+            assert threshold._pack_rows(ctx, label[u], label[v]) == tuple(relabelled)
+
+
 def assert_context_matches_bit_walk(graph):
     """The context's endpoints and slot tables against the reference edges:
     slot j of row f holds the edge id and element mask of f's j-th neighbour."""
