@@ -4,10 +4,11 @@ Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
 disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
 against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
 which equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can
-only come from a corrupt spectrum or adjacency, and raises.  All maximum
-independent sets are enumerated, one root per star when n > 2k and under a
-vertex cap, to check that only stars occur; at n = 2k a count over the
-solution cap is refused before any search.
+only come from a corrupt spectrum or adjacency, and raises.  Under a vertex
+cap the maximum independent sets are read off the graph's structure: the
+stars when n > 2k, by the bound's equality case, and the transversals of
+the perfect matching K(2k,k), refused when their count exceeds the
+solution cap.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from . import mis
 from .errors import DomainError, GuardError, SearchBudgetExceeded
 from .families import GroundParams, SetFamily, elements_from_mask, enumerate_masks
-from .mis import enumerate_maximum_independent_sets, max_independent_set_masks
+from .mis import max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
 BLOCK_BYTES = 256 << 10  # uint64 ANDed per block of disjoint_blocks
 SPECTRUM_GUARD = 500
 ENUMERATION_VERTEX_GUARD = 200
+SOLUTION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -137,31 +138,40 @@ def max_independent_set(graph: KneserGraph) -> MISResult:
 
 
 def enumerate_maximum(graph: KneserGraph) -> list[SetFamily]:
-    """All maximum independent sets of K(n,k), by exhaustive enumeration.
+    """All maximum independent sets of K(n,k), read off its structure.
 
-    For n > 2k the search uses a certified containment rule: a maximum
-    independent set attains the ratio bound with equality, which forces its
-    indicator into the span of the top two eigenspaces, i.e. makes it affine;
-    the Boolean affine functions on the slice are exactly 0, 1, x_i and 1-x_j,
-    and only the stars have the right size.  Prefixes contained in no star are
-    therefore pruned.  (The strict gap |lambda_i| < |lambda_1| for i >= 2 needs
-    n > 2k, so the rule is never applied at n = 2k.)
+    For n > 2k the maximum sets are the n stars.  A maximum independent set
+    attains the ratio bound with equality, which forces its indicator into
+    the span of the top two eigenspaces, i.e. makes it affine; the Boolean
+    affine functions on the slice are exactly 0, 1, x_i and 1-x_j, and only
+    the stars have the right size.  (The equality case needs the strict gap
+    |lambda_i| < |lambda_1| for i >= 2, so n > 2k.)  Only each star's
+    independence is checked.  At n = 2k, K(2k,k) is a perfect matching, and
+    the maximum sets are its transversals, one end of each edge; the
+    adjacency must pair every set with exactly one other.  The sets are
+    listed by vertex mask.
     """
     if graph.vertex_count > ENUMERATION_VERTEX_GUARD:
         raise GuardError(
             f"all-solutions enumeration guarded to {ENUMERATION_VERTEX_GUARD} "
             f"vertices, graph has {graph.vertex_count}")
-    if (graph.params.n == 2 * graph.params.k
-            and 1 << graph.vertex_count // 2 > mis.SOLUTION_CAP):
-        # K(2k,k) is a perfect matching: one end of each of its C(2k,k)/2
-        # edges makes a maximum set, so the search would find 2^(C(2k,k)/2)
-        raise SearchBudgetExceeded(
-            f"enumeration exceeded solution cap {mis.SOLUTION_CAP}")
-    alpha = max_independent_set(graph).size
-    groups = graph.star_vertex_masks if graph.params.n > 2 * graph.params.k else None
-    masks, _ = enumerate_maximum_independent_sets(
-        graph.adjacency, alpha, containment_groups=groups)
-    return [graph.family_from_vertex_mask(m) for m in masks]
+    n, k = graph.params.n, graph.params.k
+    if n == 2 * k and 1 << graph.vertex_count // 2 > SOLUTION_CAP:
+        # one end of each of the C(2k,k)/2 edges: 2^(C(2k,k)/2) maximum sets
+        raise SearchBudgetExceeded(f"enumeration exceeded solution cap {SOLUTION_CAP}")
+    max_independent_set(graph)  # alpha certified by the ratio bound
+    if n > 2 * k:
+        masks = [star_vertex_mask_checked(graph, x) for x in range(1, n + 1)]
+    else:
+        adjacency = graph.adjacency
+        masks = [0]
+        for v, row in enumerate(adjacency):
+            u = row.bit_length() - 1
+            if row.bit_count() != 1 or u == v or adjacency[u] != 1 << v:
+                raise AssertionError("adjacency is not a perfect matching")
+            if u > v:  # the edge {v, u}, taken once from its lower end
+                masks = [m | end for m in masks for end in (1 << v, row)]
+    return [graph.family_from_vertex_mask(m) for m in sorted(masks)]
 
 
 def is_star(family: SetFamily) -> bool:

@@ -19,19 +19,12 @@ highest bit first in the caller's own labels, so a caller that wants a
 vertex covered early gives it a high index.  The search's tables hold
 vertex v at index v + 1, the bit length of 1 << v, so a mask's highest
 vertex is read at its bit_length(), with no subtraction.
-Two entry points run it:
 
-* max_independent_set_masks: optimisation from a greedy incumbent with an
-  optional early-exit target (a set size to look for, or a certified bound on
-  alpha), used on sampled subgraphs, K(n,k) and clique-union graphs.
-* enumerate_maximum_independent_sets: every independent set whose size equals
-  the (certified) independence number alpha, used to check that the stars
-  are the only maximum ones in K(n,k).  The incumbent is held at alpha - 1,
-  so each set that reaches alpha is recorded and none tightens the cut.  A
-  root with no edge inside it is one leaf: the root itself.
-
-The node and solution caps, NODE_CAP and SOLUTION_CAP, raise instead of
-returning an approximation.
+max_independent_set_masks is the one entry point: optimisation from a greedy
+incumbent with an optional early-exit target (a set size to look for, or a
+certified bound on alpha), used on sampled subgraphs and clique-union
+graphs.  The node cap, NODE_CAP, raises instead of returning an
+approximation.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from typing import Sequence
 from .errors import SearchBudgetExceeded
 
 NODE_CAP = 5_000_000
-SOLUTION_CAP = 1_000_000
 
 
 def greedy_independent_set(adjacency: Sequence[int]) -> int:
@@ -76,19 +68,13 @@ def _branch_and_bound(
     best: int,
     best_mask: int,
     goal: int,
-    budget: int,
-    found: set[int] | None = None,
-    chosen: int = 0,
 ) -> tuple[int, int, int]:
-    """Search the independent sets chosen | S for S inside the candidate
-    mask cand; the root node holds chosen and cand.
+    """Search the independent sets inside the candidate mask cand.
 
     rows, excl and bits come from _search_rows, indexed by bit length: the
     highest vertex of a mask x is read at x.bit_length().  The incumbent
     (best, best_mask) rises with each larger set found until it reaches
-    goal.  With a `found` set the incumbent stays fixed instead, and every
-    set larger than it is added to found.  More than budget nodes, the part
-    of NODE_CAP left to the call, raise.  Returns (best, best_mask,
+    goal.  More than NODE_CAP nodes raise.  Returns (best, best_mask,
     node_count).
 
     A node covers its candidates with at most best - size first-fit cliques,
@@ -96,25 +82,20 @@ def _branch_and_bound(
     candidates left uncovered, lowest label first.  Each branch takes one
     vertex, so a larger set shows at the node a branch enters.
     """
+    cap = NODE_CAP
     nodes = 0
     # One frame per open node with a sibling left: (size, chosen, cand,
     # spill), where cand has lost the spill vertices already branched on.
     stack: list[tuple[int, int, int, int]] = []
-    size = chosen.bit_count()
+    size = chosen = 0
     while True:
         nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"search exceeded node cap {NODE_CAP}")
+        if nodes > cap:
+            raise SearchBudgetExceeded(f"search exceeded node cap {cap}")
         if size > best:  # only the branch into this node raised size
-            if found is None:
-                best, best_mask = size, chosen
-                if best >= goal:
-                    break
-            else:
-                found.add(chosen)
-                if len(found) > SOLUTION_CAP:
-                    raise SearchBudgetExceeded(
-                        f"enumeration exceeded solution cap {SOLUTION_CAP}")
+            best, best_mask = size, chosen
+            if best >= goal:
+                break
         spill = 0
         if size + cand.bit_count() > best:
             # First-fit clique cover from the highest uncovered vertex down:
@@ -169,38 +150,5 @@ def max_independent_set_masks(
     if best >= goal:
         return best, best_mask, 0
     return _branch_and_bound(*_search_rows(adjacency), (1 << nv) - 1,
-                             best, best_mask, goal, NODE_CAP)
+                             best, best_mask, goal)
 
-
-def enumerate_maximum_independent_sets(
-    adjacency: Sequence[int],
-    alpha: int,
-    *,
-    containment_groups: Sequence[int] | None = None,
-) -> tuple[list[int], int]:
-    """All independent sets of size exactly alpha, where alpha = alpha(G).
-
-    The caller must pass the true independence number: a set found at alpha
-    is then maximal, so the search records it and goes no deeper.
-    containment_groups: optional vertex masks with an external guarantee
-    that every maximum independent set lies inside one of them; each group
-    is then searched as its own root.  A root with no edge inside it (a
-    star group of K(n,k)) is one leaf, one node, recorded if its size is
-    alpha.  Returns (sorted solution masks, node count); more than
-    SOLUTION_CAP solutions raise.
-    """
-    full = (1 << len(adjacency)) - 1
-    roots = [full] if containment_groups is None else [
-        g & full for g in containment_groups]
-    rows, _, bits = tables = _search_rows(adjacency)
-    found: set[int] = set()
-    nodes = 0
-    for root in roots:
-        # a root with no edge inside it is one leaf, the set root itself
-        rest = root
-        while rest and not rows[rest.bit_length()] & root:
-            rest ^= bits[rest.bit_length()]
-        cand, chosen = (root, 0) if rest else (0, root)
-        nodes += _branch_and_bound(*tables, cand, alpha - 1, 0, alpha,
-                                   NODE_CAP - nodes, found, chosen)[2]
-    return sorted(found), nodes

@@ -7,7 +7,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +76,41 @@ def greedy_clique_cover(cand: int, adjacency: Sequence[int]) -> list[int]:
         cand ^= members
         classes.append(members)
     return classes
+
+
+def _children(size: int, cand: int, adjacency: Sequence[int],
+              best: int) -> Iterator[tuple[int, int]]:
+    """The node's children in the solver's order, as (chosen bit, child cand):
+    the vertices that best - size classes of the cover leave uncovered,
+    lowest first, each dropped from the candidates of its later siblings."""
+    covered = 0
+    for members in greedy_clique_cover(cand, adjacency)[:max(best - size, 0)]:
+        covered |= members
+    spill = cand & ~covered
+    while spill:
+        bit = spill & -spill
+        spill ^= bit
+        yield bit, cand & ~adjacency[bit.bit_length() - 1] & ~bit
+        cand ^= bit
+
+
+def recursive_enumeration(adjacency: Sequence[int], alpha: int) -> list[int]:
+    """Every independent set of size alpha, where alpha = alpha(G), sorted:
+    the solver's search written recursively, unpruned by any structure, with
+    the incumbent held at alpha - 1 so that each set reaching alpha is
+    recorded and none tightens the cut."""
+    found: set[int] = set()
+
+    def visit(size: int, chosen: int, cand: int) -> None:
+        if size >= alpha:
+            found.add(chosen)
+        if size + cand.bit_count() < alpha:
+            return
+        for bit, child in _children(size, cand, adjacency, alpha - 1):
+            visit(size + 1, chosen | bit, child)
+
+    visit(0, 0, (1 << len(adjacency)) - 1)
+    return sorted(found)
 
 
 def edge_count(graph: KneserGraph) -> int:

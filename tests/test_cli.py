@@ -334,16 +334,24 @@ def test_sweep_pinned_output(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("n,k,digest", [
+    (4, 2, "1729fb02d2309250c65e6429b8a71163cfacfbaa3c32c1668100bafec83747ad"),
     (6, 3, "4db49574e120369cdbb3a0da2fb58233908c7b58d1e771f71b61abfe96cb4ffe"),
     (8, 2, "b41b8769c1790d12922f20619ec260eae9ad15aaa564f68896c4ee5a7e4fb8bf"),
+    (8, 4, "e8d26a22302bb3f9085aa6c8c52cb4a95aec8584357dd2db7592a83bfcfb1352"),
     (9, 3, "b3ce7c888244779c62c22a7d6af3f591e67a7b57e9db2af69d90fa8c35bd57ad"),
+    (9, 4, "1c66fb8558c14fe9cdfbddaf70c5c5b0376cb5091524055207221d4be7200808"),
     (10, 5, "3dab128ad54b56bde8a88f5ae20e8a5fc662e6d539e4c31ae5b6b63cd39333e9"),
+    (11, 3, "ee7f0b84d1e992745468a325f1c72bf9df81abb031a8f479e9686b1c80c49970"),
     (12, 2, "6b43dbc8ba13f96d9d991fc2022a9fcbe37840ea51b9b49884adebfe54e2b01c"),
 ])
 def test_ekr_pinned_output(capsys, n, k, digest):
     # byte-for-byte output of the enumeration over static clique partitions
     # (1-factorisations and Baranyai classes) that the per-node greedy cover
-    # replaced; (6,3) has n = 2k, and (10,5) is over the enumeration guard
+    # replaced, and of the star-group search that reading the maxima off
+    # K(n,k)'s structure replaced; (4,2) and (6,3) have n = 2k and are
+    # listed, (8,4) has n = 2k and is refused by its count, (9,4) and (11,3)
+    # are the largest n > 2k inside the enumeration guard, and (10,5) is
+    # over it
     code, out, _ = run_cli(capsys, "ekr", "--n", str(n), "--k", str(k))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

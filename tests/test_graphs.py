@@ -7,9 +7,9 @@ import tracemalloc
 
 import pytest
 
-from kneserlab import graphs, mis, threshold
-from kneserlab.errors import DomainError, GuardError
-from kneserlab.families import GroundParams
+from kneserlab import graphs, threshold
+from kneserlab.errors import DomainError, GuardError, SearchBudgetExceeded
+from kneserlab.families import GroundParams, mask_from_elements
 from kneserlab.graphs import (
     BaranyaiPartition,
     baranyai_partition,
@@ -29,6 +29,7 @@ from oracles import (
     edge_count,
     export_edges,
     greedy_clique_cover,
+    recursive_enumeration,
 )
 
 
@@ -146,21 +147,45 @@ def test_verify_ekr_guard_modes():
 
 def test_verify_ekr_counts_the_perfect_matching_without_a_search(monkeypatch):
     # K(2k,k) is a perfect matching with 2^(C(2k,k)/2) maximum sets; over the
-    # solution cap the count alone refuses the enumeration
-    def no_search(*args, **kwargs):
-        raise AssertionError("enumeration searched")
-
-    real_search = graphs.enumerate_maximum_independent_sets
-    monkeypatch.setattr(graphs, "enumerate_maximum_independent_sets", no_search)
+    # solution cap the count alone refuses them, before any row is read
+    unread = dataclasses.replace(build_graph(GroundParams(8, 4)), adjacency=None)
+    with pytest.raises(SearchBudgetExceeded, match="solution cap 1000000$"):
+        enumerate_maximum(unread)
     rep = verify_ekr(GroundParams(8, 4))  # 2^35 maximum sets
     assert (rep["alpha"], rep["equals_ekr"]) == (35, True)
     assert rep["only_stars"] is None and rep["num_maximum"] is None
-    monkeypatch.setattr(mis, "SOLUTION_CAP", 1023)  # (6,3) has 2^10
+    monkeypatch.setattr(graphs, "SOLUTION_CAP", 1023)  # (6,3) has 2^10
     assert verify_ekr(GroundParams(6, 3))["num_maximum"] is None
-    monkeypatch.setattr(mis, "SOLUTION_CAP", 1024)
-    monkeypatch.setattr(graphs, "enumerate_maximum_independent_sets", real_search)
+    monkeypatch.setattr(graphs, "SOLUTION_CAP", 1024)
     rep = verify_ekr(GroundParams(6, 3))
     assert (rep["num_maximum"], rep["only_stars"]) == (1024, False)
+
+
+def with_edge(graph, a, b):
+    """graph with an edge added between the k-sets a and b."""
+    n = graph.params.n
+    u, v = (graph.vertices.index(mask_from_elements(s, n)) for s in (a, b))
+    rows = list(graph.adjacency)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return dataclasses.replace(graph, adjacency=tuple(rows))
+
+
+def test_enumeration_refuses_a_star_with_an_edge_inside():
+    # {2,3,4} and {2,5,6} meet only in 2: joined, they put an edge inside
+    # star 2 and none inside star 1, which certifies alpha
+    bad = with_edge(build_graph(GroundParams(7, 3)), (2, 3, 4), (2, 5, 6))
+    assert max_independent_set(bad).size == 15
+    with pytest.raises(AssertionError, match="star is not independent"):
+        enumerate_maximum(bad)
+
+
+def test_enumeration_refuses_a_broken_perfect_matching():
+    # {1,2,3} already meets its complement; {2,4,5} is a second neighbour
+    bad = with_edge(build_graph(GroundParams(6, 3)), (1, 2, 3), (2, 4, 5))
+    assert max_independent_set(bad).size == 10
+    with pytest.raises(AssertionError, match="not a perfect matching"):
+        enumerate_maximum(bad)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (10, 2), (7, 3), (9, 3), (9, 4)])
@@ -171,7 +196,7 @@ def test_enumeration_finds_exactly_the_stars(n, k):
 
 
 # every n > 2k >= 4 with C(n,k) <= 200 but (9,4), whose unpruned search
-# passes 3M nodes, and the n = 2k cases (4,2) and (6,3), which are not pruned
+# passes 3M nodes, and the n = 2k cases (4,2) and (6,3), the perfect matchings
 HONEST_CASES = [(n, k) for k in range(2, 5) for n in range(2 * k + 1, 21)
                 if math.comb(n, k) <= 200 and (n, k) != (9, 4)] + [(4, 2), (6, 3)]
 
@@ -181,7 +206,7 @@ def test_spectral_prune_matches_honest_enumeration(n, k):
     g = build_graph(GroundParams(n, k))
     pruned = enumerate_maximum(g)
     alpha = math.comb(n - 1, k - 1)
-    honest, _ = mis.enumerate_maximum_independent_sets(g.adjacency, alpha)
+    honest = recursive_enumeration(g.adjacency, alpha)
     assert [f.members for f in pruned] == [
         g.family_from_vertex_mask(m).members for m in honest]
 

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every public
-definition of the package is read by some code other than its own."""
+definition and constant of the package is read by some code other than its
+own."""
 
 import ast
 from collections import Counter
@@ -55,16 +56,45 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
+def _module_reads(tree: ast.AST, module: str) -> Counter:
+    """Each name that tree reads from the module of that file stem: imported
+    from it, or loaded as an attribute of its name."""
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            reads.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id == module):
+            reads[node.attr] += 1
+    return reads
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """The public UPPER_CASE names assigned at the top level of tree."""
+    out = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out += [t.id for t in targets if isinstance(t, ast.Name)
+                and t.id.isupper() and not t.id.startswith("_")]
+    return out
+
+
 def unread_definitions(package: dict[str, str], readers: list[str],
                        exported: set[str]) -> list[str]:
-    """The public top-level functions and classes, and the public methods, of
-    the package sources (file name -> source) whose name nothing reads: not the
-    package outside the definition itself, not the reader sources and not
-    exported.  Names are matched as written, with no type resolved, so a
-    method counts as read wherever an attribute of its name is."""
+    """The public top-level functions, classes and UPPER_CASE constants, and
+    the public methods, of the package sources (file name -> source) whose
+    name nothing reads: not the package outside the definition itself, not
+    the reader sources and not exported.  Function, class and method names
+    are matched as written, with no type resolved, so a method counts as read
+    wherever an attribute of its name is.  A constant counts as read only
+    where its own module loads its name, or where a source imports it from
+    that module or loads it as an attribute of the module's name, so one left
+    behind when its readers moved to another module's namesake is found."""
     trees = {name: ast.parse(source) for name, source in package.items()}
+    reader_trees = [ast.parse(source) for source in readers]
     inside = sum((_reads(tree) for tree in trees.values()), Counter())
-    outside = sum((_reads(ast.parse(source)) for source in readers), Counter())
+    outside = sum((_reads(tree) for tree in reader_trees), Counter())
     unread = []
     for module, tree in trees.items():
         defs = []
@@ -80,6 +110,13 @@ def unread_definitions(package: dict[str, str], readers: list[str],
                 continue
             if inside[name] == _reads(defn)[name]:  # read only by itself
                 unread.append(f"{module}:{qualname}")
+        stem = module.removesuffix(".py")
+        own = Counter(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        elsewhere = sum((_module_reads(other, stem) for other in
+                         [*trees.values(), *reader_trees] if other is not tree), Counter())
+        unread += [f"{module}:{name}" for name in _constants(tree)
+                   if not (name in exported or own[name] or elsewhere[name])]
     return sorted(unread)
 
 
@@ -95,6 +132,21 @@ def test_unread_definitions_finds_dead_names():
     readers = ["from m import used\nobj.live()\n"]
     assert unread_definitions(package, readers, {"C"}) == ["m.py:C.gone", "m.py:dead"]
     assert unread_definitions(package, readers, set()) == ["m.py:C", "m.py:C.gone", "m.py:dead"]
+
+
+def test_unread_definitions_finds_dead_constants():
+    # nothing reads m's CAP: the CAP that n reads is n's own; LIMIT, SHARED,
+    # BOUND and TOTAL are each read once
+    package = {
+        "m.py": "LIMIT = 3\nCAP = 4\nSHARED: int = 5\nBOUND = 6\nTOTAL = 7\n"
+                "_PRIVATE = 8\n\ndef size():\n    return LIMIT\n",
+        "n.py": "from . import m\nfrom .m import SHARED, size\nCAP = 9\n"
+                "print(m.BOUND, CAP, SHARED, size())\n",
+    }
+    readers = ["from kneserlab.m import TOTAL\nprint(TOTAL)\n"]
+    assert unread_definitions(package, readers, set()) == ["m.py:CAP"]
+    assert unread_definitions(package, [], set()) == ["m.py:CAP", "m.py:TOTAL"]
+    assert unread_definitions(package, [], {"CAP", "TOTAL"}) == []
 
 
 def test_every_public_definition_is_read():

@@ -1,4 +1,4 @@
-"""mis: exact solver and enumeration engines against the brute-force oracle."""
+"""mis: the exact solver against the brute-force and recursive oracles."""
 
 import random
 import subprocess
@@ -9,12 +9,13 @@ import pytest
 
 from kneserlab import mis
 from kneserlab.errors import SearchBudgetExceeded
-from kneserlab.mis import (
-    enumerate_maximum_independent_sets,
-    greedy_independent_set,
-    max_independent_set_masks,
+from kneserlab.mis import greedy_independent_set, max_independent_set_masks
+from oracles import (
+    _children,
+    brute_force_maximum,
+    greedy_clique_cover,
+    recursive_enumeration,
 )
-from oracles import brute_force_maximum, greedy_clique_cover
 
 
 def random_graph(nv, p, seed):
@@ -50,13 +51,19 @@ def test_solver_matches_brute_force(seed, p):
     assert mask.bit_count() == size
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_enumeration_matches_brute_force(seed):
-    nv = 9 + (seed % 6)
-    adjacency = random_graph(nv, 0.35, seed + 50)
+def perfect_matching(nv):
+    return [1 << (v ^ 1) for v in range(nv)]
+
+
+@pytest.mark.parametrize("adjacency", [
+    *(pytest.param(random_graph(9 + seed % 6, 0.35, seed + 50), id=str(seed))
+      for seed in range(8)),
+    pytest.param(perfect_matching(14), id="matching"),  # 2^7 maximum sets
+])
+def test_enumeration_matches_brute_force(adjacency):
+    # the unpruned reference that K(n,k)'s maximum sets are checked against
     best, sols = brute_force_maximum(adjacency)
-    masks, _ = enumerate_maximum_independent_sets(adjacency, best)
-    assert masks == sorted(sols)
+    assert recursive_enumeration(adjacency, best) == sorted(sols)
 
 
 def test_greedy_and_cover_are_valid_bounds():
@@ -79,7 +86,7 @@ def test_stop_at_early_exit():
 def test_node_cap_raises_instead_of_approximating(monkeypatch):
     adjacency = random_graph(18, 0.5, 11)
     monkeypatch.setattr(mis, "NODE_CAP", 1)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match="node cap 1$"):
         max_independent_set_masks(adjacency)
 
 
@@ -92,60 +99,12 @@ def test_loops_are_ignored(seed, monkeypatch):
     rng = random.Random(seed)
     looped = [row | (rng.random() < 0.5) << v for v, row in enumerate(adjacency)]
     assert looped != adjacency
-    alpha, sols = brute_force_maximum(adjacency)
+    alpha, _ = brute_force_maximum(adjacency)
     monkeypatch.setattr(mis, "NODE_CAP", 10_000)
     for stop_at in (None, alpha):
         size, mask, _ = max_independent_set_masks(looped, stop_at=stop_at)
         assert size == alpha == mask.bit_count()
         assert is_independent(mask, adjacency)
-    masks, _ = enumerate_maximum_independent_sets(looped, alpha)
-    assert masks == sorted(sols)
-
-
-def perfect_matching(nv):
-    return [1 << (v ^ 1) for v in range(nv)]
-
-
-def test_enumeration_solution_cap_raises_instead_of_truncating(monkeypatch):
-    adjacency = perfect_matching(24)  # alpha 12, one endpoint per edge: 4,096 sets
-    monkeypatch.setattr(mis, "SOLUTION_CAP", 4096)
-    masks, nodes = enumerate_maximum_independent_sets(adjacency, 12)
-    assert len(masks) == 4096 and nodes > 1000
-    # the cap is checked as each set is found, long before the search ends
-    monkeypatch.setattr(mis, "SOLUTION_CAP", 100)
-    monkeypatch.setattr(mis, "NODE_CAP", 1000)
-    with pytest.raises(SearchBudgetExceeded, match="solution cap 100"):
-        enumerate_maximum_independent_sets(adjacency, 12)
-
-
-def test_enumeration_node_cap_raises_instead_of_truncating(monkeypatch):
-    adjacency = random_graph(18, 0.5, 11)
-    alpha = max_independent_set_masks(adjacency)[0]
-    assert enumerate_maximum_independent_sets(adjacency, alpha)[1] > 1
-    # the roots share one budget, and the message names the cap, not what a
-    # later root had left of it
-    groups = [(1 << 18) - 1] * 3
-    nodes = enumerate_maximum_independent_sets(adjacency, alpha, containment_groups=groups)[1]
-    monkeypatch.setattr(mis, "NODE_CAP", 1)
-    with pytest.raises(SearchBudgetExceeded, match="node cap 1$"):
-        enumerate_maximum_independent_sets(adjacency, alpha)
-    monkeypatch.setattr(mis, "NODE_CAP", nodes - 1)
-    with pytest.raises(SearchBudgetExceeded, match=f"node cap {nodes - 1}$"):
-        enumerate_maximum_independent_sets(adjacency, alpha, containment_groups=groups)
-
-
-def test_containment_groups_prune_soundly():
-    # each group is a maximum independent set plus extra vertices, so the
-    # search inside it must still tell the solution from the other sets there
-    adjacency = random_graph(12, 0.45, 8)
-    best, sols = brute_force_maximum(adjacency)
-    rng = random.Random(8)
-    full = (1 << 12) - 1
-    groups = [sol | (full & ~sol & rng.getrandbits(12)) for sol in sols]
-    assert all(group != sol for group, sol in zip(groups, sols))
-    masks, _ = enumerate_maximum_independent_sets(adjacency, best,
-                                                  containment_groups=groups)
-    assert masks == sorted(sols)
 
 
 def test_empty_graph_and_complete_graph():
@@ -153,59 +112,16 @@ def test_empty_graph_and_complete_graph():
     full = [(0b11111 ^ (1 << v)) for v in range(5)]
     size, mask, _ = max_independent_set_masks(full)
     assert size == 1
-    masks, _ = enumerate_maximum_independent_sets(full, 1)
-    assert len(masks) == 5
 
 
 def test_tables_indexed_by_bit_length_at_the_edges():
     # no vertex: one node, the empty set
     assert max_independent_set_masks([]) == (0, 0, 1)
-    assert enumerate_maximum_independent_sets([], 0) == ([0], 1)
     # one vertex, with and without a loop: the greedy takes it, and a search
     # from it has no candidate left to beat it with
     for row in (0, 1):
         assert max_independent_set_masks([row]) == (1, 1, 1)
         assert max_independent_set_masks([row], stop_at=1) == (1, 1, 0)
-        assert enumerate_maximum_independent_sets([row], 1) == ([1], 1)
-    # an empty containment group is one leaf, below alpha, so nothing is
-    # recorded; no group at all searches nothing
-    adjacency = random_graph(12, 0.4, 5)
-    alpha, sols = brute_force_maximum(adjacency)
-    assert enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=[0]) == ([], 1)
-    assert enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=[]) == ([], 0)
-    masks, nodes = enumerate_maximum_independent_sets(adjacency, alpha)
-    assert masks == sorted(sols)
-    assert enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=[0, (1 << 12) - 1]) == (masks, nodes + 1)
-
-
-def test_edgeless_root_is_one_leaf():
-    # a star group of K(n,k) is independent: it is recorded in one node, not
-    # walked one vertex per node
-    adjacency = random_graph(16, 0.3, 21)
-    alpha, sols = brute_force_maximum(adjacency)
-    assert enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=sols) == (sorted(sols), len(sols))
-    smaller = [sol & (sol - 1) for sol in sols]
-    assert enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=smaller) == ([], len(sols))
-
-
-def _children(size, cand, adjacency, best):
-    """The node's children in the solver's order, as (chosen bit, child cand):
-    the vertices that best - size classes of the cover leave uncovered,
-    lowest first, each dropped from the candidates of its later siblings."""
-    covered = 0
-    for members in greedy_clique_cover(cand, adjacency)[:max(best - size, 0)]:
-        covered |= members
-    spill = cand & ~covered
-    while spill:
-        bit = spill & -spill
-        spill ^= bit
-        yield bit, cand & ~adjacency[bit.bit_length() - 1] & ~bit
-        cand ^= bit
 
 
 def descending_greedy(adjacency):
@@ -245,31 +161,6 @@ def recursive_search(adjacency, stop_at=None, initial=0):
     return best, best_mask, nodes
 
 
-def recursive_enumeration(adjacency, alpha, roots):
-    """The enumeration written recursively, with the incumbent held at
-    alpha - 1 and one search per root, where a root with no edge inside it
-    is one leaf, the root itself: (sorted sets, node count)."""
-    found = set()
-    nodes = 0
-
-    def visit(size, chosen, cand):
-        nonlocal nodes
-        nodes += 1
-        if size >= alpha:
-            found.add(chosen)
-        if size + cand.bit_count() < alpha:
-            return
-        for bit, child in _children(size, cand, adjacency, alpha - 1):
-            visit(size + 1, chosen | bit, child)
-
-    for root in roots:
-        if is_independent(root, adjacency):
-            visit(root.bit_count(), root, 0)
-        else:
-            visit(0, 0, root)
-    return sorted(found), nodes
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_explicit_stack_visits_the_recursive_search_tree(seed):
     # equal node counts mean every node sizes its cover by the incumbent as
@@ -282,30 +173,6 @@ def test_explicit_stack_visits_the_recursive_search_tree(seed):
         size, mask, nodes = max_independent_set_masks(adjacency, stop_at=stop_at)
         assert (size, mask, nodes) == recursive_search(adjacency, stop_at)
         assert is_independent(mask, adjacency) and mask.bit_count() == size
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_enumeration_visits_the_recursive_enumeration_tree(seed):
-    # the same sets and the same node count, from the whole vertex set and
-    # from containment groups: maximum sets plus random extra vertices, one
-    # random mask that need not contain any maximum set, and the edgeless
-    # roots that are one leaf each (a maximum set, a smaller independent
-    # set and the empty set)
-    nv = 20 + seed
-    adjacency = random_graph(nv, [0.2, 0.35, 0.5][seed % 3], 900 + seed)
-    alpha = recursive_search(adjacency)[0]
-    full = (1 << nv) - 1
-    sols, nodes = recursive_enumeration(adjacency, alpha, [full])
-    assert (sols, nodes) == enumerate_maximum_independent_sets(adjacency, alpha)
-    assert sols and nodes > len(sols)
-    rng = random.Random(seed)
-    groups = [sol | rng.getrandbits(nv) for sol in sols[:4]] + [rng.getrandbits(nv)]
-    leaves = [sols[-1], sols[-1] & (sols[-1] - 1), 0]
-    expected = recursive_enumeration(adjacency, alpha, groups + leaves)
-    assert expected == enumerate_maximum_independent_sets(
-        adjacency, alpha, containment_groups=groups + leaves)
-    assert set(sols[:4]) | {sols[-1]} <= set(expected[0]) <= set(sols)
-    assert expected[1] == recursive_enumeration(adjacency, alpha, groups)[1] + 3
 
 
 def planted_graph(nv, planted, seed):
