@@ -4,11 +4,10 @@ Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
 disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
 against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
 which equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can
-only come from a corrupt spectrum or adjacency, and raises.  Under a vertex
-cap the maximum independent sets are read off the graph's structure: the
-stars when n > 2k, by the bound's equality case, and the transversals of
-the perfect matching K(2k,k), refused when their count exceeds the
-solution cap.
+only come from a corrupt spectrum or adjacency, and raises.  The maximum
+independent sets are read off the graph's structure: the stars when n > 2k,
+by the bound's equality case, and the transversals of the perfect matching
+K(2k,k), refused when their count exceeds the solution cap.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ import numpy as np
 
 from .errors import DomainError, GuardError, SearchBudgetExceeded
 from .families import GroundParams, SetFamily, elements_from_mask, enumerate_masks
-from .mis import max_independent_set_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
 BLOCK_BYTES = 256 << 10  # uint64 ANDed per block of disjoint_blocks
 SPECTRUM_GUARD = 500
-ENUMERATION_VERTEX_GUARD = 200
 SOLUTION_CAP = 1_000_000
 
 
@@ -123,18 +120,21 @@ def star_vertex_mask_checked(graph: KneserGraph, centre: int) -> int:
     return smask
 
 
-def max_independent_set(graph: KneserGraph) -> MISResult:
-    """Exact maximum independent set of K(n,k), certified without a search.
-
-    The verified star meets the ratio bound for every n >= 2k; a star of any
-    other size means the spectrum or the adjacency is wrong.
-    """
-    star0 = star_vertex_mask_checked(graph, 1)
-    upper = ratio_bound(graph.params)
-    if star0.bit_count() != upper:
+def _certify(params: GroundParams, star: int) -> int:
+    """alpha(K(n,k)): the ratio bound, which the verified star `star` meets for
+    every n >= 2k; a star of any other size means the spectrum or the
+    adjacency is wrong."""
+    upper = ratio_bound(params)
+    if star.bit_count() != upper:
         raise AssertionError(
-            f"star of size {star0.bit_count()} misses the ratio bound {upper}")
-    return MISResult(upper, graph.family_from_vertex_mask(star0))
+            f"star of size {star.bit_count()} misses the ratio bound {upper}")
+    return upper
+
+
+def max_independent_set(graph: KneserGraph) -> MISResult:
+    """Exact maximum independent set of K(n,k), certified without a search."""
+    star0 = star_vertex_mask_checked(graph, 1)
+    return MISResult(_certify(graph.params, star0), graph.family_from_vertex_mask(star0))
 
 
 def enumerate_maximum(graph: KneserGraph) -> list[SetFamily]:
@@ -145,23 +145,19 @@ def enumerate_maximum(graph: KneserGraph) -> list[SetFamily]:
     the span of the top two eigenspaces, i.e. makes it affine; the Boolean
     affine functions on the slice are exactly 0, 1, x_i and 1-x_j, and only
     the stars have the right size.  (The equality case needs the strict gap
-    |lambda_i| < |lambda_1| for i >= 2, so n > 2k.)  Only each star's
-    independence is checked.  At n = 2k, K(2k,k) is a perfect matching, and
-    the maximum sets are its transversals, one end of each edge; the
-    adjacency must pair every set with exactly one other.  The sets are
-    listed by vertex mask.
+    |lambda_i| < |lambda_1| for i >= 2, so n > 2k.)  Each star's independence
+    is checked once.  At n = 2k, K(2k,k) is a perfect matching, and the
+    maximum sets are its transversals; the adjacency must pair every set with
+    exactly one other.  Star 1 certifies alpha.  The sets are listed by mask.
     """
-    if graph.vertex_count > ENUMERATION_VERTEX_GUARD:
-        raise GuardError(
-            f"all-solutions enumeration guarded to {ENUMERATION_VERTEX_GUARD} "
-            f"vertices, graph has {graph.vertex_count}")
     n, k = graph.params.n, graph.params.k
     if n == 2 * k and 1 << graph.vertex_count // 2 > SOLUTION_CAP:
         # one end of each of the C(2k,k)/2 edges: 2^(C(2k,k)/2) maximum sets
         raise SearchBudgetExceeded(f"enumeration exceeded solution cap {SOLUTION_CAP}")
-    max_independent_set(graph)  # alpha certified by the ratio bound
+    star0 = star_vertex_mask_checked(graph, 1)
+    _certify(graph.params, star0)
     if n > 2 * k:
-        masks = [star_vertex_mask_checked(graph, x) for x in range(1, n + 1)]
+        masks = [star0] + [star_vertex_mask_checked(graph, x) for x in range(2, n + 1)]
     else:
         adjacency = graph.adjacency
         masks = [0]
@@ -189,27 +185,27 @@ def is_star(family: SetFamily) -> bool:
 def verify_ekr(params: GroundParams) -> dict:
     """alpha(K(n,k)) vs C(n-1,k-1), and whether the stars are the only maxima.
 
-    The maxima are enumerated when the guards allow it; when they do not,
-    only_stars and num_maximum are None.
+    alpha is the size of the certified maximum sets.  When n = 2k and their
+    count exceeds the solution cap, alpha is certified alone, and only_stars
+    and num_maximum are None.
     """
     graph = build_graph(params)
-    alpha = max_independent_set(graph).size
-    report = {
+    try:
+        families = enumerate_maximum(graph)
+    except SearchBudgetExceeded:
+        alpha, count, only_stars = max_independent_set(graph).size, None, None
+    else:
+        alpha, count = len(families[0]), len(families)
+        only_stars = all(is_star(f) for f in families)
+    return {
         "n": params.n,
         "k": params.k,
         "alpha": alpha,
         "equals_ekr": alpha == params.star_size,
-        "only_stars": None,
-        "num_maximum": None,
+        "only_stars": only_stars,
+        "num_maximum": count,
         "method": "ratio-bound",
     }
-    try:
-        families = enumerate_maximum(graph)
-    except GuardError:
-        return report
-    report["num_maximum"] = len(families)
-    report["only_stars"] = all(is_star(f) for f in families)
-    return report
 
 
 # ── spectrum cross-check ─────────────────────────────────────────────────
@@ -265,40 +261,45 @@ class _Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
+        to, cap, head = self.to, self.cap, self.head
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            # current-arc DFS on an explicit stack: paths outgrow the recursion limit
+            path: list[int] = []  # the arcs from s to u
+            u = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
+                if u == t:  # augment, then search again from s
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    path, u = [], s
+                    continue
+                arcs = head[u]
+                while it[u] < len(arcs):
+                    idx = arcs[it[u]]
+                    if cap[idx] > 0 and level[to[idx]] == level[u] + 1:
+                        path.append(idx)
+                        u = to[idx]
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]  # dead end: back up past the arc into it
+                    it[u] += 1
 
 
 @dataclass(frozen=True)
@@ -417,28 +418,19 @@ def export_partition(partition: BaranyaiPartition, stream: IO[str]) -> None:
 
 
 def extremal_subgraph(params: GroundParams) -> dict:
-    """Clique-union subgraph from the Baranyai partition, with exact alpha.
+    """Clique-union subgraph of K(n,k) from the validated Baranyai partition.
 
-    The classes become cliques of size n/k; the subgraph is (n-k)/k-regular
-    with (n-k)/(2k) * C(n,k) edges and keeps alpha = C(n-1,k-1).
+    Each class is a perfect matching, so a clique of K(n,k), and the classes
+    partition C([n],k): alpha is their number, C(n-1,k-1), and a set's degree
+    its class size less one, (n-k)/k, with (n-k)/(2k) * C(n,k) edges.
     """
-    n, k = params.n, params.k
-    partition = baranyai_partition(params)
+    sizes = [len(fam) for fam in baranyai_partition(params).classes]
     require_graph(params)
-    index = {mask: i for i, mask in enumerate(enumerate_masks(n, k))}  # K(n,k)'s order
-    adjacency = [0] * len(index)
-    for fam in partition.classes:
-        idxs = [index[m] for m in fam.members]
-        cm = 0
-        for i in idxs:
-            cm |= 1 << i
-        for i in idxs:
-            adjacency[i] |= cm & ~(1 << i)
-    degrees = {a.bit_count() for a in adjacency}
+    n, k = params.n, params.k
     return {
-        "alpha": max_independent_set_masks(adjacency)[0],
-        "degree": max(degrees),
-        "regular": len(degrees) == 1,
-        "edges": sum(a.bit_count() for a in adjacency) // 2,
+        "alpha": len(sizes),
+        "degree": max(sizes) - 1,
+        "regular": len(set(sizes)) == 1,
+        "edges": sum(s * (s - 1) // 2 for s in sizes),
         "expected_edges": (n - k) * params.slice_size // (2 * k),
     }

@@ -22,7 +22,8 @@ from kneserlab.families import (
     enumerate_masks,
     mask_from_elements,
 )
-from kneserlab.graphs import KneserGraph
+from kneserlab.graphs import KneserGraph, baranyai_partition
+from kneserlab.mis import max_independent_set_masks
 from kneserlab.removal import CenterSetReport, RemovalReport
 from kneserlab.spectral import ResidualBoundReport, SpectralDecomposition
 
@@ -231,6 +232,29 @@ def baranyai_backtrack(n: int, k: int) -> list[list[int]]:
     if not extend([], 0):
         raise AssertionError("backtracking failed to factorise the slice")
     return classes
+
+
+def clique_union_extremal(params: GroundParams) -> dict:
+    """extremal_subgraph by search: the Baranyai classes as cliques of an
+    adjacency over K(n,k)'s vertex order, alpha from the MIS engine, and the
+    degrees and edges counted off the adjacency."""
+    n, k = params.n, params.k
+    index = {mask: i for i, mask in enumerate(enumerate_masks(n, k))}
+    adjacency = [0] * len(index)
+    for fam in baranyai_partition(params).classes:
+        cm = 0
+        for m in fam.members:
+            cm |= 1 << index[m]
+        for m in fam.members:
+            adjacency[index[m]] |= cm & ~(1 << index[m])
+    degrees = {a.bit_count() for a in adjacency}
+    return {
+        "alpha": max_independent_set_masks(adjacency)[0],
+        "degree": max(degrees),
+        "regular": len(degrees) == 1,
+        "edges": sum(a.bit_count() for a in adjacency) // 2,
+        "expected_edges": (n - k) * params.slice_size // (2 * k),
+    }
 
 
 def validate_members_by_loop(params: GroundParams, members) -> None:

@@ -25,7 +25,6 @@ from kneserlab.families import (
     family_stats,
 )
 from kneserlab.graphs import (
-    ENUMERATION_VERTEX_GUARD,
     baranyai_partition,
     build_graph,
     enumerate_maximum,
@@ -121,7 +120,7 @@ def test_criterion_1_ekr_exactness():
         result = max_independent_set(graph)
         if result.size != math.comb(n - 1, k - 1):
             value_failures.append((n, k, result.size))
-        if n > 2 * k and graph.vertex_count <= ENUMERATION_VERTEX_GUARD:
+        if n > 2 * k:
             fams = enumerate_maximum(graph)
             enum_checked += 1
             if len(fams) != n or not all(is_star(f) for f in fams):
@@ -130,8 +129,7 @@ def test_criterion_1_ekr_exactness():
     passed = (not value_failures and not enum_failures and elapsed < 600)
     report(1, passed,
            f"alpha = C(n-1,k-1) on {len(value_cases)} instances (C(n,k) <= 3000); "
-           f"all-maximum enumeration = n stars on {enum_checked} instances within "
-           f"the {ENUMERATION_VERTEX_GUARD}-vertex all-solutions guard; "
+           f"all-maximum enumeration = n stars on the {enum_checked} with n > 2k; "
            f"{elapsed:.1f}s (budget 600s)")
     assert passed, (value_failures, enum_failures, elapsed)
 

@@ -184,6 +184,16 @@ def test_baranyai_builds_one_partition_and_no_graph(capsys, monkeypatch):
     assert code == 1 and out == "" and "needs n >= 2k" in err
 
 
+def test_baranyai_long_augmenting_paths(capsys):
+    # an augmenting path here is longer than Python's recursion limit
+    from kneserlab import graphs
+
+    graphs.baranyai_partition.cache_clear()
+    code, out, _ = run_cli(capsys, "baranyai", "--n", "20", "--k", "5", "--partition-only")
+    payload = json.loads(out)
+    assert code == 0 and payload["num_classes"] == len(payload["classes"]) == math.comb(19, 4)
+
+
 def test_simulate_csv_format(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2",
                              "--p", "0.0,1.0", "--trials", "30", "--seed", "9")
@@ -343,15 +353,15 @@ def test_sweep_pinned_output(capsys, argv, digest):
     (10, 5, "3dab128ad54b56bde8a88f5ae20e8a5fc662e6d539e4c31ae5b6b63cd39333e9"),
     (11, 3, "ee7f0b84d1e992745468a325f1c72bf9df81abb031a8f479e9686b1c80c49970"),
     (12, 2, "6b43dbc8ba13f96d9d991fc2022a9fcbe37840ea51b9b49884adebfe54e2b01c"),
+    (12, 4, "f933e6edd7a4171b414abd9e58965200ae0a509fdf1335aae7b0c31ccb4cd432"),
 ])
 def test_ekr_pinned_output(capsys, n, k, digest):
     # byte-for-byte output of the enumeration over static clique partitions
     # (1-factorisations and Baranyai classes) that the per-node greedy cover
     # replaced, and of the star-group search that reading the maxima off
     # K(n,k)'s structure replaced; (4,2) and (6,3) have n = 2k and are
-    # listed, (8,4) has n = 2k and is refused by its count, (9,4) and (11,3)
-    # are the largest n > 2k inside the enumeration guard, and (10,5) is
-    # over it
+    # listed, (8,4) and (10,5) have n = 2k and are refused by their count,
+    # and (12,4), with 495 vertices, reports its 12 stars
     code, out, _ = run_cli(capsys, "ekr", "--n", str(n), "--k", str(k))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from kneserlab.graphs import (
 from oracles import (
     baranyai_backtrack,
     brute_force_maximum,
+    clique_union_extremal,
     edge_count,
     export_edges,
     greedy_clique_cover,
@@ -139,10 +141,28 @@ def test_verify_ekr_examples():
 
 
 def test_verify_ekr_guard_modes():
-    big = GroundParams(12, 4)  # 495 vertices, beyond the enumeration guard
-    rep = verify_ekr(big)
-    assert rep["alpha"] == math.comb(11, 3)
+    # the stars are read off at every n > 2k that the build admits; only an
+    # n = 2k listing over the solution cap leaves the maxima unreported
+    rep = verify_ekr(GroundParams(12, 4))  # 495 vertices
+    assert (rep["alpha"], rep["only_stars"], rep["num_maximum"]) == (math.comb(11, 3), True, 12)
+    rep = verify_ekr(GroundParams(10, 5))  # 252 vertices, 2^126 maximum sets
+    assert (rep["alpha"], rep["equals_ekr"]) == (math.comb(9, 4), True)
     assert rep["only_stars"] is None and rep["num_maximum"] is None
+
+
+@pytest.mark.parametrize("n,k,stars", [
+    (7, 3, range(1, 8)), (12, 4, range(1, 13)), (6, 3, [1]), (8, 4, [1])])
+def test_verify_ekr_certifies_alpha_once(monkeypatch, n, k, stars):
+    # one ratio-bound read per run, and each star's independence checked once:
+    # all n stars when n > 2k, star 1 alone at n = 2k, listed or refused
+    reads, checked = [], Counter()
+    bound, check = graphs.ratio_bound, graphs.star_vertex_mask_checked
+    monkeypatch.setattr(graphs, "ratio_bound", lambda params: reads.append(params) or bound(params))
+    monkeypatch.setattr(graphs, "star_vertex_mask_checked",
+                        lambda graph, x: checked.update([x]) or check(graph, x))
+    assert verify_ekr(GroundParams(n, k))["alpha"] == math.comb(n - 1, k - 1)
+    assert reads == [GroundParams(n, k)]
+    assert checked == Counter(stars)
 
 
 def test_verify_ekr_counts_the_perfect_matching_without_a_search(monkeypatch):
@@ -266,6 +286,15 @@ def test_baranyai_partition_valid(n, k):
     assert len(partition.classes) == math.comb(n - 1, k - 1)
 
 
+def test_baranyai_partition_with_long_augmenting_paths():
+    # at (20,5) an augmenting path passes Python's recursion limit, so the
+    # flow's DFS must not recurse
+    baranyai_partition.cache_clear()
+    partition = baranyai_partition(GroundParams(20, 5))
+    partition.validate()
+    assert len(partition.classes) == math.comb(19, 4)
+
+
 def test_baranyai_rejects_non_divisible():
     with pytest.raises(DomainError):
         baranyai_partition(GroundParams(7, 2))
@@ -289,6 +318,31 @@ def test_extremal_subgraph_examples():
     assert (stats["alpha"], stats["degree"], stats["edges"]) == (3, 1, 3)
     stats = extremal_subgraph(GroundParams(6, 3))
     assert (stats["alpha"], stats["degree"], stats["edges"]) == (10, 1, 10)
+
+
+EXTREMAL_CASES = [(n, k) for k in range(1, 8) for n in range(2 * k, 41, k)
+                  if math.comb(n, k) <= 5000]
+
+
+def test_extremal_subgraph_matches_the_clique_union_search():
+    # the partition's classes taken as cliques, searched, give the counts
+    # that extremal_subgraph reads off the class sizes
+    mismatches = [(n, k) for n, k in EXTREMAL_CASES
+                  if extremal_subgraph(GroundParams(n, k)) != clique_union_extremal(GroundParams(n, k))]
+    assert len(EXTREMAL_CASES) == 75 and mismatches == []
+
+
+def test_extremal_subgraph_refuses_an_invalid_partition(monkeypatch):
+    # {1,2} and {1,3} in one class: no clique union, so validate() raises
+    # before any count is read
+    bad = [[0b0011, 0b0101], [0b1100, 0b1010], [0b1001, 0b0110]]
+    monkeypatch.setattr(graphs, "_baranyai_flow", lambda n, k: bad)
+    baranyai_partition.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="class members overlap"):
+            extremal_subgraph(GroundParams(4, 2))
+    finally:
+        baranyai_partition.cache_clear()
 
 
 def test_exports():

@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports, and every public
-definition and constant of the package is read by some code other than its
-own."""
+"""Every module of the package uses each name it imports, imports from the
+package only the modules pinned for it, and every public definition and
+constant of the package is read by some code other than its own."""
 
 import ast
 from collections import Counter
@@ -40,6 +40,46 @@ def test_unused_imports_finds_a_dead_name():
     p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_its_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# each package module's imports from the package, by file stem; a new edge,
+# such as graphs -> mis, is made by editing this table
+PACKAGE_IMPORTS = {
+    "__init__": {"errors", "families"},
+    "cli": {"__init__", "errors", "families", "graphs", "removal", "spectral", "threshold"},
+    "errors": set(),
+    "families": {"errors"},
+    "graphs": {"errors", "families", "spectral"},
+    "mis": {"errors"},
+    "removal": {"errors", "families", "spectral"},
+    "spectral": {"errors", "families"},
+    "threshold": {"errors", "families", "graphs", "mis"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that source imports, relatively or by the
+    package's name, as file stems; the package itself is __init__."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(("kneserlab." if node.level else "") + (node.module or ""))
+    return {name.removeprefix("kneserlab").strip(".") or "__init__" for name in names
+            if name.split(".")[0] == "kneserlab"}
+
+
+def test_package_imports_finds_every_form():
+    source = ("from . import SCHEMA_VERSION\nfrom .mis import a\nimport kneserlab.graphs\n"
+              "from kneserlab.spectral import b\nimport numpy as np\nfrom os import path\n"
+              "def f():\n    from .removal import c\n")
+    assert package_imports(source) == {"__init__", "mis", "graphs", "spectral", "removal"}
+
+
+def test_package_import_graph_is_pinned():
+    assert {p.stem: package_imports(p.read_text())
+            for p in sorted(PACKAGE.glob("*.py"))} == PACKAGE_IMPORTS
 
 
 def _reads(tree: ast.AST) -> Counter:
