@@ -195,7 +195,9 @@ def _cmd_simulate(args) -> list:
     try:
         ps = [float(tok) for tok in str(args.p).split(",") if tok]
     except ValueError:
-        raise DomainError(f"bad probability list {args.p!r}") from None
+        ps = []
+    if not ps:  # unparsable, or no p at all
+        raise DomainError(f"bad probability list {args.p!r}")
     ests = estimate_probabilities(params, ps, args.trials, args.seed,
                                   workers=args.workers)
     columns = ("trials", "successes", "fraction", "ci_lo", "ci_hi")

@@ -1,10 +1,13 @@
 """Kneser graphs K(n,k) at desk scale: exact independence, spectra, Baranyai.
 
 Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
-disjoint sets.  alpha(K(n,k)) is certified by matching the star lower bound
-against the ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|),
-which equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can
-only come from a corrupt spectrum or adjacency, and raises.  The maximum
+disjoint sets.  A set of vertices is a vertex mask, an int with bit v set iff
+vertex v is in it, packed as ceil(nv/8) little-endian bytes; the package
+converts it only through vertex_bits, vertex_mask and packed_rows.
+alpha(K(n,k)) is certified by matching the star lower bound against the
+ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|), which
+equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can only
+come from a corrupt spectrum or adjacency, and raises.  The maximum
 independent sets are read off the graph's structure: the stars when n > 2k,
 by the bound's equality case, and the transversals of the perfect matching
 K(2k,k), refused when their count exceeds the solution cap.
@@ -29,6 +32,28 @@ SPECTRUM_GUARD = 500
 SOLUTION_CAP = 1_000_000
 
 
+# ── the vertex-mask codec ────────────────────────────────────────────────
+
+def vertex_bits(mask: int, nv: int) -> np.ndarray:
+    """The vertex mask as exactly nv bools, bool v for vertex v."""
+    return np.unpackbits(np.frombuffer(mask.to_bytes((nv + 7) // 8, "little"), np.uint8),
+                         count=nv, bitorder="little").view(bool)
+
+
+def vertex_mask(bits: np.ndarray) -> int:
+    """The vertex mask with bit v set iff bits[v]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def packed_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """The rows of a (rows, width) uint8 array of packed vertex masks, as ints,
+    read through a fixed-width bytes view, one row copied at a time (numpy
+    drops an item's trailing zero bytes: a row's high bytes, worth nothing)."""
+    packed = np.ascontiguousarray(packed)
+    return tuple(int.from_bytes(row, "little")
+                 for row in packed.view(f"S{packed.shape[1]}").ravel())
+
+
 @dataclass(frozen=True)
 class KneserGraph:
     """K(n,k) with per-vertex adjacency bit vectors over vertex indices."""
@@ -43,13 +68,8 @@ class KneserGraph:
         return len(self.vertices)
 
     def family_from_vertex_mask(self, vmask: int) -> SetFamily:
-        masks = []
-        m = vmask
-        while m:
-            low = m & -m
-            masks.append(self.vertices[low.bit_length() - 1])
-            m ^= low
-        return SetFamily.from_masks(self.params, masks)
+        picked = np.flatnonzero(vertex_bits(vmask, self.vertex_count)).tolist()
+        return SetFamily(self.params, tuple(self.vertices[v] for v in picked))
 
 
 def require_graph(params: GroundParams) -> None:
@@ -84,12 +104,11 @@ def build_graph(params: GroundParams) -> KneserGraph:
         raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {BUILD_GUARD}")
     vertices = tuple(enumerate_masks(n, k))
     arr = np.array(vertices, dtype=np.uint64)
-    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for _, disj in disjoint_blocks(arr)
-                      for row in np.packbits(disj, axis=1, bitorder="little"))
+    adjacency = tuple(row for _, disj in disjoint_blocks(arr)
+                      for row in packed_rows(np.packbits(disj, axis=1, bitorder="little")))
     # per element x, the vertices containing x: column x of the (nv, n) bits
     contains = (arr[:, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)).astype(bool)
-    star_masks = tuple(int.from_bytes(col.tobytes(), "little")
-                       for col in np.packbits(contains, axis=0, bitorder="little").T)
+    star_masks = packed_rows(np.packbits(contains, axis=0, bitorder="little").T)
     return KneserGraph(params, vertices, adjacency, star_masks)
 
 
@@ -111,12 +130,9 @@ def ratio_bound(params: GroundParams) -> int:
 def star_vertex_mask_checked(graph: KneserGraph, centre: int) -> int:
     """Vertex mask of the star at `centre`, with its independence verified."""
     smask = graph.star_vertex_masks[centre - 1]
-    m = smask
-    while m:
-        low = m & -m
-        if graph.adjacency[low.bit_length() - 1] & smask:
+    for v in np.flatnonzero(vertex_bits(smask, graph.vertex_count)).tolist():
+        if graph.adjacency[v] & smask:
             raise AssertionError("star is not independent; adjacency is corrupt")
-        m ^= low
     return smask
 
 
@@ -215,10 +231,8 @@ def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
     nv = params.slice_size
     if nv > SPECTRUM_GUARD:
         raise GuardError(f"spectrum check guarded to C(n,k) <= {SPECTRUM_GUARD}")
-    width = (nv + 7) // 8
-    rows = b"".join(a.to_bytes(width, "little") for a in build_graph(params).adjacency)
-    dense = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(nv, width), axis=1,
-                          count=nv, bitorder="little").astype(np.float64)
+    dense = np.array([vertex_bits(row, nv) for row in build_graph(params).adjacency],
+                     dtype=np.float64)
     computed = np.sort(np.linalg.eigvalsh(dense))
     expected = []
     pairs: dict[int, int] = {}

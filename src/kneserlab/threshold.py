@@ -13,13 +13,13 @@ give the superstar count, star survival and a search-free EKR failure; the
 ratio bound proves EKR, again without a search, on a sample that keeps
 every edge.  Any other sample is decided by branch and bound on a copy
 relabelled by ascending degree (MCQ's initial vertex order, carried over to
-independent sets), packed from the retained edges, which are listed only
-then; a star is its incumbent, so it looks only for a set one larger.  EKR
-is monotone in p under this coupling, so a trial walks its p values
-ascending: a search proving EKR settles every larger p, and a refuting
-witness, mapped back to the sample's vertex order, every p up to its least
-edge uniform.  Analytic evaluators work in log-space: the exponents reach
-C(n-1,k-1) and overflow doubles quickly.
+independent sets), packed from the retained edges, listed only then; a star
+is its incumbent, so it looks only for a set one larger; vertex masks meet
+bits and bytes only through graphs' codec.  EKR is monotone in p under this
+coupling, so a trial walks its p values ascending: a search proving EKR
+settles every larger p, and a refuting witness, mapped back to the sample's
+vertex order, every p up to its least edge uniform.  Analytic evaluators
+work in log-space: the exponents reach C(n-1,k-1) and overflow doubles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams, enumerate_masks
-from .graphs import neighbour_blocks, ratio_bound, require_graph
+from .graphs import (neighbour_blocks, packed_rows, ratio_bound, require_graph,
+                     vertex_bits, vertex_mask)
 from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
@@ -97,7 +98,7 @@ class _SampleContext:
         self.free = np.uint64((1 << params.n) - 1) & ~masks  # elements outside each vertex
         # the star at centre 1, per vertex and as a mask: independent in every K_p
         self.star = (masks & np.uint64(1)).astype(bool)
-        self.star_mask = _mask(self.star)
+        self.star_mask = vertex_mask(self.star)
         self.slot_edge = np.empty((nv, degree), dtype=np.int32)
         self.slot_mask = np.empty((nv, degree), dtype=np.uint64)
         # the endpoints (u, v), u < v, of each edge id, by u then v, read-only
@@ -146,22 +147,7 @@ def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, 
     width = ctx.width
     packed = np.zeros(ctx.nv * width, dtype=np.uint8)
     np.add.at(packed, rows * width + (cols >> 3), _BIT8[cols & 7])
-    # each item of a fixed-width bytes view is one row, copied out only as
-    # it is read, so the peak holds the rows at most twice: packed and as
-    # ints.  numpy drops an item's trailing zero bytes, the high bytes of a
-    # little-endian row, so its value is unchanged.
-    return tuple(int.from_bytes(row, "little") for row in packed.view(f"S{width}"))
-
-
-def _bits(mask: int, width: int) -> np.ndarray:
-    """A vertex mask as one bool per vertex, padded to 8 * width."""
-    return np.unpackbits(np.frombuffer(mask.to_bytes(width, "little"), np.uint8),
-                         bitorder="little").view(bool)
-
-
-def _mask(bits: np.ndarray) -> int:
-    """The vertex mask with bit i set iff bits[i]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return packed_rows(packed.reshape(ctx.nv, width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +263,10 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     label[order] = np.arange(nv - 1, -1, -1)
     size, found, _ = max_independent_set_masks(
         _pack_rows(ctx, label[u], label[v]), stop_at=target,
-        initial=_mask(ctx.star[order[::-1]]))
+        initial=vertex_mask(ctx.star[order[::-1]]))
     if size < target:  # the star incumbent stood
         return EkrSampleResult(holds=True, witness=ctx.star_mask)
-    return EkrSampleResult(holds=False, witness=_mask(_bits(found, ctx.width)[label]))
+    return EkrSampleResult(holds=False, witness=vertex_mask(vertex_bits(found, nv)[label]))
 
 
 # ── probability estimation ───────────────────────────────────────────────
@@ -313,7 +299,7 @@ def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
             if ekr.holds:
                 holds_from = tp.p
             else:  # the witness stays independent up to its least edge uniform
-                inside = _bits(ekr.witness, ctx.width)
+                inside = vertex_bits(ekr.witness, ctx.nv)
                 fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
         for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
             acc[0] += tp.p >= holds_from

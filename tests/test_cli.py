@@ -377,6 +377,14 @@ def test_simulate_validation_errors(capsys, p, message):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("p", [",", ""])
+def test_simulate_refuses_an_empty_p_list(capsys, p):
+    # an empty list is refused before any other input is checked
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                             "--p", p, "--trials", "0")
+    assert (code, out, err) == (1, "", f"error: bad probability list {p!r}\n")
+
+
 def test_removal_runs_one_centre_set_search(capsys, monkeypatch):
     from kneserlab import removal
 

@@ -12,7 +12,7 @@ import pytest
 
 from kneserlab import threshold
 from kneserlab.families import GroundParams
-from kneserlab.graphs import build_graph
+from kneserlab.graphs import build_graph, vertex_mask
 from kneserlab.mis import NODE_CAP, max_independent_set_masks
 from kneserlab.threshold import (
     ThresholdParams,
@@ -102,7 +102,7 @@ def test_refuting_witnesses_come_back_in_sample_order():
 def test_star_incumbent_is_independent_in_the_full_graph(n, k):
     params = GroundParams(n, k)
     ctx = threshold._context(params)
-    star = threshold._mask(ctx.star)
+    star = vertex_mask(ctx.star)
     graph = build_graph(params)
     assert star.bit_count() == params.star_size
     assert is_independent(graph.adjacency, star)

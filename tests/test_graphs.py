@@ -3,9 +3,11 @@
 import dataclasses
 import io
 import math
+import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kneserlab import graphs, threshold
@@ -20,9 +22,12 @@ from kneserlab.graphs import (
     extremal_subgraph,
     is_star,
     max_independent_set,
+    packed_rows,
     ratio_bound,
     spectrum_cross_check,
     verify_ekr,
+    vertex_bits,
+    vertex_mask,
 )
 from oracles import (
     baranyai_backtrack,
@@ -50,6 +55,27 @@ def test_build_graph_examples():
     assert g63.vertex_count == 20
     assert edge_count(g63) == 10
     assert {a.bit_count() for a in g63.adjacency} == {1}
+
+
+@pytest.mark.parametrize("nv", [1, 7, 8, 9, 16, 17, 64, 65])
+def test_vertex_mask_round_trips(nv):
+    # bool v is bit v of the int, so big-endian packing fails even where it
+    # would round-trip
+    rng = random.Random(nv)
+    for mask in [0, 1 << nv - 1, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(20)]:
+        bits = vertex_bits(mask, nv)
+        assert bits.dtype == bool and bits.tolist() == [bool(mask >> v & 1) for v in range(nv)]
+        assert vertex_mask(bits) == mask
+
+
+def test_packed_rows_reads_exact_ints():
+    # numpy's S view drops a row's trailing zero bytes, its high bytes
+    rows = [0, 1, 0x80, 0x100, 0x1_0000, 0xff_0000, 0x12_3456, 0x00_ff00]
+    packed = np.array([list(r.to_bytes(3, "little")) for r in rows], dtype=np.uint8)
+    assert packed_rows(packed) == tuple(rows)
+    # a transposed input is not contiguous: its rows are packed's columns
+    assert packed_rows(packed.T) == (0x56_0000_0080_0100, 0xff34_0000_0100_0000,
+                                     0x12_ff01_0000_0000)
 
 
 def test_build_graph_guards(monkeypatch):
@@ -193,11 +219,17 @@ def with_edge(graph, a, b):
 
 def test_enumeration_refuses_a_star_with_an_edge_inside():
     # {2,3,4} and {2,5,6} meet only in 2: joined, they put an edge inside
-    # star 2 and none inside star 1, which certifies alpha
-    bad = with_edge(build_graph(GroundParams(7, 3)), (2, 3, 4), (2, 5, 6))
-    assert max_independent_set(bad).size == 15
-    with pytest.raises(AssertionError, match="star is not independent"):
-        enumerate_maximum(bad)
+    # star 2 and none inside star 1, which certifies alpha.  The other two
+    # edges reach a star's lowest member, {1,2,3} (vertex 0) in star 2, and
+    # its highest, {5,6,7} (vertex 34, in the last, partial byte) in star 7
+    graph = build_graph(GroundParams(7, 3))
+    ends = [graph.vertices.index(mask_from_elements(s, 7)) for s in ((1, 2, 3), (5, 6, 7))]
+    assert ends == [0, 34]
+    for a, b in [((2, 3, 4), (2, 5, 6)), ((1, 2, 3), (2, 4, 5)), ((3, 4, 7), (5, 6, 7))]:
+        bad = with_edge(graph, a, b)
+        assert max_independent_set(bad).size == 15
+        with pytest.raises(AssertionError, match="star is not independent"):
+            enumerate_maximum(bad)
 
 
 def test_enumeration_refuses_a_broken_perfect_matching():

@@ -42,6 +42,36 @@ def test_module_uses_its_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+# the calls that convert a vertex mask between ints, bytes and bits; its
+# format (bit v = vertex v, little-endian bytes) has one home, graphs
+MASK_CODEC_CALLS = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+
+
+def mask_codec_calls(source: str) -> set[str]:
+    """The MASK_CODEC_CALLS that source makes, as a function or a method."""
+    calls = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    return calls & MASK_CODEC_CALLS
+
+
+def test_mask_codec_calls_finds_every_form():
+    source = ("import numpy as np\nfrom numpy import packbits\n"
+              "a = np.unpackbits(x, count=3)\nb = packbits(y)\n"
+              "c = int.from_bytes(z, 'little')\nd = (5).to_bytes(2, 'little')\n"
+              "e = np.frombuffer(w, np.uint8).tobytes()\n")
+    assert mask_codec_calls(source) == MASK_CODEC_CALLS
+    # a reference that is not a call, and calls of other names
+    assert mask_codec_calls("f = np.packbits\ng = x.packbits_helper(y)\nh = bytes(4)\n") == set()
+
+
+def test_only_graphs_converts_vertex_masks():
+    assert {p.stem for p in PACKAGE.glob("*.py")
+            if mask_codec_calls(p.read_text())} == {"graphs"}
+
+
 # each package module's imports from the package, by file stem; a new edge,
 # such as graphs -> mis, is made by editing this table
 PACKAGE_IMPORTS = {
