@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error, 2 guard or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import io
 import json
@@ -116,11 +117,12 @@ def _emit_csv(rows: list[dict], stream, *, seed: int | None = None) -> None:
         stream.write(f"# seed={seed}\n")
     if not rows:
         return
-    cols = list(rows[0].keys())
-    stream.write(",".join(cols) + "\n")
-    for row in rows:
-        stream.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
+    cols = list(dict.fromkeys(key for row in rows for key in row))  # first seen first
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(cols)
+    for row in rows:  # a cell a row lacks stays empty
+        writer.writerow(repr(row[c]) if isinstance(row.get(c), float)
+                        else str(row.get(c, "")) for c in cols)
 
 
 def _cmd_stats(args) -> dict:

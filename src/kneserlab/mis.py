@@ -22,8 +22,8 @@ vertex is read at its bit_length(), with no subtraction.
 
 max_independent_set_masks is the one entry point: optimisation from a greedy
 incumbent with an optional early-exit target (a set size to look for, or a
-certified bound on alpha), used on sampled subgraphs and clique-union
-graphs.  The node cap, NODE_CAP, raises instead of returning an
+certified bound on alpha); threshold.ekr_holds, on sampled subgraphs, is its
+one package caller.  The node cap, NODE_CAP, raises instead of returning an
 approximation.
 """
 

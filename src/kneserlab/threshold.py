@@ -274,37 +274,32 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
 _OPEN = (-math.inf, math.inf)  # (fails_upto, holds_from) before any search
 
 
-def _sweep_chunk(args: tuple) -> tuple[list[list], list[tuple[float, float]]]:
-    """Decide trials lo, lo+1, ... at every p of tps (ascending) and update
-    their brackets; per p, [successes, X sum, X^2 sum] in trial order."""
-    tps, lo, brackets = args
+def _decide_trial(args: tuple) -> tuple[float, float, list[int]]:
+    """Trial t's record: its final bracket, from deciding every p of tps
+    (ascending), and X at each p it sampled (X = 0 from holds_from on)."""
+    tps, t, (fails_upto, holds_from) = args
     ctx = _context(tps[0].params)
-    sums = [[0, 0, 0.0] for _ in tps]
-    for t, (fails_upto, holds_from) in enumerate(brackets, lo):
-        # a trial settled at the lowest p of the call takes no sample
-        uniforms = trial_uniforms(tps[0], t) if tps[0].p < holds_from else None
-        for tp, acc in zip(tps, sums):
-            if tp.p >= holds_from:  # EKR holds here and at every later p
-                break
-            sample = sample_subgraph(tp, t, uniforms)
-            x = count_superstars(sample)
-            acc[1] += x
-            acc[2] += float(x) * x
-            if x or tp.p <= fails_upto:
-                continue
-            try:
-                ekr = ekr_holds(sample)
-            except GuardError as exc:
-                raise GuardError(f"trial {t} at p={tp.p} aborted ({exc})") from exc
-            if ekr.holds:
-                holds_from = tp.p
-            else:  # the witness stays independent up to its least edge uniform
-                inside = vertex_bits(ekr.witness, ctx.nv)
-                fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
-        for tp, acc in zip(tps, sums):  # no superstar where EKR holds: X = 0
-            acc[0] += tp.p >= holds_from
-        brackets[t - lo] = (fails_upto, holds_from)
-    return sums, brackets
+    xs = []
+    # a trial settled at the lowest p of the call takes no sample
+    uniforms = trial_uniforms(tps[0], t) if tps[0].p < holds_from else None
+    for tp in tps:
+        if tp.p >= holds_from:  # EKR holds here and at every later p
+            break
+        sample = sample_subgraph(tp, t, uniforms)
+        x = count_superstars(sample)
+        xs.append(x)
+        if x or tp.p <= fails_upto:
+            continue
+        try:
+            ekr = ekr_holds(sample)
+        except GuardError as exc:
+            raise GuardError(f"trial {t} at p={tp.p} aborted ({exc})") from exc
+        if ekr.holds:
+            holds_from = tp.p
+        else:  # the witness stays independent up to its least edge uniform
+            inside = vertex_bits(ekr.witness, ctx.nv)
+            fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
+    return fails_upto, holds_from, xs
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -320,10 +315,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[dict]:
-    """Estimates at each p of tps (one params, trials, seed); updates brackets."""
-    trials = tps[0].trials
-    ascending = sorted(set(tps), key=lambda tp: tp.p)
+def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
+              brackets: list, workers: int) -> list[dict]:
+    """Estimates at each p of ps, in order, reduced from one record per trial
+    in trial order; updates brackets.  Checks every input before any trial."""
+    tps = [ThresholdParams(params, p, trials, seed) for p in ps]
+    if not tps:  # an empty p list still checks the trial count
+        ThresholdParams(params, 0.0, trials, seed)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     if workers > WORKER_GUARD:
@@ -331,47 +329,46 @@ def _estimate(tps: list[ThresholdParams], brackets: list, workers: int) -> list[
     if trials < CI_MIN_TRIALS:
         raise DomainError(
             f"need at least {CI_MIN_TRIALS} trials for the interval, got {trials}")
-    _context(tps[0].params)  # build before forking so children inherit it
+    _context(params)  # build before forking so children inherit it
+    if not tps:
+        return []
+    ascending = sorted(set(tps), key=lambda tp: tp.p)
+    jobs = [(ascending, t, bracket) for t, bracket in enumerate(brackets)]
     if workers == 1:
-        chunks = [_sweep_chunk((ascending, 0, brackets))]
+        records = list(map(_decide_trial, jobs))
     else:
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        jobs = [(ascending, bounds[w], brackets[bounds[w]:bounds[w + 1]])
-                for w in range(workers) if bounds[w] < bounds[w + 1]]
-        # spawn children start empty and build the context in _sweep_chunk
+        chunksize = -(-trials // workers)
+        # spawn children start empty and build the context in _decide_trial
         method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        with get_context(method).Pool(processes=len(jobs)) as pool:
-            chunks = pool.map(_sweep_chunk, jobs)
-    brackets[:] = [b for _, part in chunks for b in part]
-    estimates = {}
-    for tp, per_chunk in zip(ascending, zip(*(sums for sums, _ in chunks))):
-        successes, x_sum, x_sumsq = (sum(col) for col in zip(*per_chunk))
+        with get_context(method).Pool(processes=-(-trials // chunksize)) as pool:
+            records = pool.map(_decide_trial, jobs, chunksize=chunksize)
+    brackets[:] = [(fails_upto, holds_from) for fails_upto, holds_from, _ in records]
+    rows = {}
+    for i, tp in enumerate(ascending):
+        successes = sum(tp.p >= holds_from for _, holds_from in brackets)
         lo, hi = wilson_interval(successes, trials)
-        mean_x = x_sum / trials
-        var_x = max(0.0, x_sumsq / trials - mean_x * mean_x)
-        estimates[tp] = {
-            "n": tp.params.n, "k": tp.params.k, "p": tp.p, "trials": trials,
-            "successes": successes, "fraction": successes / trials,
-            "ci_lo": lo, "ci_hi": hi, "mean_x": mean_x,
-            "std_x": math.sqrt(var_x), "seed": tp.master_seed}
-    return [estimates[tp] for tp in tps]
+        x_sum = sum(xs[i] for *_, xs in records if i < len(xs))  # else EKR: X = 0
+        rows[tp] = {"n": params.n, "k": params.k, "p": tp.p, "trials": trials,
+                    "successes": successes, "fraction": successes / trials,
+                    "ci_lo": lo, "ci_hi": hi, "mean_x": x_sum / trials, "seed": seed}
+    return [rows[tp] for tp in tps]
 
 
 def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
     """Fraction of trials with the EKR property, with a Wilson 95% interval.
 
     Deterministic for fixed (params, p, trials, master_seed) regardless of
-    worker count: each trial derives its stream from its own index and the
-    aggregation is a commutative reduce.
+    worker count: each trial derives its stream from its own index, and the
+    per-trial records are reduced in trial order.
     """
-    return _estimate([tp], [_OPEN] * tp.trials, workers)[0]
+    return _estimate(tp.params, [tp.p], tp.trials, tp.master_seed,
+                     [_OPEN] * tp.trials, workers)[0]
 
 
 def estimate_probabilities(params: GroundParams, ps: list[float], trials: int,
                            master_seed: int, *, workers: int = 1) -> list[dict]:
     """estimate_probability at every p of ps, in their order, from one pass."""
-    tps = [ThresholdParams(params, p, trials, master_seed) for p in ps]
-    return _estimate(tps, [_OPEN] * trials, workers) if tps else []
+    return _estimate(params, ps, trials, master_seed, [_OPEN] * trials, workers)
 
 
 def critical_probabilities(params: GroundParams) -> dict:
@@ -400,8 +397,7 @@ def find_threshold(params: GroundParams, trials: int, seed: int, *,
     brackets = [_OPEN] * trials
     while hi - lo > THRESHOLD_WIDTH:
         mid = 0.5 * (lo + hi)
-        est = _estimate([ThresholdParams(params, mid, trials, seed)],
-                        brackets, workers)[0]
+        est = _estimate(params, [mid], trials, seed, brackets, workers)[0]
         evaluations.append({"p": mid, "fraction": est["fraction"],
                             "ci_lo": est["ci_lo"], "ci_hi": est["ci_hi"]})
         if est["ci_lo"] > 0.5:

@@ -1,5 +1,6 @@
 """cli: payload shapes, determinism, exit codes, output routing."""
 
+import csv
 import hashlib
 import json
 import math
@@ -272,12 +273,47 @@ def test_removal_pinned_output(capsys):
     assert payload["center_set"]["best_s"] == [1, 2, 6, 7, 9]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "721f79149280df845bb04d9247e7205020522234cb59804671721790d352d73c"
+    # the CSV quotes a cell with a comma and heads every row's keys
     code, out, _ = run_cli(capsys, *args, "--format", "csv")
     assert code == 0
     assert out.splitlines()[5] == \
-        "(iv),complement of G_s, s >= 2 (at s=5),10,6.75,11.25,True,True"
+        '(iv),"complement of G_s, s >= 2 (at s=5)",10,6.75,11.25,True,True,,,'
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "ac9d45351ba000ef63afdf459e2e0cccc24028fcc61d18a52fc3e380c6b49280"
+        "128e5592cb4791fbb193a72160e5a005e0a76b15a8a5481913e0fe57bfc24de6"
+
+
+@pytest.mark.parametrize("argv", [
+    ("removal", "--n", "10", "--k", "2", "--family", "star:1"),
+    ("spectrum", "--n", "8", "--k", "2", "--family", "star:1"),
+    ("baranyai", "--n", "6", "--k", "2"),
+    ("threshold", "--n", "8", "--k", "2", "--trials", "30"),
+])
+def test_csv_rows_match_the_header(capsys, argv):
+    # each of these writes cells with commas (a case label, a list or a
+    # dict), and removal's rows differ in their keys
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(table) >= 2
+    assert {len(row) for row in table} == {len(table[0])}
+    assert len(set(table[0])) == len(table[0])
+
+
+def test_csv_keeps_every_cell_of_every_case(capsys):
+    # rows (ii) and (v) carry keys the first row lacks; no cell may be dropped
+    argv = ("removal", "--n", "10", "--k", "2", "--family", "star:1")
+    code, out, _ = run_cli(capsys, *argv)
+    cases = json.loads(out)["cases"]
+    code_csv, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == code_csv == 0
+    table = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(table) == len(cases) == 6
+    keys = set().union(*cases)
+    for row, case in zip(table, cases):
+        assert set(row) == keys
+        assert row == {key: (repr(case[key]) if isinstance(case[key], float) else str(case[key]))
+                       if key in case else "" for key in keys}
+    assert table[1]["proof_lower_estimate"] and table[4]["dp_lower_threshold"]
 
 
 # 679,121 centre sets of up to s_bound = 4 elements

@@ -10,12 +10,14 @@ from collections import Counter
 import pytest
 
 from kneserlab import threshold
+from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
     ekr_holds,
     estimate_probabilities,
+    estimate_probability,
     find_threshold,
     sample_subgraph,
     wilson_interval,
@@ -81,32 +83,62 @@ def test_workers_fall_back_to_spawn_without_fork(monkeypatch):
     assert spawned == estimate_probabilities(GroundParams(10, 2), ps, 40, 7)
 
 
-def test_pool_size_follows_the_jobs(monkeypatch):
-    # 30 trials over 64 workers make 30 non-empty chunks; the pool runs
-    # in-process here, so no real worker starts
-    sizes = []
+class InlinePool:
+    """A Pool that runs its map in-process and records its size and chunks,
+    so that no real worker starts."""
 
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def __init__(self, log, processes):
+        self.log = log
+        log.append({"processes": processes})
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+    def map(self, fn, jobs, chunksize=None):
+        self.log[-1]["chunksize"] = chunksize
+        return [fn(job) for job in jobs]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process count and chunk size of each pool the sweep starts."""
+    log = []
 
     class InlineContext:
-        Pool = InlinePool
+        def Pool(self, processes):
+            return InlinePool(log, processes)
 
     monkeypatch.setattr(threshold, "get_context", lambda method: InlineContext())
+    return log
+
+
+def test_pool_size_follows_the_jobs(pools):
+    # 30 trials over 64 workers make 30 non-empty chunks
     ps = [0.5, 0.7]
     rows = estimate_probabilities(GroundParams(8, 2), ps, 30, 3, workers=64)
-    assert sizes == [30]
+    assert [pool["processes"] for pool in pools] == [30]
     assert rows == estimate_probabilities(GroundParams(8, 2), ps, 30, 3)
+
+
+@pytest.mark.parametrize("trials", [31, 100])
+@pytest.mark.parametrize("workers", [2, 3, 7, 64])
+def test_chunked_pool_matches_one_worker(pools, trials, workers):
+    # two calls, as bisection makes them: the second starts from the brackets
+    # the first left, so settled and open trials are both chunked
+    params = GroundParams(10, 2)
+    runs = []
+    for w in (1, workers):
+        brackets = [threshold._OPEN] * trials
+        rows = [threshold._estimate(params, ps, trials, 7, brackets, w)
+                for ps in ([0.6, 0.45], [0.5])]
+        runs.append((rows, brackets))
+    assert runs[0] == runs[1]
+    assert any(bracket != threshold._OPEN for bracket in runs[0][1])
+    chunksize = -(-trials // workers)
+    assert pools == [{"processes": -(-trials // chunksize), "chunksize": chunksize}] * 2
 
 
 def reference_bisection(params, trials, seed, width_tol=0.02):
@@ -192,13 +224,13 @@ def test_bisection_searches_only_open_brackets(searches):
 def test_bisection_draws_only_for_trials_it_samples(monkeypatch):
     # a trial whose bracket settles a midpoint as holding takes no sample
     # there, so it must not draw its uniforms either
-    calls = []  # per sweep call: (trials that drew, trials that sampled)
-    real_chunk, real_draw, real_sample = (
-        threshold._sweep_chunk, threshold.trial_uniforms, threshold.sample_subgraph)
+    calls = []  # per estimate: (trials that drew, trials that sampled)
+    real_estimate, real_draw, real_sample = (
+        threshold._estimate, threshold.trial_uniforms, threshold.sample_subgraph)
 
-    def chunk(args):
+    def estimate(*args):
         calls.append((Counter(), set()))
-        return real_chunk(args)
+        return real_estimate(*args)
 
     def draw(tp, trial_index):
         calls[-1][0][trial_index] += 1
@@ -208,7 +240,7 @@ def test_bisection_draws_only_for_trials_it_samples(monkeypatch):
         calls[-1][1].add(trial_index)
         return real_sample(tp, trial_index, uniforms)
 
-    monkeypatch.setattr(threshold, "_sweep_chunk", chunk)
+    monkeypatch.setattr(threshold, "_estimate", estimate)
     monkeypatch.setattr(threshold, "trial_uniforms", draw)
     monkeypatch.setattr(threshold, "sample_subgraph", sample)
     rep = find_threshold(GroundParams(10, 2), trials=200, seed=5)
@@ -216,3 +248,34 @@ def test_bisection_draws_only_for_trials_it_samples(monkeypatch):
     for drawn, sampled in calls:
         assert set(drawn) == sampled and max(drawn.values()) == 1
     assert sum(len(drawn) for drawn, _ in calls) < 200 * len(calls)
+
+
+def raised(call):
+    """(type, message) of the error call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("n,k,trials,workers", [
+    (8, 2, 0, 1),
+    (8, 2, TRIALS, 0),
+    (8, 2, TRIALS, 1_000_000),
+    (64, 3, TRIALS, 1),  # over EDGE_GUARD
+])
+def test_empty_p_list_is_checked_like_any_other(monkeypatch, n, k, trials, workers):
+    drawn = []
+    real_draw = threshold.trial_uniforms
+
+    def draw(tp, trial_index):
+        drawn.append(trial_index)
+        return real_draw(tp, trial_index)
+
+    monkeypatch.setattr(threshold, "trial_uniforms", draw)
+    params = GroundParams(n, k)
+    empty = raised(lambda: estimate_probabilities(params, [], trials, SEED, workers=workers))
+    one = raised(lambda: estimate_probability(
+        ThresholdParams(params, 0.5, trials, SEED), workers=workers))
+    assert empty == one
+    assert issubclass(empty[0], (DomainError, GuardError))
+    assert drawn == []
