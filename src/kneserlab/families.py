@@ -4,16 +4,18 @@ Elements are 1-based (1..n); a k-set is an int with bit i-1 set for element i.
 The ground set is capped at 64 so every set is one machine word and disjointness
 is a single AND.  Families are kept in canonical order (numeric on bit pattern),
 so equality of families is equality of representations.  Member checks,
-file parsing and the sorted subset-count table run on uint64 numpy arrays.
+file parsing and the sorted subset-count table run on uint64 numpy arrays; a
+family parsed from a file keeps its array and makes Python ints only on demand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -114,22 +116,29 @@ def enumerate_masks(n: int, k: int) -> Iterator[int]:
         v = (((r ^ v) >> 2) // c) | r
 
 
-@dataclass(frozen=True)
 class SetFamily:
-    """A distinct collection of k-subsets of [n] in canonical (numeric) order."""
+    """A distinct collection of k-subsets of [n] in canonical (numeric) order.
 
-    params: GroundParams
-    members: tuple[int, ...]
+    Built from ints, a family holds the tuple `members` and no array.  Parsed
+    in bulk by load_family, it holds the sorted, read-only uint64 array and
+    builds `members` on first use.  Families are immutable, and equality, hash
+    and repr are those of (params, members); two families that both hold an
+    array compare the arrays.
+    """
 
-    def __post_init__(self) -> None:
+    _array: np.ndarray | None = None  # set by _from_parsed only
+
+    def __init__(self, params: GroundParams, members: tuple[int, ...]) -> None:
         """Order, range and size are checked in numpy; the scalar checks name the
         fault from the first bad member on, or from the start if numpy cannot."""
-        n, k = self.params.n, self.params.k
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "members", members)  # in place of the property
+        n, k = params.n, params.k
         full = (1 << n) - 1
         first = 0
-        if set(map(type, self.members)) <= {int}:  # numpy would convert 3.0 or '3'
+        if set(map(type, members)) <= {int}:  # numpy would convert 3.0 or '3'
             try:
-                arr = np.array(self.members, dtype=np.uint64)
+                arr = np.array(members, dtype=np.uint64)
             except OverflowError:
                 pass
             else:
@@ -138,8 +147,8 @@ class SetFamily:
                 if not bad.any():
                     return
                 first = int(bad.argmax())
-        prev = self.members[first - 1] if first else -1
-        for m in self.members[first:]:
+        prev = members[first - 1] if first else -1
+        for m in members[first:]:
             if m <= prev:
                 raise DomainError("family members must be strictly increasing bit patterns")
             if m & ~full:
@@ -150,22 +159,60 @@ class SetFamily:
 
     @classmethod
     def from_masks(cls, params: GroundParams, masks) -> "SetFamily":
-        return cls(params, tuple(sorted(set(masks))))
+        """The family of the distinct masks, ints or numpy integers, in any order."""
+        return cls(params, tuple(sorted(set(map(operator.index, masks)))))
 
     @classmethod
     def _from_parsed(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
-        """The family of sorted, distinct uint64 masks of subsets of [n], with
-        only their sizes left to check; members are not checked again."""
+        """The family of load_family's sorted, distinct uint64 masks of subsets
+        of [n], with only their sizes left to check; it keeps a read-only copy."""
         wrong = np.bitwise_count(masks) != params.k
-        if wrong.any():  # the first wrong member, as __post_init__ names it
+        if wrong.any():  # the first wrong member, as __init__ names it
             raise _size_fault(int(masks[wrong.argmax()]), params.k)
-        family = object.__new__(cls)
+        # keep a copy, made now that the parse's scratch arrays are freed, so it
+        # can take their place in the heap: the parsed array, made above them
+        # while they were live, would keep their pages from being returned
+        masks = masks.copy()
+        masks.flags.writeable = False
+        family = cls.__new__(cls)
         object.__setattr__(family, "params", params)
-        object.__setattr__(family, "members", tuple(masks.tolist()))
+        object.__setattr__(family, "_array", masks)
         return family
 
+    def __setattr__(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @functools.cached_property
+    def members(self) -> tuple[int, ...]:
+        """The members as ints, built once from a loaded family's array."""
+        return tuple(self._array.tolist())
+
+    def array(self) -> np.ndarray:
+        """The members as a uint64 array: a loaded family's own, read-only, or
+        else a fresh one, which the family does not keep."""
+        if self._array is not None:
+            return self._array
+        return np.fromiter(self.members, np.uint64, len(self.members))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.params != other.params or len(self) != len(other):
+            return False
+        if self._array is None or other._array is None:
+            return self.members == other.members
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.members))
+
+    def __repr__(self) -> str:
+        return f"SetFamily(params={self.params!r}, members={self.members!r})"
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.members if self._array is None else self._array)
 
     def __contains__(self, mask: int) -> bool:
         i = bisect_left(self.members, mask)
@@ -383,9 +430,10 @@ class _RecentFamily:
     function, its other arguments and its value.
 
     A call with the memo's family object is a hit by identity.  A call with
-    another object compares the two families once, member by member: if they
-    are equal the memo is re-keyed to the new object, so that later calls hit
-    by identity, and otherwise it is emptied for the new family.
+    another object compares the two families once, by one array comparison if
+    both were loaded from files and member by member otherwise: if they are
+    equal the memo is re-keyed to the new object, so that later calls hit by
+    identity, and otherwise it is emptied for the new family.
     """
 
     def __init__(self) -> None:
@@ -430,7 +478,7 @@ def _subset_table(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple
         raise GuardError(
             f"subset-count table needs {m} * 2^{k} entries, over the guard "
             f"{SUBSET_TABLE_GUARD}")
-    keys, counts = _count_submasks(family.members, k, family.params.n)
+    keys, counts = _count_submasks(family.array(), k, family.params.n)
     # sum_S (-1)^|S| c_S^2 < m^2 2^k <= 2^44 ordered pairs, by int64 dot products
     ordered = int(counts @ counts) - 2 * int(counts * counts @ (np.bitwise_count(keys) & 1))
     singletons = np.uint64(1) << np.arange(family.params.n, dtype=np.uint64)
@@ -439,20 +487,21 @@ def _subset_table(family: SetFamily) -> tuple[np.ndarray, np.ndarray, int, tuple
     return keys, counts, ordered // 2, tuple(degrees.tolist())
 
 
-def _count_submasks(members: tuple[int, ...], k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct submask of a member in increasing order, then a 64-element
-    sentinel, which no member of a guarded family has; and the number of
-    members containing each, 0 for the sentinel; counted by one bincount over
-    [0, 2^n) if that is no longer than the submask list, else by a sort."""
-    m = len(members)
+def _count_submasks(masks: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct submask of one of the uint64 masks, which it only reads,
+    in increasing order, then a 64-element sentinel, which no member of a
+    guarded family has; and the number of masks containing each, 0 for the
+    sentinel; counted by one bincount over [0, 2^n) if that is no longer than
+    the submask list, else by a sort."""
+    m = len(masks)
     subs = np.empty((m << k) + 1, dtype=np.uint64)
     subs[-1] = MASK64
     table = subs[:-1].reshape(1 << k, m)
     table[0] = 0
-    rest = np.fromiter(members, np.uint64, m)
+    rest = masks
     for j in range(k - 1):  # double the submasks of each member, one element at a time
         low = rest & -rest  # the lowest element left, by two's complement
-        rest ^= low
+        rest = rest ^ low  # not in place: masks may be a loaded family's own
         np.bitwise_or(table[:1 << j], low, out=table[1 << j:2 << j])
     np.bitwise_or(table[:1 << k - 1], rest, out=table[1 << k - 1:])  # the one element left
     if 1 << n <= m << k:  # every submask is below 2^n <= 2^22: an int64 view

@@ -1,5 +1,7 @@
 """family_core: constructors, statistics, and the (alpha, beta) parametrisation."""
 
+import contextlib
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -25,6 +27,7 @@ from kneserlab.families import (
     star,
     sym_diff_size,
 )
+from kneserlab.removal import RemovalConfig, case_table, center_set_check, removal_bound_check
 
 
 def as_sets(family):
@@ -172,7 +175,7 @@ def test_dp_summed_once_per_family(monkeypatch):
     assert len(builds) == 1
 
 
-def test_family_differing_in_one_member_gets_its_own_table(monkeypatch):
+def test_family_differing_in_one_member_gets_its_own_table(monkeypatch, tmp_path):
     from kneserlab import families
 
     params = GroundParams(11, 3)
@@ -192,23 +195,36 @@ def test_family_differing_in_one_member_gets_its_own_table(monkeypatch):
     # the memo holds one family: an object equal to the first is built again
     assert disjoint_pairs(SetFamily(params, fam.members)) == dp_oracle(fam)
     assert builds == [fam, other, fam]
+    # loaded from files, the two compare unequal by their arrays
+    loaded = []
+    for name, family in (("fam", fam), ("other", other)):
+        save_family(family, tmp_path / name)
+        loaded.append(load_family(tmp_path / name))
+    families._subset_table.cache_clear()
+    assert [disjoint_pairs(f) for f in loaded] == [dp_oracle(fam), dp_oracle(other)]
+    assert builds[3:] == loaded and "members" not in vars(loaded[1])
 
 
-def test_equal_family_objects_share_one_table(monkeypatch):
-    # a second, equal object is compared once and then matched by identity
+def test_equal_family_objects_share_one_table(monkeypatch, tmp_path):
+    # a second, equal object is compared once and then matched by identity:
+    # one built from ints, one loaded against it, and the file loaded again
     params = GroundParams(11, 3)
     first = build_family(params, "random:60:5")
-    second = SetFamily(params, tuple(first.members))
-    assert second is not first and second == first
+    save_family(first, tmp_path / "fam.txt")
+    rebuilt = SetFamily(params, tuple(first.members))
+    assert rebuilt is not first and rebuilt == first
     dp, degrees = disjoint_pairs(first), degree_profile(first)
     builds = table_builds(monkeypatch)
     comparisons = []
     eq = SetFamily.__eq__
     monkeypatch.setattr(SetFamily, "__eq__",
                         lambda a, b: comparisons.append(1) or eq(a, b))
-    for _ in range(3):
-        assert (disjoint_pairs(second), degree_profile(second)) == (dp, degrees)
-    assert builds == [] and len(comparisons) == 1
+    for second in (rebuilt, load_family(tmp_path / "fam.txt"), load_family(tmp_path / "fam.txt")):
+        comparisons.clear()
+        for _ in range(3):
+            assert (disjoint_pairs(second), degree_profile(second)) == (dp, degrees)
+        assert builds == [] and len(comparisons) == 1
+    assert "members" not in vars(second)  # the two loaded families compared arrays
     assert dp == dp_oracle(first)
 
 
@@ -239,9 +255,26 @@ def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
     path = tmp_path / "fam.txt"
     save_family(fam, path)
     loaded = load_family(path)
-    assert loaded == fam and not line_parses  # the bulk parse took it
+    assert not line_parses  # the bulk parse took it
+    # the report path reads the family's array, never its members as ints;
+    # with no tuple-built family in the memo to be compared with
+    families._subset_table.cache_clear()
+    for ell in (1, 2):
+        for report in (removal_bound_check, case_table, center_set_check):
+            with contextlib.suppress(DomainError, GuardError):  # (n,k,l) outside its range or guard
+                report(loaded, RemovalConfig(ell))
+    assert "members" not in vars(loaded)
+    assert not loaded.array().flags.writeable
+    # interchangeable with the equal family built from ints
+    assert loaded == fam and fam == loaded
+    assert (hash(loaded), repr(loaded), len(loaded)) == (hash(fam), repr(fam), len(fam))
+    probes = list(itertools.islice(enumerate_masks(n, k), 200)) + [0, 1 << 64]
+    assert [p in loaded for p in probes] == [p in fam for p in probes]
     assert {type(x) for x in loaded.members} == {int}
     assert SetFamily(loaded.params, loaded.members) == loaded  # passes every check
+    # a family built from ints keeps no member array after its statistics
+    family_stats(fam, 1)
+    assert not any(isinstance(v, np.ndarray) for v in vars(fam).values())
 
 
 def bincount_calls(monkeypatch):
@@ -408,6 +441,29 @@ def test_member_checks_accept_valid_families(n, k, spec):
     members = build_family(params, spec).members
     validate_members_by_loop(params, members)
     assert SetFamily(params, members).members == members
+
+
+NUMPY_MASKS = {
+    "uint64 array": lambda masks: np.array(masks, dtype=np.uint64),
+    "int64 array": lambda masks: np.array(masks, dtype=np.int64),
+    "numpy scalars": lambda masks: [t(m) for t, m in zip(
+        itertools.cycle((np.uint64, np.int64, np.uint8, int)), masks)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMPY_MASKS))
+def test_from_masks_reads_numpy_integers_as_ints(kind):
+    params = GroundParams(6, 2)
+    as_numpy = NUMPY_MASKS[kind]
+    fam = SetFamily.from_masks(params, as_numpy([12, 5, 3, 6, 5]))
+    assert fam == SetFamily(params, (3, 5, 6, 12))
+    assert repr(fam) == repr(SetFamily(params, (3, 5, 6, 12)))
+    assert {type(m) for m in fam.members} == {int}
+    # element 7 is beyond n, and 7 is a 3-set: the errors that ints raise
+    for bad in ([3, 1 << 6 | 1], [3, 7]):
+        expected = raised(SetFamily.from_masks, params, bad)
+        assert expected[0] is DomainError
+        assert raised(SetFamily.from_masks, params, as_numpy(bad)) == expected
 
 
 def test_membership_matches_member_scan():
