@@ -22,8 +22,8 @@ from . import SCHEMA_VERSION
 from .errors import DomainError, GuardError
 from .families import GroundParams, build_family, family_stats
 from .graphs import baranyai_partition, export_partition, extremal_subgraph, verify_ekr
-from .removal import (DEFAULT_C_CONST, RemovalConfig, case_table, center_set_check,
-                      removal_bound_check)
+from .removal import (DEFAULT_C_CONST, RemovalConfig, case_classify, case_table,
+                      center_set_check, removal_bound_check)
 from .spectral import decompose_affine, kneser_eigenvalue, residual_bound_check
 from .threshold import (DEFAULT_EPSILON, analytic_bounds, estimate_probabilities,
                         find_threshold)
@@ -166,6 +166,7 @@ def _cmd_removal(args) -> dict | list:
         return rows
     payload = report.to_json_dict()
     payload["family"] = args.family
+    payload["case_label"] = case_classify(family, cfg)
     payload["center_set"] = center_set_check(family, cfg).to_json_dict()
     payload["cases"] = rows
     return payload

@@ -275,6 +275,8 @@ def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:
 def random_family(params: GroundParams, m: int, seed: int) -> SetFamily:
     """m distinct k-sets sampled without replacement via a seeded shuffle."""
     total = params.slice_size
+    if m < 0:
+        raise DomainError(f"random family size must be non-negative, got {m}")
     if m > total:
         raise DomainError(f"requested {m} sets but C({params.n},{params.k}) = {total}")
     if total > ENUMERATION_GUARD:

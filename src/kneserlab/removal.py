@@ -250,8 +250,7 @@ def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
         {"proof_lower_estimate": lower_ii})
     row("(iii)", "complement of G_0", params.slice_size)
     s_iv = max(2, report.s_bound)
-    row("(iv)", f"complement of G_s, s >= 2 (at s={s_iv})",
-        math.comb(n - s_iv, k) if s_iv <= n else 0)
+    row("(iv)", f"complement of G_s, s >= 2 (at s={s_iv})", math.comb(n - s_iv, k))
     dp_f = disjoint_pairs(family)
     dp_threshold = (0.5 - 2 * (cfg.c_const * eps)) * math.comb(n - 1, k) \
         * math.comb(n - k - 1, k)  # C eps first: 2 C may overflow where eps = 0
@@ -263,6 +262,8 @@ def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
 
 @dataclass(frozen=True)
 class RemovalReport:
+    """Distance to the nearest union of l stars vs the bound; the case is case_classify's."""
+
     stats: FamilyStats
     epsilon: float
     best_centers: tuple[int, ...]
@@ -270,7 +271,6 @@ class RemovalReport:
     bound: float
     preconditions_met: bool
     holds: bool
-    case_label: str | None
     c_const: float
 
     def to_json_dict(self) -> dict:
@@ -282,7 +282,6 @@ class RemovalReport:
             "bound": self.bound,
             "preconditions_met": self.preconditions_met,
             "holds": self.holds,
-            "case_label": self.case_label,
             "c_const": self.c_const,
         })
         return payload
@@ -297,8 +296,10 @@ def removal_bound_base(stats: FamilyStats) -> Fraction:
 def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
     """Removal-bound check: distance to the nearest union of l stars vs bound.
 
-    Requires n > 2k l^2.  The report is produced even when the alpha/beta
-    preconditions fail; `holds` then simply records the observed comparison.
+    Requires n > 2k l^2.  Reads the subset-count table and one scan of the
+    l-element centre sets, and runs no centre-set search or decomposition.
+    The report is produced even when the alpha/beta preconditions fail;
+    `holds` then simply records the observed comparison.
     """
     params = family.params
     n, k, ell = params.n, params.k, cfg.ell
@@ -309,10 +310,6 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
     num, den = excess_ratio(params, ell, stats.size, stats.dp)
     base = num * params.slice_size  # over den
     c, c_den = cfg.c_const.as_integer_ratio()  # Fraction(c_const), exactly
-    try:
-        label = case_classify(family, cfg)
-    except (GuardError, DomainError):
-        label = None
     return RemovalReport(
         stats=stats,
         epsilon=num / den,
@@ -321,7 +318,6 @@ def removal_bound_check(family: SetFamily, cfg: RemovalConfig) -> RemovalReport:
         bound=cfg.c_const * (base / den),
         preconditions_met=stats.removal_precondition_met(cfg.c_const),
         holds=distance * den * c_den <= c * base,
-        case_label=label,
         c_const=cfg.c_const,
     )
 

@@ -413,6 +413,17 @@ def test_simulate_validation_errors(capsys, p, message):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    ("removal --n 5 --k 1 --family star:1", 1,
+     "error: centre-set check needs n >= 2k >= 4\n"),
+    ("removal --n 64 --k 2 --family random:10:1 --l 3", 2,
+     "guard: centre-set search over 8303633 sets exceeds the guard\n"),
+])
+def test_removal_error_exit_codes(capsys, argv, code, message):
+    # the bound itself is in range here; the centre-set report refuses
+    assert run_cli(capsys, *argv.split()) == (code, "", message)
+
+
 @pytest.mark.parametrize("p", [",", ""])
 def test_simulate_refuses_an_empty_p_list(capsys, p):
     # an empty list is refused before any other input is checked

@@ -23,6 +23,7 @@ from kneserlab.families import (
     enumerate_masks,
     family_stats,
     load_family,
+    random_family,
     save_family,
     star,
     sym_diff_size,
@@ -107,6 +108,15 @@ def test_complement_and_random_specs():
         build_family(params, "star:6")
     with pytest.raises(DomainError):
         build_family(params, "nonsense:1")
+
+
+@pytest.mark.parametrize("m", [-3, -100])
+def test_negative_random_size_is_a_domain_error(m):
+    # a negative size would slice the shuffled order from its end
+    with pytest.raises(DomainError, match="non-negative"):
+        build_family(GroundParams(6, 2), f"random:{m}:1")
+    with pytest.raises(DomainError, match="non-negative"):
+        random_family(GroundParams(6, 2), m, 1)
 
 
 def test_family_file_round_trip(tmp_path):

@@ -224,3 +224,54 @@ def test_every_public_definition_is_read():
     readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unread_definitions(package, readers, set(kneserlab.__all__)) == []
+
+
+# the package's own errors; a handler that names one either re-raises or is
+# where the error ends by design
+PACKAGE_ERRORS = {"DomainError", "GuardError", "SearchBudgetExceeded"}
+# cli.main turns the errors into exit codes; verify_ekr certifies alpha alone
+# when the maximum sets exceed the solution cap
+ERROR_SINKS = {"cli.main", "graphs.verify_ekr"}
+
+
+def swallowed_errors(source: str) -> list[str]:
+    """The functions of source, by dotted name within it, with an except
+    clause that names one of PACKAGE_ERRORS and does not end by raising."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(child.type)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if named & PACKAGE_ERRORS and not isinstance(child.body[-1], ast.Raise):
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_swallowed_errors_finds_every_form():
+    source = (
+        "def reraise():\n    try:\n        f()\n"
+        "    except DomainError as exc:\n        raise GuardError('x') from exc\n"
+        "    except GuardError:\n        log()\n        raise\n"
+        "def swallow():\n    try:\n        f()\n"
+        "    except (GuardError, DomainError):\n        label = None\n"
+        "class C:\n    def method(self):\n        try:\n            f()\n"
+        "        except errors.SearchBudgetExceeded:\n            return 0\n"
+        "def outer():\n    def inner():\n        try:\n            f()\n"
+        "        except GuardError:\n            if x:\n                raise\n"
+        "            return None\n"
+        "def other():\n    try:\n        f()\n    except ValueError:\n        pass\n"
+        "    except:\n        pass\n")
+    assert swallowed_errors(source) == ["C.method", "outer.inner", "swallow"]
+
+
+def test_package_errors_end_only_in_their_sinks():
+    assert {f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+            for name in swallowed_errors(p.read_text())} == ERROR_SINKS

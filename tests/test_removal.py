@@ -168,12 +168,12 @@ def test_monotone_sanity_adding_counted_set():
 
 
 def test_removal_bound_star_trivial():
-    rep = removal_bound_check(build_family(GroundParams(7, 2), "star:1"),
-                          RemovalConfig(1, 2.0))
+    fam, cfg = build_family(GroundParams(7, 2), "star:1"), RemovalConfig(1, 2.0)
+    rep = removal_bound_check(fam, cfg)
     assert rep.distance == 0
     assert rep.bound == pytest.approx(0.0)
     assert rep.holds and rep.preconditions_met
-    assert rep.case_label == "(vi)"
+    assert case_classify(fam, cfg) == "(vi)"
 
 
 def test_removal_bound_star_minus_two_at_24_2():
@@ -207,11 +207,28 @@ def test_removal_bound_is_the_lemma_bound(n, k, ell, spec):
 
 
 def test_removal_bound_antistar_preconditions_fail_but_report_returns():
-    rep = removal_bound_check(build_family(GroundParams(5, 2), "antistar:5"),
-                          RemovalConfig(1, 2.0))
+    fam, cfg = build_family(GroundParams(5, 2), "antistar:5"), RemovalConfig(1, 2.0)
+    rep = removal_bound_check(fam, cfg)
     assert not rep.preconditions_met
     assert rep.distance == 4
-    assert rep.case_label == "(v)"
+    assert case_classify(fam, cfg) == "(v)"
+
+
+@pytest.mark.parametrize("n,k,spec", [(24, 2, "random:250:7"), (5, 2, "antistar:5")])
+def test_removal_bound_check_runs_no_centre_set_search(monkeypatch, n, k, spec):
+    # the bound reads the subset-count table and one nearest-union scan; the
+    # centre-set search and its decomposition belong to case_classify
+    from kneserlab import removal
+
+    calls = []
+    real_decompose, real_search = removal.decompose_affine, center_set_check.__wrapped__
+    monkeypatch.setattr(removal, "decompose_affine",
+                        lambda family: calls.append("decompose") or real_decompose(family))
+    monkeypatch.setattr(center_set_check, "__wrapped__",
+                        lambda *a: calls.append("search") or real_search(*a))
+    center_set_check.cache_clear()
+    removal_bound_check(build_family(GroundParams(n, k), spec), RemovalConfig(1, 2.0))
+    assert calls == []
 
 
 def test_removal_bound_requires_large_n():
