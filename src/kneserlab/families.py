@@ -4,8 +4,9 @@ Elements are 1-based (1..n); a k-set is an int with bit i-1 set for element i.
 The ground set is capped at 64 so every set is one machine word and disjointness
 is a single AND.  Families are kept in canonical order (numeric on bit pattern),
 so equality of families is equality of representations.  Member checks,
-file parsing and the sorted subset-count table run on uint64 numpy arrays; a
-family parsed from a file keeps its array and makes Python ints only on demand.
+file parsing and the sorted subset-count table run on uint64 numpy arrays.  A
+valid file in save_family's shape is parsed in bulk, and the family keeps its
+array and makes Python ints only on demand; every fault goes to a line parse.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _size_fault(mask: int, k: int) -> DomainError:
-    return DomainError(f"member {elements_from_mask(mask)} is not a {k}-set")
-
-
 def enumerate_masks(n: int, k: int) -> Iterator[int]:
     """All k-subset masks of [n] in increasing numeric order (Gosper's hack)."""
     if k == 0:
@@ -154,7 +151,7 @@ class SetFamily:
             if m & ~full:
                 raise DomainError("member uses elements beyond n")
             if m.bit_count() != k:
-                raise _size_fault(m, k)
+                raise DomainError(f"member {elements_from_mask(m)} is not a {k}-set")
             prev = m
 
     @classmethod
@@ -164,11 +161,8 @@ class SetFamily:
 
     @classmethod
     def _from_parsed(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
-        """The family of load_family's sorted, distinct uint64 masks of subsets
-        of [n], with only their sizes left to check; it keeps a read-only copy."""
-        wrong = np.bitwise_count(masks) != params.k
-        if wrong.any():  # the first wrong member, as __init__ names it
-            raise _size_fault(int(masks[wrong.argmax()]), params.k)
+        """The family of load_family's sorted, distinct uint64 masks of k-subsets
+        of [n], which _bulk_masks has checked; it keeps a read-only copy."""
         # keep a copy, made now that the parse's scratch arrays are freed, so it
         # can take their place in the heap: the parsed array, made above them
         # while they were live, would keep their pages from being returned
@@ -318,6 +312,8 @@ def build_family(params: GroundParams, spec: str) -> SetFamily:
         return random_family(params, _parse_int(parts[0], "random size"),
                              _parse_int(parts[1], "random seed"))
     if kind == "file":
+        if not rest:
+            raise DomainError("file spec needs a path")
         fam = load_family(Path(rest))
         if fam.params != params:
             raise DomainError(
@@ -343,10 +339,11 @@ _SAVED_HEADER_RE = re.compile(rb"n=(\d+) k=(\d+)\n")  # as save_family writes it
 def load_family(path: Path) -> SetFamily:
     """Read a family file; blank lines and lines starting with # are skipped.
 
-    A file exactly as save_family writes it is parsed and validated in bulk.
-    Any other file, valid or not, goes to a line-by-line parse, which names
-    the first bad line and the first fault in it.  A path that cannot be read,
-    or a file that is not UTF-8, raises DomainError naming the path.
+    A valid file in save_family's shape (k elements a line) is parsed in bulk,
+    its lines and their elements in any order.  Any other file, valid or not,
+    goes to a line-by-line parse, which names the first bad line and the first
+    fault in it.  A path that cannot be read, or a file that is not UTF-8,
+    raises DomainError naming the path.
     """
     try:
         raw = Path(path).read_bytes()
@@ -355,8 +352,8 @@ def load_family(path: Path) -> SetFamily:
     hm = _SAVED_HEADER_RE.match(raw)
     if hm:
         params = GroundParams(int(hm.group(1)), int(hm.group(2)))
-        masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params.n)
-        if masks is not None:  # sorted and distinct subsets of [n]
+        masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params)
+        if masks is not None:  # sorted and distinct k-subsets of [n]
             return SetFamily._from_parsed(params, masks)
     try:
         text = raw.decode()
@@ -373,36 +370,39 @@ def load_family(path: Path) -> SetFamily:
     return SetFamily.from_masks(params, _line_masks(lines[1:], params.n, path))
 
 
-def _bulk_masks(text: np.ndarray, n: int) -> np.ndarray | None:
-    """The sorted sets of text, a newline followed by lines, or None unless
-    every line lists distinct elements of 1..n as 1- or 2-digit decimals
-    joined by commas and ends in a newline, and no set repeats."""
-    if text[-1] != ord("\n"):
-        return None
+def _bulk_masks(text: np.ndarray, params: GroundParams) -> np.ndarray | None:
+    """The sorted sets of text, a newline then lines in any order, or None unless
+    every line lists k distinct elements of 1..n, in any order, as 1- or 2-digit
+    decimals joined by commas and ends in a newline, and no set repeats."""
+    n, k = params.n, params.k
     # narrow dtypes: int64 arrays here add megabytes to the peak RSS of
     # `removal` on a large file: family
     digits = text - np.uint8(ord("0"))  # every other character wraps past 9
     seps = np.flatnonzero(digits > 9).astype(np.int32)
-    newline = text == ord("\n")
-    if len(seps) != np.count_nonzero(newline) + np.count_nonzero(text == ord(",")):
-        return None  # a character other than digits and separators
+    lines, extra = divmod(len(seps) - 1, k)
+    # every k-th separator ends a line, the last ends the text, the rest are commas
+    if (extra or seps[-1] != len(text) - 1 or (text.take(seps[::k]) != ord("\n")).any()
+            or np.count_nonzero(text == ord(",")) != lines * (k - 1)):
+        return None
     gaps = np.diff(seps)  # token lengths plus one
     if ((gaps < 2) | (gaps > 3)).any():
         return None
     ends = seps[1:]
     # a one-digit token's tens place reads its separator, times zero
-    elements = digits.take(ends - 1) + 10 * digits.take(ends - 2) * (gaps == 3)
-    if ((elements < 1) | (elements > n)).any():
+    index = digits.take(ends - 1) + 10 * digits.take(ends - 2) * (gaps == 3)
+    index -= np.uint8(1)  # element - 1, where an element of 0 wraps to 255
+    if (index >= n).any():
         return None
-    line_ends = np.flatnonzero(newline.take(ends))  # index of each line's last token
-    counts = np.diff(line_ends, prepend=-1)
-    bits = (elements - np.uint8(1)).astype(np.uint64)
+    bits = index.astype(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
-    masks = np.bitwise_or.reduceat(bits, line_ends - counts + 1)
-    if (np.bitwise_count(masks) != counts).any():
+    masks = functools.reduce(operator.or_, bits.reshape(lines, k).T)  # a line's k bits, ORed
+    if (np.bitwise_count(masks) != k).any():
         return None  # a repeated element
-    masks.sort()
-    return None if (masks[1:] == masks[:-1]).any() else masks  # a repeated set
+    if not (masks[1:] > masks[:-1]).all():  # save_family writes them increasing
+        masks.sort()
+        if (masks[1:] == masks[:-1]).any():
+            return None  # a repeated set
+    return masks
 
 
 def _line_masks(lines: list[str], n: int, path: Path) -> list[int]:

@@ -537,6 +537,12 @@ def test_unreadable_family_file_is_a_domain_error(tmp_path, capsys, case):
     assert one_error_line(code, out, err, path), err
 
 
+def test_file_spec_without_a_path_is_a_domain_error(capsys):
+    # an empty path would read the current directory
+    code, out, err = run_cli(capsys, "stats", "--n", "9", "--k", "2", "--family", "file:")
+    assert (code, out, err) == (1, "", "error: file spec needs a path\n")
+
+
 @pytest.mark.parametrize("case", ["missing directory", "directory"])
 def test_out_path_that_cannot_be_opened_fails_before_the_command(
         tmp_path, capsys, monkeypatch, case):

@@ -583,6 +583,14 @@ FILE_CASES = {
     "missing header": ("# only a comment\n\n", "no header line in {path}"),
     "header mismatch": ("1,2\nn=6 k=2\n", "first data line must be 'n=<n> k=<k>', got '1,2'"),
     "wrong set size": ("n=6 k=2\n1,2,3\n", "member (1, 2, 3) is not a 2-set"),
+    "short line": ("n=6 k=2\n1,2\n3\n", "member (3,) is not a 2-set"),
+    "long line": ("n=6 k=2\n1,2\n3,4,5\n", "member (3, 4, 5) is not a 2-set"),
+    # k commas or newlines a line in all, but not in save_family's places
+    "long line then short line": ("n=6 k=2\n1,2,3\n4\n", "member (1, 2, 3) is not a 2-set"),
+    "two short lines": ("n=6 k=2\n1\n2\n", "member (1,) is not a 2-set"),
+    "space for comma": ("n=6 k=2\n1 2\n", "bad element: '1 2'"),
+    "no final newline": ("n=6 k=2\n1,2\n3", "member (3,) is not a 2-set"),
+    "element above n": ("n=6 k=2\n1,2\n3,7\n", "element 7 out of range 1..6"),
     # the first bad line decides the message, whatever comes after it
     "range before token": ("n=6 k=2\n1,9\nx,1\n", "element 9 out of range 1..6"),
     "token before repeat": ("n=6 k=2\n1,1,x\n", "bad element: 'x'"),
@@ -611,20 +619,27 @@ def test_family_file_header_must_match_the_request(tmp_path):
         build_family(GroundParams(8, 3), f"file:{path}")
 
 
-def test_bulk_family_file_matches_line_parse_on_mutated_files(tmp_path, monkeypatch):
-    import random
-
+def count_line_parses(monkeypatch) -> list:
+    """One entry per call of families._line_masks, which still runs."""
     from kneserlab import families
-    from oracles import load_family_by_line
 
-    line_parses = []
+    calls = []
     real_line_masks = families._line_masks
 
     def line_masks(*args):
-        line_parses.append(1)
+        calls.append(1)
         return real_line_masks(*args)
 
     monkeypatch.setattr(families, "_line_masks", line_masks)
+    return calls
+
+
+def test_bulk_family_file_matches_line_parse_on_mutated_files(tmp_path, monkeypatch):
+    import random
+
+    from oracles import load_family_by_line
+
+    line_parses = count_line_parses(monkeypatch)
     rng = random.Random(5)
     outcomes = set()
     for trial in range(400):
@@ -650,9 +665,74 @@ def test_bulk_family_file_matches_line_parse_on_mutated_files(tmp_path, monkeypa
         assert got == loaded_or_error(load_family_by_line, path), lines
         parsed_by = "line" if len(line_parses) > before else "bulk"
         outcomes.add((parsed_by, got.split(" ")[1] if isinstance(got, str) else "family"))
-    # the bulk parse accepts canonical files (header faults come before it,
-    # a wrong set size after it), and the line parse names every other fault
-    assert {("bulk", "family"), ("bulk", "member"), ("line", "family"), ("line", "bad"),
+    # the bulk parse accepts valid files in save_family's shape (header faults
+    # come before it), and the line parse names every fault, a wrong set size too
+    assert {("bulk", "family"), ("line", "member"), ("line", "family"), ("line", "bad"),
             ("line", "element"), ("line", "repeated"), ("line", "duplicate")} <= outcomes
     assert {what for by, what in outcomes if by == "bulk"} <= {
-        "family", "member", "first", "no"}, outcomes
+        "family", "first", "no"}, outcomes
+
+
+def saved_lines(tmp_path, n, k, spec):
+    """The lines save_family writes for a family: header first."""
+    path = tmp_path / "saved.txt"
+    save_family(build_family(GroundParams(n, k), spec), path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("case", ["reversed lines", "shuffled elements", "empty family",
+                                  "k = 1 at n = 64", "two-digit elements"])
+def test_files_in_saved_shape_take_the_bulk_path(case, tmp_path, monkeypatch):
+    import random
+
+    from oracles import load_family_by_line
+
+    rng = random.Random(29)
+    if case == "reversed lines":
+        lines = saved_lines(tmp_path, 40, 4, "random:300:1")
+        lines[1:] = lines[:0:-1]
+    elif case == "shuffled elements":
+        lines = saved_lines(tmp_path, 40, 4, "random:300:2")
+        lines[1:] = [",".join(rng.sample(ln.split(","), 4)) for ln in lines[1:]]
+    elif case == "empty family":
+        lines = saved_lines(tmp_path, 9, 3, "random:0:1")
+    elif case == "k = 1 at n = 64":
+        lines = saved_lines(tmp_path, 64, 1, "random:64:3")
+        rng.shuffle(lines[1:])
+    else:
+        lines = ["n=64 k=3"] + [f"{a},{b},{c}" for a, b, c in itertools.combinations(
+            range(10, 65, 6), 3)]
+    path = tmp_path / "fam.txt"
+    path.write_text("\n".join(lines) + "\n")
+    line_parses = count_line_parses(monkeypatch)
+    loaded = load_family(path)
+    assert not line_parses
+    assert loaded == load_family_by_line(path)
+    assert len(loaded) == len(lines) - 1
+
+
+@pytest.mark.parametrize("case", ["k - 1 tokens", "k + 1 tokens", "CRLF line ends",
+                                  "three-digit token"])
+def test_files_off_the_saved_shape_take_the_line_path(case, tmp_path, monkeypatch):
+    from oracles import load_family_by_line
+
+    lines = saved_lines(tmp_path, 40, 4, "random:50:4")
+    if case == "k - 1 tokens":
+        lines[7] = lines[7].rsplit(",", 1)[0]
+    elif case == "k + 1 tokens":
+        lines[7] += f",{min(set(range(1, 41)) - set(map(int, lines[7].split(','))))}"
+    elif case == "three-digit token":
+        lines[7] = "0" + lines[7] if len(lines[7].split(",")[0]) == 2 else "00" + lines[7]
+    text = "\n".join(lines) + "\n"
+    if case == "CRLF line ends":
+        text = text.replace("\n", "\r\n")
+    path = tmp_path / "fam.txt"
+    path.write_bytes(text.encode())
+    line_parses = count_line_parses(monkeypatch)
+    got = loaded_or_error(load_family, path)
+    assert line_parses == [1]
+    assert got == loaded_or_error(load_family_by_line, path)
+    if case.startswith("k "):
+        assert got.startswith("DomainError: member (") and got.endswith("is not a 4-set")
+    else:  # valid, though not in the saved shape
+        assert got == build_family(GroundParams(40, 4), "random:50:4")
