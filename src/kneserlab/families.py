@@ -3,10 +3,11 @@
 Elements are 1-based (1..n); a k-set is an int with bit i-1 set for element i.
 The ground set is capped at 64 so every set is one machine word and disjointness
 is a single AND.  Families are kept in canonical order (numeric on bit pattern),
-so equality of families is equality of representations.  Member checks,
-file parsing and the sorted subset-count table run on uint64 numpy arrays.  A
-valid file in save_family's shape is parsed in bulk, and the family keeps its
-array and makes Python ints only on demand; every fault goes to a line parse.
+so equality of families is equality of representations.  Every family holds
+one sorted, read-only uint64 array, on which the member checks, membership,
+equality and the subset-count table run; Python ints are made only on demand.
+A valid file in save_family's shape is parsed in bulk; every fault goes to a
+line parse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import math
 import operator
 import re
-from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -116,20 +116,15 @@ def enumerate_masks(n: int, k: int) -> Iterator[int]:
 class SetFamily:
     """A distinct collection of k-subsets of [n] in canonical (numeric) order.
 
-    Built from ints, a family holds the tuple `members` and no array.  Parsed
-    in bulk by load_family, it holds the sorted, read-only uint64 array and
-    builds `members` on first use.  Families are immutable, and equality, hash
-    and repr are those of (params, members); two families that both hold an
-    array compare the arrays.
+    Every family holds one form, its members as a sorted, read-only uint64
+    array, however it was built; `members`, the tuple of ints, is read from
+    it on each use.  Families are immutable, equality and repr are those of
+    (params, members), and equal families hash alike.
     """
-
-    _array: np.ndarray | None = None  # set by _from_parsed only
 
     def __init__(self, params: GroundParams, members: tuple[int, ...]) -> None:
         """Order, range and size are checked in numpy; the scalar checks name the
         fault from the first bad member on, or from the start if numpy cannot."""
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "members", members)  # in place of the property
         n, k = params.n, params.k
         full = (1 << n) - 1
         first = 0
@@ -142,6 +137,7 @@ class SetFamily:
                 bad = (np.bitwise_count(arr) != k) | ((arr & np.uint64(MASK64 ^ full)) != 0)
                 bad[1:] |= arr[1:] <= arr[:-1]
                 if not bad.any():
+                    self._hold(params, arr)
                     return
                 first = int(bad.argmax())
         prev = members[first - 1] if first else -1
@@ -153,6 +149,13 @@ class SetFamily:
             if m.bit_count() != k:
                 raise DomainError(f"member {elements_from_mask(m)} is not a {k}-set")
             prev = m
+        self._hold(params, np.array(members, dtype=np.uint64))
+
+    def _hold(self, params: GroundParams, masks: np.ndarray) -> None:
+        """Keep params and masks, made read-only, as the family's one form."""
+        masks.flags.writeable = False
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_array", masks)
 
     @classmethod
     def from_masks(cls, params: GroundParams, masks) -> "SetFamily":
@@ -162,15 +165,12 @@ class SetFamily:
     @classmethod
     def _from_parsed(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
         """The family of load_family's sorted, distinct uint64 masks of k-subsets
-        of [n], which _bulk_masks has checked; it keeps a read-only copy."""
-        # keep a copy, made now that the parse's scratch arrays are freed, so it
+        of [n], which _bulk_masks has checked; it holds a copy of them."""
+        family = cls.__new__(cls)
+        # hold a copy, made now that the parse's scratch arrays are freed, so it
         # can take their place in the heap: the parsed array, made above them
         # while they were live, would keep their pages from being returned
-        masks = masks.copy()
-        masks.flags.writeable = False
-        family = cls.__new__(cls)
-        object.__setattr__(family, "params", params)
-        object.__setattr__(family, "_array", masks)
+        family._hold(params, masks.copy())
         return family
 
     def __setattr__(self, name: str, *value) -> None:
@@ -178,43 +178,40 @@ class SetFamily:
 
     __delattr__ = __setattr__
 
-    @functools.cached_property
+    @property
     def members(self) -> tuple[int, ...]:
-        """The members as ints, built once from a loaded family's array."""
+        """The members as ints, read afresh from the array."""
         return tuple(self._array.tolist())
 
     def array(self) -> np.ndarray:
-        """The members as a uint64 array: a loaded family's own, read-only, or
-        else a fresh one, which the family does not keep."""
-        if self._array is not None:
-            return self._array
-        return np.fromiter(self.members, np.uint64, len(self.members))
+        """The members as the family's own sorted, read-only uint64 array."""
+        return self._array
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.params != other.params or len(self) != len(other):
-            return False
-        if self._array is None or other._array is None:
-            return self.members == other.members
-        return np.array_equal(self._array, other._array)
+        return self.params == other.params and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash((self.params, self.members))
+        return hash((self.params, self._array.tobytes()))
 
     def __repr__(self) -> str:
         return f"SetFamily(params={self.params!r}, members={self.members!r})"
 
     def __len__(self) -> int:
-        return len(self.members if self._array is None else self._array)
+        return len(self._array)
 
-    def __contains__(self, mask: int) -> bool:
-        i = bisect_left(self.members, mask)
-        return i < len(self.members) and self.members[i] == mask
+    def __contains__(self, mask) -> bool:
+        """One binary search of the array; a mask outside [0, 2^64), or equal to
+        no int, is no member."""
+        if not 0 <= mask <= MASK64 or mask != (key := int(mask)):
+            return False
+        i = self._array.searchsorted(key)
+        return i < len(self._array) and self._array[i] == key
 
     @functools.cached_property
     def member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return frozenset(self._array.tolist())
 
     def complement(self) -> "SetFamily":
         """Complement with respect to the full slice C([n],k)."""
@@ -432,10 +429,9 @@ class _RecentFamily:
     function, its other arguments and its value.
 
     A call with the memo's family object is a hit by identity.  A call with
-    another object compares the two families once, by one array comparison if
-    both were loaded from files and member by member otherwise: if they are
-    equal the memo is re-keyed to the new object, so that later calls hit by
-    identity, and otherwise it is emptied for the new family.
+    another object compares the two families once, by one array comparison:
+    if they are equal the memo is re-keyed to the new object, so that later
+    calls hit by identity, and otherwise it is emptied for the new family.
     """
 
     def __init__(self) -> None:
@@ -503,7 +499,7 @@ def _count_submasks(masks: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.n
     rest = masks
     for j in range(k - 1):  # double the submasks of each member, one element at a time
         low = rest & -rest  # the lowest element left, by two's complement
-        rest = rest ^ low  # not in place: masks may be a loaded family's own
+        rest = rest ^ low  # not in place: masks is a family's own, read-only
         np.bitwise_or(table[:1 << j], low, out=table[1 << j:2 << j])
     np.bitwise_or(table[:1 << k - 1], rest, out=table[1 << k - 1:])  # the one element left
     if 1 << n <= m << k:  # every submask is below 2^n <= 2^22: an int64 view

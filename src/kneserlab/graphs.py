@@ -190,12 +190,7 @@ def is_star(family: SetFamily) -> bool:
     """True iff the family is a full star (common element, size C(n-1,k-1))."""
     if len(family) != family.params.star_size:
         return False
-    common = (1 << family.params.n) - 1
-    for mask in family.members:
-        common &= mask
-        if not common:
-            return False
-    return common.bit_count() >= 1
+    return bool(np.bitwise_and.reduce(family.array()))  # over C(n-1,k-1) >= 1 members
 
 
 def verify_ekr(params: GroundParams) -> dict:

@@ -212,7 +212,7 @@ def test_family_differing_in_one_member_gets_its_own_table(monkeypatch, tmp_path
         loaded.append(load_family(tmp_path / name))
     families._subset_table.cache_clear()
     assert [disjoint_pairs(f) for f in loaded] == [dp_oracle(fam), dp_oracle(other)]
-    assert builds[3:] == loaded and "members" not in vars(loaded[1])
+    assert builds[3:] == loaded and vars(loaded[1]).keys() == {"params", "_array"}
 
 
 def test_equal_family_objects_share_one_table(monkeypatch, tmp_path):
@@ -234,7 +234,7 @@ def test_equal_family_objects_share_one_table(monkeypatch, tmp_path):
         for _ in range(3):
             assert (disjoint_pairs(second), degree_profile(second)) == (dp, degrees)
         assert builds == [] and len(comparisons) == 1
-    assert "members" not in vars(second)  # the two loaded families compared arrays
+    assert vars(second).keys() == {"params", "_array"}  # nothing cached by the comparisons
     assert dp == dp_oracle(first)
 
 
@@ -266,14 +266,14 @@ def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
     save_family(fam, path)
     loaded = load_family(path)
     assert not line_parses  # the bulk parse took it
-    # the report path reads the family's array, never its members as ints;
-    # with no tuple-built family in the memo to be compared with
+    # the report path leaves the loaded family as it was, with no family
+    # built from ints in the memo to be compared with
     families._subset_table.cache_clear()
     for ell in (1, 2):
         for report in (removal_bound_check, case_table, center_set_check):
             with contextlib.suppress(DomainError, GuardError):  # (n,k,l) outside its range or guard
                 report(loaded, RemovalConfig(ell))
-    assert "members" not in vars(loaded)
+    assert vars(loaded).keys() == {"params", "_array"}
     assert not loaded.array().flags.writeable
     # interchangeable with the equal family built from ints
     assert loaded == fam and fam == loaded
@@ -282,9 +282,12 @@ def test_saved_family_loads_back_equal(n, k, m, seed, tmp_path, monkeypatch):
     assert [p in loaded for p in probes] == [p in fam for p in probes]
     assert {type(x) for x in loaded.members} == {int}
     assert SetFamily(loaded.params, loaded.members) == loaded  # passes every check
-    # a family built from ints keeps no member array after its statistics
+    # built from ints or loaded, a family holds its params and its read-only
+    # array and nothing else, its statistics computed
     family_stats(fam, 1)
-    assert not any(isinstance(v, np.ndarray) for v in vars(fam).values())
+    for family in (fam, loaded):
+        assert vars(family).keys() == {"params", "_array"}
+        assert not vars(family)["_array"].flags.writeable
 
 
 def bincount_calls(monkeypatch):
@@ -484,6 +487,33 @@ def test_membership_matches_member_scan():
     assert 0 not in fam and (1 << 8) not in fam
     assert fam.member_set is fam.member_set
     assert fam.member_set == frozenset(fam.members)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_membership_probes_match_member_scan(loaded, tmp_path):
+    # probes outside [0, 2^64) are no member, neither wrapped nor raised on
+    fam = build_family(GroundParams(40, 3), "random:50:3")  # every member exact as a float
+    if loaded:
+        save_family(fam, tmp_path / "fam.txt")
+        fam = load_family(tmp_path / "fam.txt")
+    member = fam.members[7]
+    for probe in (-1, 1 << 64, 2**64 + member, float(member), np.uint64(member),
+                  member + 0.5, member, member + 1):
+        assert (probe in fam) == any(m == probe for m in fam.members), probe
+    assert SetFamily(GroundParams(3, 1), (True,)).members == (1,)
+    assert type(SetFamily(GroundParams(3, 1), (True,)).members[0]) is int
+
+
+def test_built_family_retains_only_its_array():
+    # union:1,2 at (40,4), m = 17,575: 8 bytes a member, and no tuple of ints kept
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = build_family(GroundParams(40, 4), "union:1,2")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * len(fam) + 4096
 
 
 def test_dp_plus_intersecting_is_all_pairs():

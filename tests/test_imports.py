@@ -72,6 +72,30 @@ def test_only_graphs_converts_vertex_masks():
             if mask_codec_calls(p.read_text())} == {"graphs"}
 
 
+# a family's storage, its sorted uint64 array, has one home, families: no
+# other module reads the array attribute or builds a family from a parsed array
+FAMILY_STORAGE_NAMES = {"_array", "_from_parsed"}
+
+
+def family_storage_names(source: str) -> set[str]:
+    """The FAMILY_STORAGE_NAMES that source names as an attribute."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)} & FAMILY_STORAGE_NAMES
+
+
+def test_family_storage_names_finds_every_form():
+    source = ("a = fam._array\nb = SetFamily._from_parsed(p, m)\n"
+              "c = len(family._array)\n")
+    assert family_storage_names(source) == FAMILY_STORAGE_NAMES
+    # the public reader, other names, and a string that is not an attribute
+    assert family_storage_names("d = fam.array()\ne = x._array_copy\nf = '_array'\n") == set()
+
+
+def test_only_families_holds_family_storage():
+    assert {p.stem for p in PACKAGE.glob("*.py")
+            if family_storage_names(p.read_text())} == {"families"}
+
+
 # each package module's imports from the package, by file stem; a new edge,
 # such as graphs -> mis, is made by editing this table
 PACKAGE_IMPORTS = {
