@@ -12,11 +12,11 @@ the elements blocked for it.  The unblocked ones certify superstars, which
 give the superstar count, star survival and a search-free EKR failure; the
 ratio bound proves EKR, again without a search, on a sample that keeps
 every edge.  Any other sample is decided by branch and bound on a copy
-relabelled by ascending degree (MCQ's initial vertex order, carried over to
-independent sets), packed from the retained edges, listed only then; a star
-is its incumbent, so it looks only for a set one larger; vertex masks meet
-bits and bytes only through graphs' codec.  EKR is monotone in p under this
-coupling, so a trial walks its p values ascending: a search proving EKR
+relabelled by ascending degree less thrice the mean neighbour degree (MCR's
+weighing; ties to index), packed from the retained edges, listed only then;
+a star is its incumbent, so it looks only for a set one larger; vertex masks
+meet bits and bytes only through graphs' codec.  EKR is monotone in p under
+this coupling, so a trial walks its p values ascending: a search proving EKR
 settles every larger p, and a refuting witness, mapped back to the sample's
 vertex order, every p up to its least edge uniform.  Analytic evaluators
 work in log-space: the exponents reach C(n-1,k-1) and overflow doubles.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from multiprocessing import get_all_start_methods, get_context
 
@@ -70,6 +71,12 @@ class ThresholdParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0,1], got {self.p}")
+        for name in ("trials", "master_seed"):  # numpy integers become int
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
 
@@ -242,12 +249,13 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     set of size C(n-1,k-1)+1 exists.  A superstar (S_x, F) is one, so a
     sample with one fails without a search, and K(n,k) itself holds without
     one, by the ratio bound, with the star at centre 1 as witness.  Else the
-    search runs on a copy relabelled by ascending degree in the sample (ties
-    to index), the vertex order of MCQ carried over to independent sets: the
-    search's clique cover starts from its highest label, so the vertex of
-    rank r takes label nv-1-r.  The star at centre 1 is its incumbent, so it
-    only looks for a set one larger.  A proof's witness is that star; a
-    refutation's is mapped back to K(n,k)'s vertex indices.
+    search runs on a copy relabelled by deg - 3 * nbr / deg ascending (deg: a
+    vertex's degree in the sample, nbr: its neighbours' degree sum; MCR's
+    weighing, Tomita & Kameda 2007), ties to index once the key is evaluated
+    in doubles; the search's clique cover starts from its highest label, so
+    the vertex of rank r takes label nv-1-r.  The star at centre 1 is its
+    incumbent, so it only looks for a set one larger.  A proof's witness is
+    that star; a refutation's is mapped back to K(n,k)'s vertex indices.
     """
     if sample.unblocked.any():
         return EkrSampleResult(holds=False)
@@ -257,12 +265,14 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
         return EkrSampleResult(holds=True, witness=ctx.star_mask)
     u, v = sample.edges
     nv = ctx.nv
-    # vertex order[r], of rank r by ascending degree, gets label nv-1-r
-    order = np.argsort(np.bincount(np.concatenate((u, v)), minlength=nv), kind="stable")
+    # order[r], of rank r by the key, gets label nv-1-r; no searched degree is 0
+    deg = np.bincount(np.concatenate((u, v)), minlength=nv).astype(float)
+    nbr = np.bincount(u, deg.take(v), nv) + np.bincount(v, deg.take(u), nv)
+    order = np.argsort(deg - 3 * nbr / deg, kind="stable")
     label = np.empty_like(order)
     label[order] = np.arange(nv - 1, -1, -1)
     size, found, _ = max_independent_set_masks(
-        _pack_rows(ctx, label[u], label[v]), stop_at=target,
+        _pack_rows(ctx, label.take(u), label.take(v)), stop_at=target,
         initial=vertex_mask(ctx.star[order[::-1]]))
     if size < target:  # the star incumbent stood
         return EkrSampleResult(holds=True, witness=ctx.star_mask)
@@ -318,10 +328,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
               brackets: list, workers: int) -> list[dict]:
     """Estimates at each p of ps, in order, reduced from one record per trial
-    in trial order; updates brackets.  Checks every input before any trial."""
+    in trial order; updates brackets, which an empty list opens for every
+    trial.  Checks every input before any trial."""
     tps = [ThresholdParams(params, p, trials, seed) for p in ps]
-    if not tps:  # an empty p list still checks the trial count
-        ThresholdParams(params, 0.0, trials, seed)
+    # trials and seed as ThresholdParams reads them; an empty p list checks them too
+    head = tps[0] if tps else ThresholdParams(params, 0.0, trials, seed)
+    trials, seed = head.trials, head.master_seed
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     if workers > WORKER_GUARD:
@@ -332,6 +344,7 @@ def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
     _context(params)  # build before forking so children inherit it
     if not tps:
         return []
+    brackets[:] = brackets or [_OPEN] * trials
     ascending = sorted(set(tps), key=lambda tp: tp.p)
     jobs = [(ascending, t, bracket) for t, bracket in enumerate(brackets)]
     if workers == 1:
@@ -362,13 +375,13 @@ def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
     per-trial records are reduced in trial order.
     """
     return _estimate(tp.params, [tp.p], tp.trials, tp.master_seed,
-                     [_OPEN] * tp.trials, workers)[0]
+                     [], workers)[0]
 
 
 def estimate_probabilities(params: GroundParams, ps: list[float], trials: int,
                            master_seed: int, *, workers: int = 1) -> list[dict]:
     """estimate_probability at every p of ps, in their order, from one pass."""
-    return _estimate(params, ps, trials, master_seed, [_OPEN] * trials, workers)
+    return _estimate(params, ps, trials, master_seed, [], workers)
 
 
 def critical_probabilities(params: GroundParams) -> dict:
@@ -394,7 +407,7 @@ def find_threshold(params: GroundParams, trials: int, seed: int, *,
     crit = critical_probabilities(params)
     lo, hi = 0.0, 1.0
     evaluations = []
-    brackets = [_OPEN] * trials
+    brackets = []  # every trial's, kept across midpoints
     while hi - lo > THRESHOLD_WIDTH:
         mid = 0.5 * (lo + hi)
         est = _estimate(params, [mid], trials, seed, brackets, workers)[0]

@@ -1,8 +1,10 @@
-"""The EKR decision on a degree-ordered copy, against index-order searches.
+"""The EKR decision on a reordered copy, against index-order searches.
 
-ekr_holds relabels each sample by ascending degree and seeds its search
-with a star; these tests check its verdicts against searches of the sample
-as drawn, and that its witness comes back in the sample's vertex order.
+ekr_holds relabels each sample by ascending deg - 3 * nbr / deg (degree less
+three times the mean neighbour degree, after MCR's weighing; ties to index
+once the key is evaluated in doubles) and seeds its search with a star.
+These tests check that order, its verdicts against searches of the sample as
+drawn, and that its witness comes back in the sample's vertex order.
 """
 
 import hashlib
@@ -35,6 +37,20 @@ def is_independent(adjacency, mask):
             return False
         m ^= low
     return True
+
+
+def searched_nodes(monkeypatch):
+    """The node count of each search ekr_holds runs from here on, in order."""
+    nodes = []
+    real = threshold.max_independent_set_masks
+
+    def search(adjacency, **kwargs):
+        result = real(adjacency, **kwargs)
+        nodes.append(result[2])
+        return result
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    return nodes
 
 
 def check_witness(sample, result):
@@ -130,20 +146,72 @@ def test_search_starts_from_the_star(monkeypatch):
     assert set(seen) == {(params.star_size + 1, params.star_size, True)}
 
 
+@pytest.mark.parametrize("n,k", [(12, 2), (14, 2), (9, 3)])
+def test_search_labels_follow_the_order_key(n, k, monkeypatch):
+    # the vertex of rank r by d - 3 * s / d ascending (d its degree in the
+    # sample, s its neighbours' degree sum; ties to index) takes label
+    # nv-1-r: the searched rows are the sample's relabelled so, and the
+    # incumbent is the star at centre 1 under the same labels
+    seen = []
+    real = threshold.max_independent_set_masks
+
+    def search(adjacency, *, initial=0, **kwargs):
+        seen.append((tuple(adjacency), initial))
+        return real(adjacency, initial=initial, **kwargs)
+
+    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    params = GroundParams(n, k)
+    nv = params.slice_size
+    star = build_graph(params).star_vertex_masks[0]
+    tp = ThresholdParams(params, 0.5, 1, SEED)
+    searched = tied = 0
+    for t in range(20):
+        sample = sample_subgraph(tp, t)
+        if count_superstars(sample):
+            continue
+        edges = list(zip(*(ends.tolist() for ends in sample.edges)))
+        d = [0] * nv
+        for a, b in edges:
+            d[a] += 1
+            d[b] += 1
+        s = [0] * nv
+        for a, b in edges:
+            s[a] += d[b]
+            s[b] += d[a]
+        key = [d[x] - 3 * s[x] / d[x] for x in range(nv)]
+        order = sorted(range(nv), key=lambda x: (key[x], x))
+        label = {x: nv - 1 - r for r, x in enumerate(order)}
+        rows = [0] * nv
+        for a, b in edges:
+            rows[label[a]] |= 1 << label[b]
+            rows[label[b]] |= 1 << label[a]
+        incumbent = sum(1 << label[x] for x in range(nv) if star >> x & 1)
+        seen.clear()
+        ekr_holds(sample)
+        assert seen == [(tuple(rows), incumbent)], t
+        searched += 1
+        tied += len(set(key)) < nv
+    assert searched and tied  # the tie rule is exercised
+
+
+# K_p(9,4) at p = 0.95 is near-regular, so degree alone barely orders it:
+# ordered by degree, these superstar-free trials took 178,885 to 791,571
+# nodes each; weighing the neighbours' degrees, 8,472 to 21,102.
+@pytest.mark.parametrize("trial", range(6))
+def test_ordered_decision_settles_9_4_near_regular(trial, monkeypatch):
+    nodes = searched_nodes(monkeypatch)
+    sample = sample_subgraph(ThresholdParams(GroundParams(9, 4), 0.95, 1, SEED), trial)
+    assert count_superstars(sample) == 0
+    assert ekr_holds(sample).holds
+    assert len(nodes) == 1 and nodes[0] < NODE_CAP // 100
+
+
 # K_p(9,4) at p = 0.85: trials with no superstar whose search in K(n,k)'s
 # index order takes 1.1M to 2.5M nodes; the ordered search decides each in
 # under 1% of the node cap.
 @pytest.mark.parametrize("trial", [4, 9, 10])
 def test_ordered_decision_settles_9_4_within_the_node_cap(trial, monkeypatch):
-    nodes = []
-    real = threshold.max_independent_set_masks
-
-    def search(adjacency, **kwargs):
-        result = real(adjacency, **kwargs)
-        nodes.append(result[2])
-        return result
-
-    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
+    nodes = searched_nodes(monkeypatch)
     sample = sample_subgraph(ThresholdParams(GroundParams(9, 4), 0.85, 1, SEED), trial)
     assert count_superstars(sample) == 0
     assert ekr_holds(sample).holds
@@ -213,14 +281,14 @@ def test_one_edge_short_of_the_full_graph_is_searched(monkeypatch):
 # runs on, only on the tree it visits.
 TREE_PINS = {
     ((14, 2), (0.5, 0.6, 0.7)): (
-        125, 30_070,
-        "5f4afbbede6264e141c8731673eeb9c759bb0a58b097cdddc1c86208623d031a"),
+        125, 27_117,
+        "1084721cba4b36afb13e0814a62d35840b44dd463da5e474f0c4a899bf39035f"),
     ((10, 3), (0.4, 0.5)): (
-        117, 308_140,
-        "eb15f7a35902af25c9a2f7044f0ae603ec9d1feca4b565a1f84566d9aab91822"),
+        117, 239_188,
+        "2ab63a468f2cc1f8c9ac2ad56ee71106ac7ccc022295a5c9c8e58826e0079bc2"),
     ((9, 3), (0.5, 0.7)): (
-        125, 53_528,
-        "004025ef6eb3a903de9e82f93699b44209f5ac0a7291be0820fe60246eb051f9"),
+        125, 44_534,
+        "0b5d08676aaebe85920084bfcbc2976bf31ed0ef4de024b3aeda01711714051c"),
 }
 
 
@@ -228,22 +296,15 @@ TREE_PINS = {
 def test_ekr_search_trees_are_pinned(nk, ps, monkeypatch):
     # any change to the order the EKR searches visit their trees in moves a
     # node count or a witness, and fails here on purpose
-    nodes = []
+    nodes = searched_nodes(monkeypatch)
     verdicts = []
-    real_search = threshold.max_independent_set_masks
     real_ekr = threshold.ekr_holds
-
-    def search(adjacency, **kwargs):
-        result = real_search(adjacency, **kwargs)
-        nodes.append(result[2])
-        return result
 
     def decide(sample):
         result = real_ekr(sample)
         verdicts.append(f"{int(result.holds)} {result.witness:x} {nodes[-1]}")
         return result
 
-    monkeypatch.setattr(threshold, "max_independent_set_masks", search)
     monkeypatch.setattr(threshold, "ekr_holds", decide)
     for i in range(4):
         estimate_probabilities(GroundParams(*nk), list(ps), 30, SEED * 10**6 + i)

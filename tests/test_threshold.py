@@ -1,5 +1,6 @@
 """random_threshold: sampling, superstars, EKR probability, analytic bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from kneserlab.threshold import (
     count_superstars,
     critical_probabilities,
     ekr_holds,
+    estimate_probabilities,
     estimate_probability,
     find_threshold,
     sample_subgraph,
@@ -203,6 +205,26 @@ def test_estimate_probability_deterministic_across_workers():
 def test_estimate_probability_requires_enough_trials():
     with pytest.raises(DomainError):
         estimate_probability(ThresholdParams(P5, 0.5, 5, 0))
+
+
+@pytest.mark.parametrize("trials,seed,field", [(30.5, 0, "trials"), (30, 1.5, "master_seed"),
+                                               (30, "7", "master_seed")])
+def test_non_integer_trials_or_seed_is_a_domain_error(trials, seed, field):
+    with pytest.raises(DomainError, match=field):
+        ThresholdParams(P12, 0.5, trials, seed)
+    with pytest.raises(DomainError, match=field):
+        estimate_probabilities(P12, [0.5], trials, seed)
+    with pytest.raises(DomainError, match=field):
+        find_threshold(P12, trials, seed)
+
+
+def test_threshold_params_read_numpy_integers_as_int():
+    tp = ThresholdParams(P12, 0.5, np.int64(30), np.int64(7))
+    assert type(tp.trials) is int and type(tp.master_seed) is int
+    want = json.dumps(estimate_probability(ThresholdParams(P12, 0.5, 30, 7)))
+    assert json.dumps(estimate_probability(tp)) == want
+    rows = estimate_probabilities(P12, [0.5], np.int64(30), np.int64(7))
+    assert json.dumps(rows) == f"[{want}]"
 
 
 def test_wilson_interval_basic():
