@@ -6,8 +6,9 @@ is a single AND.  Families are kept in canonical order (numeric on bit pattern),
 so equality of families is equality of representations.  Every family holds
 one sorted, read-only uint64 array, on which the member checks, membership,
 equality and the subset-count table run; Python ints are made only on demand.
-A valid file in save_family's shape is parsed in bulk; every fault goes to a
-line parse.
+The slice C([n],k) in that order has one producer, slice_masks, from which the
+constructors cut their arrays.  A valid file in save_family's shape is parsed
+in bulk; every fault goes to a line parse.  Integer inputs pass through integer.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ SUBSET_TABLE_GUARD = 1 << 22
 MASK64 = (1 << 64) - 1
 
 
+def integer(name: str, value) -> int:
+    """value, an int or numpy integer, as an int; else DomainError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GroundParams:
     """Ground-set size n and uniformity k, with 1 <= k <= n <= 64."""
@@ -47,6 +56,8 @@ class GroundParams:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if not (1 <= self.k <= self.n):
             raise DomainError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
         if self.n > MAX_GROUND_SET:
@@ -99,18 +110,21 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def slice_masks(n: int, k: int) -> np.ndarray:
+    """All k-subset masks of [n] in increasing numeric order, as a fresh uint64
+    array: the j-subsets of [m+1] are those of [m], then those of [m] one smaller
+    with element m+1 added.  Only the sizes that can still reach k are built,
+    largest first, each replaced once the next size up has read it."""
+    rows = [np.zeros(1, np.uint64)] + [np.empty(0, np.uint64)] * k  # j = 0..k
+    for m in range(n):
+        for j in range(min(k, m + 1), max(0, k - n + m), -1):
+            rows[j] = np.concatenate((rows[j], rows[j - 1] | np.uint64(1 << m)))
+    return rows[k]
+
+
 def enumerate_masks(n: int, k: int) -> Iterator[int]:
-    """All k-subset masks of [n] in increasing numeric order (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    limit = 1 << n
-    v = (1 << k) - 1
-    while v < limit:
-        yield v
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+    """slice_masks(n, k) as ints."""
+    return iter(slice_masks(n, k).tolist())
 
 
 class SetFamily:
@@ -163,14 +177,11 @@ class SetFamily:
         return cls(params, tuple(sorted(set(map(operator.index, masks)))))
 
     @classmethod
-    def _from_parsed(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
-        """The family of load_family's sorted, distinct uint64 masks of k-subsets
-        of [n], which _bulk_masks has checked; it holds a copy of them."""
+    def _from_sorted(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
+        """The family of masks, a fresh uint64 array of sorted, distinct masks of
+        k-subsets of [n], held with no check: its caller vouches for it."""
         family = cls.__new__(cls)
-        # hold a copy, made now that the parse's scratch arrays are freed, so it
-        # can take their place in the heap: the parsed array, made above them
-        # while they were live, would keep their pages from being returned
-        family._hold(params, masks.copy())
+        family._hold(params, masks)
         return family
 
     def __setattr__(self, name: str, *value) -> None:
@@ -203,25 +214,22 @@ class SetFamily:
 
     def __contains__(self, mask) -> bool:
         """One binary search of the array; a mask outside [0, 2^64), or equal to
-        no int, is no member."""
-        if not 0 <= mask <= MASK64 or mask != (key := int(mask)):
+        no int, such as a string or None, is no member."""
+        try:
+            if not 0 <= mask <= MASK64 or mask != (key := int(mask)):
+                return False
+        except TypeError:  # no order against ints
             return False
         i = self._array.searchsorted(key)
         return i < len(self._array) and self._array[i] == key
-
-    @functools.cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self._array.tolist())
 
     def complement(self) -> "SetFamily":
         """Complement with respect to the full slice C([n],k)."""
         if self.params.slice_size > ENUMERATION_GUARD:
             raise GuardError("slice too large to enumerate for complement")
-        mine = self.member_set
-        return SetFamily(
-            self.params,
-            tuple(m for m in enumerate_masks(self.params.n, self.params.k) if m not in mine),
-        )
+        full = slice_masks(self.params.n, self.params.k)
+        return SetFamily._from_sorted(
+            self.params, np.setdiff1d(full, self._array, assume_unique=True))
 
 
 # ── constructors ─────────────────────────────────────────────────────────
@@ -232,8 +240,8 @@ def star(params: GroundParams, centre: int) -> SetFamily:
         raise DomainError(f"star centre {centre} out of range 1..{params.n}")
     if params.star_size > ENUMERATION_GUARD:
         raise GuardError("star too large to materialise")
-    bit = 1 << (centre - 1)
-    return SetFamily(params, tuple(bit | m for m in _avoiding(params.n, centre, params.k - 1)))
+    masks = _avoiding(params.n, centre, params.k - 1) | np.uint64(1 << (centre - 1))
+    return SetFamily._from_sorted(params, masks)  # adding the centre keeps the order
 
 
 def antistar(params: GroundParams, avoided: int) -> SetFamily:
@@ -242,14 +250,14 @@ def antistar(params: GroundParams, avoided: int) -> SetFamily:
         raise DomainError(f"anti-star element {avoided} out of range 1..{params.n}")
     if math.comb(params.n - 1, params.k) > ENUMERATION_GUARD:
         raise GuardError("anti-star too large to materialise")
-    return SetFamily(params, tuple(_avoiding(params.n, avoided, params.k)))
+    return SetFamily._from_sorted(params, _avoiding(params.n, avoided, params.k))
 
 
-def _avoiding(n: int, c: int, size: int) -> Iterator[int]:
+def _avoiding(n: int, c: int, size: int) -> np.ndarray:
     """The size-subsets of [n] avoiding c, in numeric order: those of [n-1]
     with every bit from c-1 up moved one place higher, which keeps the order."""
-    low = (1 << (c - 1)) - 1
-    return ((m & low) | (m & ~low) << 1 for m in enumerate_masks(n - 1, size))
+    masks, low = slice_masks(n - 1, size), np.uint64((1 << (c - 1)) - 1)
+    return masks & low | (masks & ~low) << np.uint64(1)
 
 
 def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:
@@ -257,10 +265,8 @@ def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:
     smask = mask_from_elements(centres, params.n)
     if params.slice_size > ENUMERATION_GUARD:
         raise GuardError("slice too large to enumerate for union of stars")
-    return SetFamily(
-        params,
-        tuple(m for m in enumerate_masks(params.n, params.k) if m & smask),
-    )
+    full = slice_masks(params.n, params.k)
+    return SetFamily._from_sorted(params, full[(full & np.uint64(smask)) != 0])
 
 
 def random_family(params: GroundParams, m: int, seed: int) -> SetFamily:
@@ -272,10 +278,10 @@ def random_family(params: GroundParams, m: int, seed: int) -> SetFamily:
         raise DomainError(f"requested {m} sets but C({params.n},{params.k}) = {total}")
     if total > ENUMERATION_GUARD:
         raise GuardError("slice too large to enumerate for random sampling")
-    all_masks = list(enumerate_masks(params.n, params.k))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     order = rng.permutation(total)
-    return SetFamily.from_masks(params, (all_masks[i] for i in order[:m]))
+    return SetFamily._from_sorted(  # the first m of the shuffle, in slice order
+        params, slice_masks(params.n, params.k).take(np.sort(order[:m])))
 
 
 _SPEC_RE = re.compile(r"^(star|antistar|union|complement-of|random|file):(.*)$")
@@ -351,7 +357,10 @@ def load_family(path: Path) -> SetFamily:
         params = GroundParams(int(hm.group(1)), int(hm.group(2)))
         masks = _bulk_masks(np.frombuffer(raw, np.uint8)[hm.end() - 1:], params)
         if masks is not None:  # sorted and distinct k-subsets of [n]
-            return SetFamily._from_parsed(params, masks)
+            # hold a copy, made now that the parse's scratch arrays are freed, so
+            # it can take their place in the heap: the parsed array, made above
+            # them while they were live, would keep their pages from being returned
+            return SetFamily._from_sorted(params, masks.copy())
     try:
         text = raw.decode()
     except UnicodeDecodeError:
@@ -543,7 +552,7 @@ def sym_diff_size(f: SetFamily, g: SetFamily) -> int:
     """|F Δ G| for families over the same ground parameters."""
     if f.params != g.params:
         raise DomainError("symmetric difference needs matching (n,k)")
-    return len(f.member_set ^ g.member_set)
+    return len(np.setxor1d(f.array(), g.array(), assume_unique=True))
 
 
 def degree_profile(family: SetFamily) -> tuple[int, ...]:
@@ -563,6 +572,7 @@ def excess_ratio(params: GroundParams, ell: int, size: int, dp: int) -> tuple[in
     """((2l-1) alpha + 2 beta) k/(n-2k), the excess of a family of size members
     with dp disjoint pairs at l, as (numerator, positive denominator) over
     C(n-1,k-1) C(n-k-1,k-1) (n-2k): the one definition of the excess."""
+    ell = integer("ell", ell)
     if ell < 1:
         raise DomainError(f"l must be a positive integer, got {ell}")
     a, b, star, cross = _alpha_beta(params, ell, size, dp)
@@ -622,6 +632,7 @@ class FamilyStats:
 
 def family_stats(family: SetFamily, ell: int) -> FamilyStats:
     """Exact alpha and beta for a family at a given l (requires n > 2k)."""
+    ell = integer("ell", ell)
     if ell < 1:
         raise DomainError(f"l must be a positive integer, got {ell}")
     params = family.params

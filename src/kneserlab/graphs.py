@@ -1,9 +1,9 @@
 """Kneser graphs K(n,k) at desk scale: exact independence, spectra, Baranyai.
 
-Vertices are the k-subsets of [n] in canonical mask order; adjacency joins
-disjoint sets.  A set of vertices is a vertex mask, an int with bit v set iff
-vertex v is in it, packed as ceil(nv/8) little-endian bytes; the package
-converts it only through vertex_bits, vertex_mask and packed_rows.
+Vertices are the k-subsets of [n] in families.slice_masks' order; adjacency
+joins disjoint sets.  A set of vertices is a vertex mask, an int with bit v
+set iff vertex v is in it, packed as ceil(nv/8) little-endian bytes; the
+package converts it only through vertex_bits, vertex_mask and packed_rows.
 alpha(K(n,k)) is certified by matching the star lower bound against the
 ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|), which
 equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can only
@@ -23,7 +23,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import DomainError, GuardError, SearchBudgetExceeded
-from .families import GroundParams, SetFamily, elements_from_mask, enumerate_masks
+from .families import GroundParams, SetFamily, elements_from_mask, slice_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
@@ -102,8 +102,8 @@ def build_graph(params: GroundParams) -> KneserGraph:
     nv = params.slice_size
     if nv > BUILD_GUARD:
         raise GuardError(f"C({n},{k}) = {nv} exceeds build guard {BUILD_GUARD}")
-    vertices = tuple(enumerate_masks(n, k))
-    arr = np.array(vertices, dtype=np.uint64)
+    arr = slice_masks(n, k)
+    vertices = tuple(arr.tolist())
     adjacency = tuple(row for _, disj in disjoint_blocks(arr)
                       for row in packed_rows(np.packbits(disj, axis=1, bitorder="little")))
     # per element x, the vertices containing x: column x of the (nv, n) bits

@@ -27,6 +27,7 @@ from .families import (
     disjoint_pairs,
     excess_ratio,
     family_stats,
+    integer,
     recent_family_memo,
     subset_counts,
 )
@@ -49,6 +50,7 @@ class RemovalConfig:
     c_const: float = DEFAULT_C_CONST
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ell", integer("ell", self.ell))
         if self.ell < 1:
             raise DomainError(f"l must be a positive integer, got {self.ell}")
         if not self.c_const > 1:
@@ -160,7 +162,8 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     s_bound = max(1, ceil(C n sqrt(eps)/k)); all centre sets of size
     0..s_bound are tried on both branches; holds = (closeness <= C * eps),
     decided in integers.  The report for the most recent (family, cfg) is
-    memoised, so the bound check, the case table and the CLI share one search.
+    memoised, so the case table, case_classify and the CLI share one search;
+    the bound check runs none.
     """
     params = family.params
     n, k = params.n, params.k

@@ -5,12 +5,12 @@ Each trial gets its own counter-based RNG stream keyed by
 how trials are scheduled across workers; one Philox per process is re-keyed
 for each trial.  A sample draws one uniform per edge of K(n,k) and keeps the
 mask of retained edges.  K(n,k) is regular, so a slot table filled once per
-(n,k) from graphs' disjointness pass, with no graph built, lists each
-vertex's incident edges and the element masks across them, and one
-gather-and-reduce pass over it ORs each vertex's retained neighbours into
-the elements blocked for it.  The unblocked ones certify superstars, which
-give the superstar count, star survival and a search-free EKR failure; the
-ratio bound proves EKR, again without a search, on a sample that keeps
+(n,k) from graphs' disjointness pass over families.slice_masks, with no graph
+built, lists each vertex's incident edges and the element masks across them,
+and one gather-and-reduce pass over it ORs each vertex's retained neighbours
+into the elements blocked for it.  The unblocked ones certify superstars,
+which give the superstar count, star survival and a search-free EKR failure;
+the ratio bound proves EKR, again without a search, on a sample that keeps
 every edge.  Any other sample is decided by branch and bound on a copy
 relabelled by ascending degree less thrice the mean neighbour degree (MCR's
 weighing; ties to index), packed from the retained edges, listed only then;
@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
 from .errors import DomainError, GuardError
-from .families import GroundParams, enumerate_masks
+from .families import GroundParams, integer, slice_masks
 from .graphs import (neighbour_blocks, packed_rows, ratio_bound, require_graph,
                      vertex_bits, vertex_mask)
 from .mis import max_independent_set_masks
@@ -72,11 +71,7 @@ class ThresholdParams:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0,1], got {self.p}")
         for name in ("trials", "master_seed"):  # numpy integers become int
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
 
@@ -101,7 +96,7 @@ class _SampleContext:
             raise GuardError(f"K({params.n},{params.k}) has {self.edge_count} edges and "
                              f"{nv * self.width} bytes of adjacency rows, over the "
                              f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
-        masks = np.fromiter(enumerate_masks(params.n, params.k), np.uint64, nv)
+        masks = slice_masks(params.n, params.k)
         self.free = np.uint64((1 << params.n) - 1) & ~masks  # elements outside each vertex
         # the star at centre 1, per vertex and as a mask: independent in every K_p
         self.star = (masks & np.uint64(1)).astype(bool)
@@ -364,7 +359,7 @@ def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
         rows[tp] = {"n": params.n, "k": params.k, "p": tp.p, "trials": trials,
                     "successes": successes, "fraction": successes / trials,
                     "ci_lo": lo, "ci_hi": hi, "mean_x": x_sum / trials, "seed": seed}
-    return [rows[tp] for tp in tps]
+    return [dict(rows[tp]) for tp in tps]  # a p asked for twice gets two rows
 
 
 def estimate_probability(tp: ThresholdParams, *, workers: int = 1) -> dict:
@@ -505,6 +500,7 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     big = math.comb(n - 1, k)
     log_nbig = math.log(n) + math.log(big)
 
+    i, j = integer("i", i), integer("j", j)
     if i < 0 or i > star:
         raise DomainError(f"i must lie in 0..C(n-1,k-1)={star}, got {i}")
     if j < 0:

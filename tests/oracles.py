@@ -19,13 +19,27 @@ from kneserlab.families import (
     degree_profile,
     disjoint_pairs,
     elements_from_mask,
-    enumerate_masks,
     mask_from_elements,
 )
 from kneserlab.graphs import KneserGraph, baranyai_partition
 from kneserlab.mis import max_independent_set_masks
 from kneserlab.removal import CenterSetReport, RemovalReport
 from kneserlab.spectral import ResidualBoundReport, SpectralDecomposition
+
+
+def gosper_masks(n: int, k: int) -> Iterator[int]:
+    """All k-subset masks of [n] in increasing numeric order, by Gosper's hack:
+    the next mask with as many bits, one at a time."""
+    if k == 0:
+        yield 0
+        return
+    limit = 1 << n
+    v = (1 << k) - 1
+    while v < limit:
+        yield v
+        c = v & -v
+        r = v + c
+        v = (((r ^ v) >> 2) // c) | r
 
 
 def brute_force_maximum(adjacency: Sequence[int]) -> tuple[int, list[int]]:
@@ -199,7 +213,7 @@ def nearest_union_heuristic(family: SetFamily, ell: int) -> tuple[tuple[int, ...
 
 def baranyai_backtrack(n: int, k: int) -> list[list[int]]:
     """Exact backtracking 1-factorisation of the slice, as lists of set masks."""
-    all_masks = list(enumerate_masks(n, k))
+    all_masks = list(gosper_masks(n, k))
     full = (1 << n) - 1
     unused = set(all_masks)
     classes: list[list[int]] = []
@@ -239,7 +253,7 @@ def clique_union_extremal(params: GroundParams) -> dict:
     adjacency over K(n,k)'s vertex order, alpha from the MIS engine, and the
     degrees and edges counted off the adjacency."""
     n, k = params.n, params.k
-    index = {mask: i for i, mask in enumerate(enumerate_masks(n, k))}
+    index = {mask: i for i, mask in enumerate(gosper_masks(n, k))}
     adjacency = [0] * len(index)
     for fam in baranyai_partition(params).classes:
         cm = 0
@@ -420,5 +434,5 @@ def _basis_values(n: int, masks) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _slice_gram(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    x = _basis_values(n, enumerate_masks(n, k))
+    x = _basis_values(n, gosper_masks(n, k))
     return tuple(tuple(row) for row in (x.T @ x).tolist())

@@ -68,7 +68,7 @@ def _perturbed_star(params: GroundParams, removals: int, additions: int,
                       reverse=True):
         members.pop(int(idx))
     outside = [m for m in enumerate_masks(params.n, params.k)
-               if m not in star.member_set]
+               if m not in star]
     additions = min(additions, len(outside))
     if additions:
         picks = rng.choice(len(outside), size=additions, replace=False)

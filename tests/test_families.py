@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -21,14 +22,18 @@ from kneserlab.families import (
     disjoint_pairs,
     elements_from_mask,
     enumerate_masks,
+    excess_ratio,
     family_stats,
     load_family,
     random_family,
     save_family,
+    slice_masks,
     star,
     sym_diff_size,
 )
 from kneserlab.removal import RemovalConfig, case_table, center_set_check, removal_bound_check
+
+from oracles import gosper_masks
 
 
 def as_sets(family):
@@ -57,6 +62,73 @@ def test_enumerate_masks_is_sorted_and_complete():
         assert masks == sorted(masks)
         assert len(masks) == math.comb(n, k)
         assert all(m.bit_count() == k for m in masks)
+
+
+def test_ground_params_read_integers():
+    for n, k, field in ((5.0, 2, "n"), (5, "2", "k"), (None, 2, "n")):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            GroundParams(n, k)
+    params = GroundParams(np.int64(10), np.uint8(2))
+    assert (type(params.n), type(params.k)) == (int, int) and params == GroundParams(10, 2)
+    fam = build_family(GroundParams(np.int64(10), 2), "star:1")
+    assert fam == build_family(GroundParams(10, 2), "star:1")
+
+
+def test_slice_masks_match_gosper_walk():
+    grid = [(n, k) for n in range(13) for k in range(n + 1)] + [(40, 4), (64, 1), (64, 2)]
+    for n, k in grid:
+        masks = slice_masks(n, k)
+        want = list(gosper_masks(n, k))
+        assert masks.dtype == np.uint64 and masks.tolist() == want, (n, k)
+        masks ^= np.uint64(1)  # fresh: writing to it changes no later slice
+        assert slice_masks(n, k).tolist() == want
+        assert list(enumerate_masks(n, k)) == want
+
+
+def test_slice_masks_peak_under_four_times_the_slice():
+    # each size is replaced once the next size up has read it: about twice
+    tracemalloc.start()
+    try:
+        masks = slice_masks(23, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == math.comb(23, 11)
+    assert peak < 4 * masks.nbytes
+
+
+def oracle_members(n, k, spec):
+    """The members of a star, anti-star, union, complement-of or random spec,
+    filtered from the Gosper walk one int at a time."""
+    every = list(gosper_masks(n, k))
+    kind, _, rest = spec.partition(":")
+    if kind == "complement-of":
+        inner = set(oracle_members(n, k, rest))
+        return [m for m in every if m not in inner]
+    if kind == "random":
+        size, seed = map(int, rest.split(":"))
+        order = np.random.Generator(np.random.Philox(key=np.uint64(seed))).permutation(len(every))
+        return sorted(every[i] for i in order[:size])
+    smask = sum(1 << (int(c) - 1) for c in rest.split(","))
+    return [m for m in every if bool(m & smask) == (kind != "antistar")]
+
+
+def test_constructors_hold_their_array_without_the_member_checks(monkeypatch):
+    def checked(*args):
+        raise AssertionError("a constructor ran the member checks")
+
+    monkeypatch.setattr(SetFamily, "__init__", checked)
+    for n, k in [(1, 1), (5, 2), (6, 3), (7, 1), (8, 4), (9, 9), (12, 5), (40, 4)]:
+        total = math.comb(n, k)
+        union = ",".join(map(str, sorted({1, n})))
+        specs = [f"star:{n}", f"antistar:{(n + 1) // 2}", f"union:{union}", "complement-of:star:1",
+                 f"complement-of:random:{total // 3}:{n}", f"random:{total // 2}:{k}",
+                 f"random:{total}:1", "random:0:1"]
+        for spec in specs:
+            fam = build_family(GroundParams(n, k), spec)
+            assert fam.members == tuple(oracle_members(n, k, spec)), (n, k, spec)
+            assert vars(fam).keys() == {"params", "_array"}
+            assert fam.array().dtype == np.uint64 and not fam.array().flags.writeable
 
 
 def test_star_examples():
@@ -479,14 +551,19 @@ def test_from_masks_reads_numpy_integers_as_ints(kind):
         assert raised(SetFamily.from_masks, params, as_numpy(bad)) == expected
 
 
+def test_membership_of_a_non_number_is_false():
+    fam = build_family(GroundParams(5, 2), "star:1")  # 3 = {1, 2} is a member
+    for probe in ("a", None, "3", b"3", [3], 3j, object()):
+        assert probe not in fam
+    assert 3 in fam and 3.0 in fam and np.uint64(3) in fam and 3.5 not in fam
+
+
 def test_membership_matches_member_scan():
     params = GroundParams(8, 3)
     fam = build_family(params, "random:20:5")
     for mask in enumerate_masks(8, 3):
         assert (mask in fam) == any(m == mask for m in fam.members)
     assert 0 not in fam and (1 << 8) not in fam
-    assert fam.member_set is fam.member_set
-    assert fam.member_set == frozenset(fam.members)
 
 
 @pytest.mark.parametrize("loaded", [False, True])
@@ -556,6 +633,22 @@ def test_degree_profile_examples():
 def test_degree_profile_sums_to_k_times_size():
     fam = build_family(GroundParams(9, 3), "random:30:4")
     assert sum(degree_profile(fam)) == 3 * len(fam)
+
+
+def test_ell_is_read_as_an_integer():
+    fam = build_family(GroundParams(9, 2), "star:1")
+    for bad in (1.5, "1", None):
+        with pytest.raises(DomainError, match="^ell must be an integer"):
+            family_stats(fam, bad)
+        with pytest.raises(DomainError, match="^ell must be an integer"):
+            excess_ratio(fam.params, bad, len(fam), 0)
+        with pytest.raises(DomainError, match="^ell must be an integer"):
+            RemovalConfig(bad)
+    stats = family_stats(fam, np.int64(1))
+    assert type(stats.ell) is int and stats == family_stats(fam, 1)
+    assert json.dumps(stats.to_json_dict()) == json.dumps(family_stats(fam, 1).to_json_dict())
+    assert excess_ratio(fam.params, np.int64(2), 5, 3) == excess_ratio(fam.params, 2, 5, 3)
+    assert type(RemovalConfig(np.int64(2)).ell) is int
 
 
 def test_family_stats_examples():

@@ -47,14 +47,19 @@ def test_module_uses_its_imports(module):
 MASK_CODEC_CALLS = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
 
 
-def mask_codec_calls(source: str) -> set[str]:
-    """The MASK_CODEC_CALLS that source makes, as a function or a method."""
+def called_names(source: str) -> set[str]:
+    """The names that source calls, as a function or a method."""
     calls = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
-    return calls & MASK_CODEC_CALLS
+    return calls
+
+
+def mask_codec_calls(source: str) -> set[str]:
+    """The MASK_CODEC_CALLS that source makes, as a function or a method."""
+    return called_names(source) & MASK_CODEC_CALLS
 
 
 def test_mask_codec_calls_finds_every_form():
@@ -72,9 +77,17 @@ def test_only_graphs_converts_vertex_masks():
             if mask_codec_calls(p.read_text())} == {"graphs"}
 
 
+def test_only_families_walks_the_slice_by_ints():
+    # C([n],k) has one producer, families.slice_masks, which the other modules
+    # read as an array; enumerate_masks, its ints, is for readers outside
+    assert "enumerate_masks" in called_names("m = list(families.enumerate_masks(5, 2))\n")
+    assert {p.stem for p in PACKAGE.glob("*.py")
+            if "enumerate_masks" in called_names(p.read_text())} <= {"families"}
+
+
 # a family's storage, its sorted uint64 array, has one home, families: no
-# other module reads the array attribute or builds a family from a parsed array
-FAMILY_STORAGE_NAMES = {"_array", "_from_parsed"}
+# other module reads the array attribute or holds an array as a family unchecked
+FAMILY_STORAGE_NAMES = {"_array", "_from_sorted"}
 
 
 def family_storage_names(source: str) -> set[str]:
@@ -84,7 +97,7 @@ def family_storage_names(source: str) -> set[str]:
 
 
 def test_family_storage_names_finds_every_form():
-    source = ("a = fam._array\nb = SetFamily._from_parsed(p, m)\n"
+    source = ("a = fam._array\nb = SetFamily._from_sorted(p, m)\n"
               "c = len(family._array)\n")
     assert family_storage_names(source) == FAMILY_STORAGE_NAMES
     # the public reader, other names, and a string that is not an attribute

@@ -56,7 +56,7 @@ def perturbed_star(params, removals, additions, seed):
     for m in rng.sample(members, removals):
         members.remove(m)
     outside = [m for m in enumerate_masks(params.n, params.k)
-               if m not in star.member_set]
+               if m not in star]
     members.extend(rng.sample(outside, additions))
     return SetFamily.from_masks(params, members)
 
@@ -162,7 +162,7 @@ def test_monotone_sanity_adding_counted_set():
     fam = perturbed_star(params, removals=2, additions=0, seed=3)
     centres, dist = nearest_union_exact(fam, 1)
     missing = [m for m in build_family(params, f"star:{centres[0]}").members
-               if m not in fam.member_set]
+               if m not in fam]
     bigger = SetFamily.from_masks(params, list(fam.members) + [missing[0]])
     assert nearest_union_exact(bigger, 1)[1] <= dist
 

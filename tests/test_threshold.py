@@ -227,6 +227,13 @@ def test_threshold_params_read_numpy_integers_as_int():
     assert json.dumps(rows) == f"[{want}]"
 
 
+def test_repeated_p_gets_a_row_of_its_own():
+    rows = estimate_probabilities(P12, [0.5, 0.7, 0.5], 30, 1)
+    assert rows[0] == rows[2] and rows[0] is not rows[2]
+    rows[0]["fraction"] = -1.0
+    assert rows[2] == estimate_probabilities(P12, [0.5], 30, 1)[0]
+
+
 def test_wilson_interval_basic():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
@@ -302,6 +309,20 @@ def test_analytic_bounds_domain_errors():
         analytic_bounds(GroundParams(4, 2), 1.0, 1, 1)
     with pytest.raises(DomainError):
         analytic_bounds(P12, 0.0, 1, 1)
+
+
+@pytest.mark.parametrize("i,j,field", [(1.5, 2.5, "i"), (1, 2.5, "j"), ("1", 1, "i"),
+                                       (1, None, "j")])
+def test_non_integer_i_or_j_is_a_domain_error(i, j, field):
+    with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+        analytic_bounds(P12, 1.1, i, j)
+
+
+def test_analytic_bounds_read_numpy_integers_as_int():
+    rep = analytic_bounds(P12, 1.1, np.int64(1), np.uint16(2))
+    assert (type(rep.i), type(rep.j)) == (int, int)
+    want = analytic_bounds(P12, 1.1, 1, 2).to_json_dict()
+    assert json.dumps(rep.to_json_dict()) == json.dumps(want)
 
 
 def test_bound_report_json_serialisable():
