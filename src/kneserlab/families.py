@@ -6,9 +6,9 @@ is a single AND.  Families are kept in canonical order (numeric on bit pattern),
 so equality of families is equality of representations.  Every family holds
 one sorted, read-only uint64 array, on which the member checks, membership,
 equality and the subset-count table run; Python ints are made only on demand.
-The slice C([n],k) in that order has one producer, slice_masks, from which the
-constructors cut their arrays.  A valid file in save_family's shape is parsed
-in bulk; every fault goes to a line parse.  Integer inputs pass through integer.
+C([n],k) in that order has one producer, slice_masks, which alone guards its
+size; the constructors cut their arrays from it.  A valid file in save_family's
+shape is parsed in bulk, any fault by lines.  Integers pass through integer.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import DomainError, GuardError
 
 MAX_GROUND_SET = 64
 
-# build_family refuses to enumerate slices larger than this (random/union/complement).
+# slice_masks, which every slice-cut constructor reads, refuses larger slices.
 ENUMERATION_GUARD = 5_000_000
 
 # The subset-count table refuses families with over this many (member, submask)
@@ -92,6 +92,7 @@ class GroundParams:
 def mask_from_elements(elements: Sequence[int], n: int) -> int:
     mask = 0
     for e in elements:
+        e = integer("element", e)
         if not (1 <= e <= n):
             raise DomainError(f"element {e} out of range 1..{n}")
         bit = 1 << (e - 1)
@@ -114,7 +115,10 @@ def slice_masks(n: int, k: int) -> np.ndarray:
     """All k-subset masks of [n] in increasing numeric order, as a fresh uint64
     array: the j-subsets of [m+1] are those of [m], then those of [m] one smaller
     with element m+1 added.  Only the sizes that can still reach k are built,
-    largest first, each replaced once the next size up has read it."""
+    largest first, each replaced once the next size up has read it.  A slice
+    over ENUMERATION_GUARD sets raises GuardError before anything is made."""
+    if math.comb(n, k) > ENUMERATION_GUARD:
+        raise GuardError(f"C({n},{k}) is over the enumeration guard {ENUMERATION_GUARD}")
     rows = [np.zeros(1, np.uint64)] + [np.empty(0, np.uint64)] * k  # j = 0..k
     for m in range(n):
         for j in range(min(k, m + 1), max(0, k - n + m), -1):
@@ -174,7 +178,12 @@ class SetFamily:
     @classmethod
     def from_masks(cls, params: GroundParams, masks) -> "SetFamily":
         """The family of the distinct masks, ints or numpy integers, in any order."""
-        return cls(params, tuple(sorted(set(map(operator.index, masks)))))
+        masks = list(masks)
+        try:  # a set of operator.index, in C; integer only to name a fault
+            ints = set(map(operator.index, masks))
+        except TypeError:
+            ints = {integer("mask", m) for m in masks}
+        return cls(params, tuple(sorted(ints)))
 
     @classmethod
     def _from_sorted(cls, params: GroundParams, masks: np.ndarray) -> "SetFamily":
@@ -225,8 +234,6 @@ class SetFamily:
 
     def complement(self) -> "SetFamily":
         """Complement with respect to the full slice C([n],k)."""
-        if self.params.slice_size > ENUMERATION_GUARD:
-            raise GuardError("slice too large to enumerate for complement")
         full = slice_masks(self.params.n, self.params.k)
         return SetFamily._from_sorted(
             self.params, np.setdiff1d(full, self._array, assume_unique=True))
@@ -236,20 +243,18 @@ class SetFamily:
 
 def star(params: GroundParams, centre: int) -> SetFamily:
     """All k-subsets of [n] containing the fixed element `centre`."""
+    centre = integer("centre", centre)
     if not (1 <= centre <= params.n):
         raise DomainError(f"star centre {centre} out of range 1..{params.n}")
-    if params.star_size > ENUMERATION_GUARD:
-        raise GuardError("star too large to materialise")
     masks = _avoiding(params.n, centre, params.k - 1) | np.uint64(1 << (centre - 1))
     return SetFamily._from_sorted(params, masks)  # adding the centre keeps the order
 
 
 def antistar(params: GroundParams, avoided: int) -> SetFamily:
     """All k-subsets of [n] avoiding the fixed element `avoided`."""
+    avoided = integer("avoided", avoided)
     if not (1 <= avoided <= params.n):
         raise DomainError(f"anti-star element {avoided} out of range 1..{params.n}")
-    if math.comb(params.n - 1, params.k) > ENUMERATION_GUARD:
-        raise GuardError("anti-star too large to materialise")
     return SetFamily._from_sorted(params, _avoiding(params.n, avoided, params.k))
 
 
@@ -263,25 +268,23 @@ def _avoiding(n: int, c: int, size: int) -> np.ndarray:
 def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:
     """All k-subsets meeting the centre set: the family G_S for S = centres."""
     smask = mask_from_elements(centres, params.n)
-    if params.slice_size > ENUMERATION_GUARD:
-        raise GuardError("slice too large to enumerate for union of stars")
     full = slice_masks(params.n, params.k)
     return SetFamily._from_sorted(params, full[(full & np.uint64(smask)) != 0])
 
 
 def random_family(params: GroundParams, m: int, seed: int) -> SetFamily:
     """m distinct k-sets sampled without replacement via a seeded shuffle."""
+    m, seed = integer("m", m), integer("seed", seed)
     total = params.slice_size
     if m < 0:
         raise DomainError(f"random family size must be non-negative, got {m}")
     if m > total:
         raise DomainError(f"requested {m} sets but C({params.n},{params.k}) = {total}")
-    if total > ENUMERATION_GUARD:
-        raise GuardError("slice too large to enumerate for random sampling")
+    full = slice_masks(params.n, params.k)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     order = rng.permutation(total)
     return SetFamily._from_sorted(  # the first m of the shuffle, in slice order
-        params, slice_masks(params.n, params.k).take(np.sort(order[:m])))
+        params, full.take(np.sort(order[:m])))
 
 
 _SPEC_RE = re.compile(r"^(star|antistar|union|complement-of|random|file):(.*)$")

@@ -2,8 +2,8 @@
 
 Vertices are the k-subsets of [n] in families.slice_masks' order; adjacency
 joins disjoint sets.  A set of vertices is a vertex mask, an int with bit v
-set iff vertex v is in it, packed as ceil(nv/8) little-endian bytes; the
-package converts it only through vertex_bits, vertex_mask and packed_rows.
+set iff vertex v is in it, as ceil(nv/8) little-endian bytes; the package
+converts it only by vertex_bits, vertex_mask, packed_rows and edge_rows.
 alpha(K(n,k)) is certified by matching the star lower bound against the
 ratio (Hoffman) upper bound V * |lambda_1| / (lambda_0 + |lambda_1|), which
 equals C(n-1,k-1) exactly for every n >= 2k; a gap between the two can only
@@ -30,6 +30,7 @@ BUILD_GUARD = 50_000
 BLOCK_BYTES = 256 << 10  # uint64 ANDed per block of disjoint_blocks
 SPECTRUM_GUARD = 500
 SOLUTION_CAP = 1_000_000
+_BIT8 = np.array([1 << i for i in range(8)], dtype=np.uint8)  # bit i of a byte
 
 
 # ── the vertex-mask codec ────────────────────────────────────────────────
@@ -52,6 +53,23 @@ def packed_rows(packed: np.ndarray) -> tuple[int, ...]:
     packed = np.ascontiguousarray(packed)
     return tuple(int.from_bytes(row, "little")
                  for row in packed.view(f"S{packed.shape[1]}").ravel())
+
+
+def row_bytes(nv: int) -> int:
+    """The bytes that edge_rows packs for nv vertices."""
+    return nv * ((nv + 7) // 8)
+
+
+def edge_rows(nv: int, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
+    """The adjacency rows of nv vertices joined by distinct edges (u[i], v[i]), u != v."""
+    # each edge twice, as (row, column) and (column, row), in int32 while
+    # row_bytes(nv) < 2^31 (threshold.ROW_GUARD).  No bit is set twice, so add.at's
+    # sum (numpy's indexed fast loop; bitwise_or.at has none) is the OR.
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    width = (nv + 7) // 8
+    packed = np.zeros(nv * width, dtype=np.uint8)
+    np.add.at(packed, rows * width + (cols >> 3), _BIT8[cols & 7])
+    return packed_rows(packed.reshape(nv, width))
 
 
 @dataclass(frozen=True)

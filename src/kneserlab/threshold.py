@@ -13,13 +13,13 @@ which give the superstar count, star survival and a search-free EKR failure;
 the ratio bound proves EKR, again without a search, on a sample that keeps
 every edge.  Any other sample is decided by branch and bound on a copy
 relabelled by ascending degree less thrice the mean neighbour degree (MCR's
-weighing; ties to index), packed from the retained edges, listed only then;
-a star is its incumbent, so it looks only for a set one larger; vertex masks
-meet bits and bytes only through graphs' codec.  EKR is monotone in p under
-this coupling, so a trial walks its p values ascending: a search proving EKR
-settles every larger p, and a refuting witness, mapped back to the sample's
-vertex order, every p up to its least edge uniform.  Analytic evaluators
-work in log-space: the exponents reach C(n-1,k-1) and overflow doubles.
+weighing; ties to index), packed by graphs.edge_rows from the retained edges,
+listed only then; a star is its incumbent, so it looks only for a set one
+larger; only graphs turns vertex masks into bits and bytes.  EKR is monotone
+in p under this coupling, so a trial walks its p values ascending: a search
+proving EKR settles every larger p, and a refuting witness, mapped back to the
+sample's vertex order, every p up to its least edge uniform.  Analytic
+evaluators work in log-space: exponents reach C(n-1,k-1) and overflow doubles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams, integer, slice_masks
-from .graphs import (neighbour_blocks, packed_rows, ratio_bound, require_graph,
+from .graphs import (edge_rows, neighbour_blocks, ratio_bound, require_graph, row_bytes,
                      vertex_bits, vertex_mask)
 from .mis import max_independent_set_masks
 
@@ -55,7 +55,6 @@ THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
 WORKER_GUARD = 64  # most worker processes one estimate may start
 CI_MIN_TRIALS = 30
 _ZERO4 = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
-_BIT8 = np.array([1 << i for i in range(8)], dtype=np.uint8)  # bit i of a byte
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,11 @@ class _SampleContext:
     def __init__(self, params: GroundParams) -> None:
         require_graph(params)
         nv = self.nv = params.slice_size
-        self.width = (nv + 7) // 8  # bytes per packed adjacency row
         degree = params.kneser_degree
         self.edge_count = nv * degree // 2
-        if self.edge_count > EDGE_GUARD or nv * self.width > ROW_GUARD:
+        if self.edge_count > EDGE_GUARD or row_bytes(nv) > ROW_GUARD:
             raise GuardError(f"K({params.n},{params.k}) has {self.edge_count} edges and "
-                             f"{nv * self.width} bytes of adjacency rows, over the "
+                             f"{row_bytes(nv)} bytes of adjacency rows, over the "
                              f"sampling guards {EDGE_GUARD} and {ROW_GUARD}")
         masks = slice_masks(params.n, params.k)
         self.free = np.uint64((1 << params.n) - 1) & ~masks  # elements outside each vertex
@@ -138,20 +136,6 @@ def _context(params: GroundParams) -> _SampleContext:
     return ctx
 
 
-def _pack_rows(ctx: _SampleContext, u: np.ndarray, v: np.ndarray) -> tuple[int, ...]:
-    """Adjacency bitsets of the graph with distinct loop-free edges (u[i], v[i])."""
-    # each edge twice, as (row, column) and (column, row); int32 indices
-    # suffice, since nv * width < 2^31 under ROW_GUARD.  The edges are
-    # distinct and loop-free, so no (row, column) bit is set twice and the
-    # sum add.at forms (numpy's indexed fast loop; bitwise_or.at has none)
-    # is the OR of the bits, with no carry.
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    width = ctx.width
-    packed = np.zeros(ctx.nv * width, dtype=np.uint8)
-    np.add.at(packed, rows * width + (cols >> 3), _BIT8[cols & 7])
-    return packed_rows(packed.reshape(ctx.nv, width))
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeSample:
     """A sampled subgraph: its retained edges plus its superstar certificate.
@@ -175,7 +159,7 @@ class EdgeSample:
     @functools.cached_property
     def adjacency(self) -> tuple[int, ...]:
         """Adjacency bitsets in K(n,k)'s vertex order, packed on first use."""
-        return _pack_rows(_context(self.params), *self.edges)
+        return edge_rows(self.params.slice_size, *self.edges)
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
@@ -185,6 +169,7 @@ def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
     mod 2^64, from counter zero: the context's one Philox is re-keyed, with
     its counter zeroed and its buffer emptied.
     """
+    trial_index = integer("trial_index", trial_index)
     ctx = _context(tp.params)
     key = np.array([tp.master_seed & (2**64 - 1), trial_index & (2**64 - 1)],
                    dtype=np.uint64)
@@ -224,7 +209,7 @@ def count_superstars(sample: EdgeSample) -> int:
 def star_survives(sample: EdgeSample, centre: int) -> bool:
     """True iff the star at `centre` is maximal independent in the sample
     (it admits no superstar extension)."""
-    n = sample.params.n
+    n, centre = sample.params.n, integer("centre", centre)
     if not (1 <= centre <= n):
         raise DomainError(f"centre {centre} out of range 1..{n}")
     return not (sample.unblocked & np.uint64(1 << (centre - 1))).any()
@@ -267,7 +252,7 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     label = np.empty_like(order)
     label[order] = np.arange(nv - 1, -1, -1)
     size, found, _ = max_independent_set_masks(
-        _pack_rows(ctx, label.take(u), label.take(v)), stop_at=target,
+        edge_rows(nv, label.take(u), label.take(v)), stop_at=target,
         initial=vertex_mask(ctx.star[order[::-1]]))
     if size < target:  # the star incumbent stood
         return EkrSampleResult(holds=True, witness=ctx.star_mask)

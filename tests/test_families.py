@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from kneserlab.families import (
     slice_masks,
     star,
     sym_diff_size,
+    union_of_stars,
 )
 from kneserlab.removal import RemovalConfig, case_table, center_set_check, removal_bound_check
 
@@ -131,6 +133,56 @@ def test_constructors_hold_their_array_without_the_member_checks(monkeypatch):
             assert fam.array().dtype == np.uint64 and not fam.array().flags.writeable
 
 
+def test_slice_masks_guard_raises_before_allocating(monkeypatch):
+    from kneserlab import families
+
+    monkeypatch.setattr(families, "ENUMERATION_GUARD", 20)
+    assert len(slice_masks(6, 3)) == 20  # at the guard
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError):
+            slice_masks(20, 10)  # 184,756 sets, 1.5 MB
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+# the slice each spec's constructors read, as C(n', k') of (n, k)
+GUARDED_SLICES = {
+    "star:1": lambda n, k: math.comb(n - 1, k - 1),
+    "antistar:1": lambda n, k: math.comb(n - 1, k),
+    "union:1,2": math.comb,
+    "complement-of:star:1": math.comb,
+    "random:3:7": math.comb,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GUARDED_SLICES))
+@pytest.mark.parametrize("n,k", [(7, 1), (9, 3), (12, 5)])
+def test_constructors_meet_the_guard_at_their_slice(spec, n, k, monkeypatch):
+    from kneserlab import families
+
+    params, size = GroundParams(n, k), GUARDED_SLICES[spec](n, k)
+    monkeypatch.setattr(families, "ENUMERATION_GUARD", size)
+    assert build_family(params, spec).members == tuple(oracle_members(n, k, spec))
+    monkeypatch.setattr(families, "ENUMERATION_GUARD", size - 1)
+    with pytest.raises(GuardError):
+        build_family(params, spec)
+
+
+def test_random_size_is_checked_before_the_guard(monkeypatch):
+    from kneserlab import families
+
+    monkeypatch.setattr(families, "ENUMERATION_GUARD", 0)
+    params = GroundParams(9, 3)  # C(9,3) = 84
+    for m in (-1, 85):
+        with pytest.raises(DomainError):
+            build_family(params, f"random:{m}:1")
+    with pytest.raises(GuardError):
+        build_family(params, "random:84:1")
+
+
 def test_star_examples():
     fam = build_family(GroundParams(5, 2), "star:1")
     assert as_sets(fam) == {frozenset(s) for s in [(1, 2), (1, 3), (1, 4), (1, 5)]}
@@ -189,6 +241,28 @@ def test_negative_random_size_is_a_domain_error(m):
         build_family(GroundParams(6, 2), f"random:{m}:1")
     with pytest.raises(DomainError, match="non-negative"):
         random_family(GroundParams(6, 2), m, 1)
+
+
+def test_constructors_read_their_integers():
+    params = GroundParams(10, 2)
+    for field, build in (("m", lambda: random_family(params, 5.0, 1)),
+                         ("seed", lambda: random_family(params, 5, 1.5)),
+                         ("centre", lambda: star(params, 1.0)),
+                         ("avoided", lambda: antistar(params, "1")),
+                         ("element", lambda: union_of_stars(params, [1.0])),
+                         ("mask", lambda: SetFamily.from_masks(params, [3.0])),
+                         ("mask", lambda: SetFamily.from_masks(params, (m for m in (3, None))))):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            build()
+    # numpy integers build the family that ints build, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert random_family(params, np.int64(5), np.int64(1)) == random_family(params, 5, 1)
+        assert random_family(params, 5, np.int64(-1)) == random_family(params, 5, -1)
+        assert star(GroundParams(64, 1), np.int64(64)) == star(GroundParams(64, 1), 64)
+        assert antistar(params, np.uint8(3)) == antistar(params, 3)
+        assert union_of_stars(params, [np.int64(1), np.uint8(10)]) == \
+            union_of_stars(params, [1, 10])
 
 
 def test_family_file_round_trip(tmp_path):

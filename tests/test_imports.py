@@ -43,8 +43,9 @@ def test_module_uses_its_imports(module):
 
 
 # the calls that convert a vertex mask between ints, bytes and bits; its
-# format (bit v = vertex v, little-endian bytes) has one home, graphs
-MASK_CODEC_CALLS = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+# format (bit v = vertex v, little-endian bytes) has one home, graphs, whose
+# packed_rows reads packed bytes as masks
+MASK_CODEC_CALLS = {"packbits", "unpackbits", "from_bytes", "to_bytes", "packed_rows"}
 
 
 def called_names(source: str) -> set[str]:
@@ -66,7 +67,7 @@ def test_mask_codec_calls_finds_every_form():
     source = ("import numpy as np\nfrom numpy import packbits\n"
               "a = np.unpackbits(x, count=3)\nb = packbits(y)\n"
               "c = int.from_bytes(z, 'little')\nd = (5).to_bytes(2, 'little')\n"
-              "e = np.frombuffer(w, np.uint8).tobytes()\n")
+              "e = np.frombuffer(w, np.uint8).tobytes()\nf = graphs.packed_rows(p)\n")
     assert mask_codec_calls(source) == MASK_CODEC_CALLS
     # a reference that is not a call, and calls of other names
     assert mask_codec_calls("f = np.packbits\ng = x.packbits_helper(y)\nh = bytes(4)\n") == set()

@@ -15,7 +15,7 @@ import pytest
 from kneserlab import graphs, threshold
 from kneserlab.errors import DomainError
 from kneserlab.families import GroundParams
-from kneserlab.graphs import build_graph
+from kneserlab.graphs import build_graph, edge_rows
 from kneserlab.threshold import (
     ThresholdParams,
     count_superstars,
@@ -78,8 +78,8 @@ def test_sampling_pass_matches_reference(n, k):
 
 @pytest.mark.parametrize("n,k", ORACLE_PARAMS)
 def test_endpoints_are_distinct_ordered_pairs(n, k, monkeypatch):
-    # _pack_rows adds each (row, column) bit instead of ORing it in, which
-    # is the same only while no edge is a loop or listed twice
+    # graphs.edge_rows adds each (row, column) bit instead of ORing it in,
+    # which is the same only while no edge is a loop or listed twice
     monkeypatch.setattr(threshold, "_CONTEXTS", {})
     ctx = threshold._context(GroundParams(n, k))
     u, v = ctx.u.astype(np.int64), ctx.v.astype(np.int64)
@@ -107,7 +107,7 @@ def test_relabelled_pack_matches_reference(n, k):
                     if row >> g & 1:
                         relabelled[label[f]] |= 1 << int(label[g])
             u, v = sample_subgraph(tp, t, uniforms).edges
-            assert threshold._pack_rows(ctx, label[u], label[v]) == tuple(relabelled)
+            assert edge_rows(ctx.nv, label[u], label[v]) == tuple(relabelled)
 
 
 def assert_context_matches_bit_walk(graph):
@@ -196,6 +196,20 @@ def test_star_survives_rejects_centre_out_of_range():
             star_survives(sample, centre)
     star_survives(sample, 1)
     star_survives(sample, 5)
+
+
+def test_trial_index_and_centre_are_read_as_integers():
+    tp = ThresholdParams(GroundParams(6, 2), 0.5, 1, 7)
+    assert np.array_equal(trial_uniforms(tp, np.int64(3)), trial_uniforms(tp, 3))
+    assert np.array_equal(trial_uniforms(tp, np.uint64(2**64 - 1)), trial_uniforms(tp, -1))
+    sample = sample_subgraph(tp, np.int32(3))
+    assert np.array_equal(sample.keep, sample_subgraph(tp, 3).keep)
+    for bad in (3.0, "3", None):
+        with pytest.raises(DomainError, match="^trial_index must be an integer"):
+            trial_uniforms(tp, bad)
+    with pytest.raises(DomainError, match="^centre must be an integer"):
+        star_survives(sample, 2.0)
+    assert star_survives(sample, np.int64(2)) == star_survives(sample, 2)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2)])
