@@ -160,6 +160,7 @@ class SetFamily:
                 first = int(bad.argmax())
         prev = members[first - 1] if first else -1
         for m in members[first:]:
+            m = integer("member", m)  # a numpy integer becomes int
             if m <= prev:
                 raise DomainError("family members must be strictly increasing bit patterns")
             if m & ~full:

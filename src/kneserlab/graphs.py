@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterator
 
 import numpy as np
@@ -48,11 +49,11 @@ def vertex_mask(bits: np.ndarray) -> int:
 
 def packed_rows(packed: np.ndarray) -> tuple[int, ...]:
     """The rows of a (rows, width) uint8 array of packed vertex masks, as ints,
-    read through a fixed-width bytes view, one row copied at a time (numpy
-    drops an item's trailing zero bytes: a row's high bytes, worth nothing)."""
+    read through one tolist of a fixed-width bytes view (numpy drops an item's
+    trailing zero bytes: a row's high bytes, worth nothing)."""
     packed = np.ascontiguousarray(packed)
-    return tuple(int.from_bytes(row, "little")
-                 for row in packed.view(f"S{packed.shape[1]}").ravel())
+    rows = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    return tuple(map(int.from_bytes, rows, repeat("little")))
 
 
 def row_bytes(nv: int) -> int:

@@ -2,12 +2,13 @@
 
 Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
-how trials are scheduled across workers; one Philox per process is re-keyed
-for each trial.  A sample draws one uniform per edge of K(n,k) and keeps the
-mask of retained edges.  K(n,k) is regular, so a slot table filled once per
-(n,k) from graphs' disjointness pass over families.slice_masks, with no graph
-built, lists each vertex's incident edges and the element masks across them,
-and one gather-and-reduce pass over it ORs each vertex's retained neighbours
+how trials are scheduled across workers; the per-(n,k) context keeps one
+Philox and one state dict, whose key each trial writes.  A sample draws one
+uniform per edge of K(n,k) and keeps the mask of retained edges.  K(n,k) is
+regular, so a slot table filled once per (n,k) from graphs' disjointness pass
+over families.slice_masks, with no graph built, lists each vertex's incident
+edges and the element masks across them, and one gather-and-reduce pass over
+its row blocks, cut once per context, ORs each vertex's retained neighbours
 into the elements blocked for it.  The unblocked ones certify superstars,
 which give the superstar count, star survival and a search-free EKR failure;
 the ratio bound proves EKR, again without a search, on a sample that keeps
@@ -76,7 +77,8 @@ class ThresholdParams:
 
 
 class _SampleContext:
-    """Per-(n,k) immutable data shared by all trials, and the trials' Philox.
+    """Per-(n,k) data shared by all trials: the slot table in row blocks, and
+    the trials' Philox with the one state dict that each trial re-keys.
 
     K(n,k) is C(n-k,k)-regular, so its incidences fill an (nv, degree) slot
     table: row f lists f's neighbours in index order, slot_edge holds the id
@@ -120,8 +122,18 @@ class _SampleContext:
                 self.slot_edge[later, placed[later]] = ids
                 placed[later] += 1
         self.u.flags.writeable = self.v.flags.writeable = False  # every trial reads them
-        self.block_rows = max(1, SLOT_BLOCK // degree)
-        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per trial
+        # a trial ORs each block (one row at least, else at most SLOT_BLOCK slots)
+        # into its rows of blocked
+        self.blocked = np.empty(nv, dtype=np.uint64)
+        step = max(1, SLOT_BLOCK // degree)
+        self.blocks = tuple((self.slot_mask[lo:lo + step], self.slot_edge[lo:lo + step],
+                             self.blocked[lo:lo + step]) for lo in range(0, nv, step))
+        # a trial writes its key and assigns state; the setter copies key, counter
+        # and buffer (4: empty), so no two draws share state
+        self.key = np.zeros(2, dtype=np.uint64)
+        self.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": self.key},
+                      "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.rng = np.random.Generator(np.random.Philox(0))
 
 
 _CONTEXTS: dict[GroundParams, _SampleContext] = {}  # the most recent (n,k) only
@@ -166,17 +178,14 @@ def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
     """The trial's uniform draws, one per K(n,k) edge (for coupled sampling).
 
     They are the stream of a Philox keyed by (master_seed, trial_index), each
-    mod 2^64, from counter zero: the context's one Philox is re-keyed, with
-    its counter zeroed and its buffer emptied.
+    mod 2^64, from counter zero: the pair is written into the key of the
+    context's state dict, whose counter is zero and buffer empty, and the
+    context's one Philox is set to it.
     """
     trial_index = integer("trial_index", trial_index)
     ctx = _context(tp.params)
-    key = np.array([tp.master_seed & (2**64 - 1), trial_index & (2**64 - 1)],
-                   dtype=np.uint64)
-    ctx.rng.bit_generator.state = {"bit_generator": "Philox",
-                                   "state": {"counter": _ZERO4, "key": key},
-                                   "buffer": _ZERO4, "buffer_pos": 4,  # 4: empty
-                                   "has_uint32": 0, "uinteger": 0}
+    ctx.key[0], ctx.key[1] = tp.master_seed & (2**64 - 1), trial_index & (2**64 - 1)
+    ctx.rng.bit_generator.state = ctx.state
     return ctx.rng.random(ctx.edge_count)
 
 
@@ -192,18 +201,16 @@ def sample_subgraph(tp: ThresholdParams, trial_index: int,
         uniforms = trial_uniforms(tp, trial_index)
     keep = uniforms < tp.p
     # per vertex, the OR of its retained neighbours' element masks, reduced
-    # over SLOT_BLOCK slots at a time so that the temporaries stay small
-    blocked = np.empty(ctx.nv, dtype=np.uint64)
-    for lo in range(0, len(blocked), ctx.block_rows):
-        rows = slice(lo, lo + ctx.block_rows)
-        np.bitwise_or.reduce(ctx.slot_mask[rows] * keep.take(ctx.slot_edge[rows]),
-                             axis=1, out=blocked[rows])
-    return EdgeSample(params=tp.params, keep=keep, unblocked=ctx.free & ~blocked)
+    # one block of slots at a time so that the temporaries stay small
+    for masks, edges, blocked in ctx.blocks:
+        np.bitwise_or.reduce(masks * keep.take(edges), axis=1, out=blocked)
+    # a neighbour is disjoint from its vertex, so blocked lies inside free
+    return EdgeSample(params=tp.params, keep=keep, unblocked=ctx.free ^ ctx.blocked)
 
 
 def count_superstars(sample: EdgeSample) -> int:
     """Pairs (star S_x, F not containing x) with no retained edge between them."""
-    return int(np.bitwise_count(sample.unblocked).sum())
+    return int(np.add.reduce(np.bitwise_count(sample.unblocked)))
 
 
 def star_survives(sample: EdgeSample, centre: int) -> bool:
@@ -212,7 +219,7 @@ def star_survives(sample: EdgeSample, centre: int) -> bool:
     n, centre = sample.params.n, integer("centre", centre)
     if not (1 <= centre <= n):
         raise DomainError(f"centre {centre} out of range 1..{n}")
-    return not (sample.unblocked & np.uint64(1 << (centre - 1))).any()
+    return not np.count_nonzero(sample.unblocked & np.uint64(1 << (centre - 1)))
 
 
 @dataclass(frozen=True)
@@ -237,11 +244,11 @@ def ekr_holds(sample: EdgeSample) -> EkrSampleResult:
     incumbent, so it only looks for a set one larger.  A proof's witness is
     that star; a refutation's is mapped back to K(n,k)'s vertex indices.
     """
-    if sample.unblocked.any():
+    if np.count_nonzero(sample.unblocked):
         return EkrSampleResult(holds=False)
     ctx = _context(sample.params)
     target = sample.params.star_size + 1
-    if sample.keep.all() and ratio_bound(sample.params) < target:
+    if np.logical_and.reduce(sample.keep) and ratio_bound(sample.params) < target:
         return EkrSampleResult(holds=True, witness=ctx.star_mask)
     u, v = sample.edges
     nv = ctx.nv

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +278,10 @@ def validate_members_by_loop(params: GroundParams, members) -> None:
     full = (1 << n) - 1
     prev = -1
     for m in members:
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise DomainError(f"member must be an integer, got {m!r}") from None
         if m <= prev:
             raise DomainError("family members must be strictly increasing bit patterns")
         if m & ~full:

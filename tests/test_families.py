@@ -564,6 +564,11 @@ MEMBER_FAULTS = {
     "str": lambda ms, i: str(ms[i]),
     "numpy float": lambda ms, i: np.float64(ms[i]),
 }
+# no faults: a numpy integer member builds the family of the ints
+NUMPY_MEMBERS = {
+    "numpy uint64": lambda ms, i: np.uint64(ms[i]),
+    "numpy int64": lambda ms, i: np.int64(ms[i]),
+}
 
 
 def raised(check, *args):
@@ -575,19 +580,29 @@ def raised(check, *args):
     return None
 
 
-@pytest.mark.parametrize("fault", sorted(MEMBER_FAULTS))
+@pytest.mark.parametrize("fault", sorted(MEMBER_FAULTS) + sorted(NUMPY_MEMBERS))
 def test_member_checks_match_scalar_loop(fault):
     from oracles import validate_members_by_loop
 
-    # 3-sets of [9] at n = 10: element 10 is free for a wrong size, 11 is out of range
-    params = GroundParams(10, 3)
+    change = {**MEMBER_FAULTS, **NUMPY_MEMBERS}[fault]
     valid = build_family(GroundParams(9, 3), "random:40:8").members
-    for at in (0, len(valid) // 2, len(valid) - 1):
-        members = list(valid)
-        members[at] = MEMBER_FAULTS[fault](valid, at)
-        expected = raised(validate_members_by_loop, params, members)
-        assert expected is not None, (fault, at)
-        assert raised(SetFamily, params, tuple(members)) == expected, (fault, at)
+    # 3-sets of [9] at n = 10: element 10 is free for a wrong size, 11 is out of
+    # range; at n = 64 the scalar check m & ~full meets ~full = -2^64
+    for n in (10, 64):
+        params = GroundParams(n, 3)
+        for at in (0, len(valid) // 2, len(valid) - 1):
+            members = list(valid)
+            members[at] = change(valid, at)
+            expected = raised(validate_members_by_loop, params, members)
+            assert (expected is None) == (fault in NUMPY_MEMBERS), (fault, n, at)
+            assert raised(SetFamily, params, tuple(members)) == expected, (fault, n, at)
+            if expected is None:
+                assert SetFamily(params, tuple(members)) == SetFamily(params, valid)
+        if fault in NUMPY_MEMBERS:  # every member a numpy integer
+            members = tuple(change(valid, i) for i in range(len(valid)))
+            assert raised(validate_members_by_loop, params, members) is None
+            assert SetFamily(params, members) == SetFamily(params, valid)
+            assert SetFamily(params, members).members == valid
 
 
 @pytest.mark.parametrize("n,k,spec", [(10, 3, "random:40:8"), (9, 4, "star:9"),

@@ -78,6 +78,20 @@ def test_packed_rows_reads_exact_ints():
                                      0x12_ff01_0000_0000)
 
 
+@pytest.mark.parametrize("nv", [1, 7, 8, 9, 91, 165])
+def test_packed_rows_match_per_row_reads(nv):
+    # random rows, all-zero rows and rows whose high bytes are zero, against
+    # each row's own bytes read as a little-endian int
+    width = (nv + 7) // 8
+    rng = np.random.default_rng(nv)
+    packed = rng.integers(0, 256, size=(nv, width), dtype=np.uint8)
+    packed[::3] = 0
+    for r in range(1, nv, 3):
+        packed[r, rng.integers(1, width + 1):] = 0
+    assert packed_rows(packed) == tuple(int.from_bytes(row.tobytes(), "little")
+                                        for row in packed)
+
+
 def test_build_graph_guards(monkeypatch):
     with pytest.raises(DomainError):
         build_graph(GroundParams(5, 3))

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports from the
 package only the modules pinned for it, and every public definition and
-constant of the package is read by some code other than its own."""
+constant of the package is read by some code other than its own; threshold's
+per-trial functions call none of numpy's wrapped reductions."""
 
 import ast
 from collections import Counter
@@ -84,6 +85,44 @@ def test_only_families_walks_the_slice_by_ints():
     assert "enumerate_masks" in called_names("m = list(families.enumerate_masks(5, 2))\n")
     assert {p.stem for p in PACKAGE.glob("*.py")
             if "enumerate_masks" in called_names(p.read_text())} <= {"families"}
+
+
+# the per-trial functions of threshold reduce through the ufuncs and
+# np.count_nonzero: ndarray.any, all and sum, and np.sum, run numpy's Python
+# wrappers (numpy/_core/_methods.py, fromnumeric) on every call
+PER_TRIAL_FUNCTIONS = {"trial_uniforms", "sample_subgraph", "count_superstars",
+                       "star_survives", "ekr_holds"}
+WRAPPED_REDUCTIONS = {"any", "all", "sum"}
+
+
+def wrapped_reductions(source: str, functions: set[str]) -> dict[str, set[str]]:
+    """Per top-level function of source named in functions, the
+    WRAPPED_REDUCTIONS it calls as a method or module attribute, if any."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            calls = {call.func.attr for call in ast.walk(node) if isinstance(call, ast.Call)
+                     and isinstance(call.func, ast.Attribute)} & WRAPPED_REDUCTIONS
+            if calls:
+                found[node.name] = calls
+    return found
+
+
+def test_wrapped_reductions_finds_every_form():
+    source = ("def count_superstars(s):\n    return int(np.bitwise_count(s.u).sum())\n"
+              "def star_survives(s, c):\n    return not (s.u & c).any() and s.keep.all()\n"
+              "def ekr_holds(s):\n    return np.sum(s.u)\n"
+              "def sample_subgraph(s):\n    return np.count_nonzero(s.u) or any(s.keep)\n"
+              "def other(s):\n    return s.u.any()\n")
+    assert wrapped_reductions(source, PER_TRIAL_FUNCTIONS) == {
+        "count_superstars": {"sum"}, "star_survives": {"any", "all"}, "ekr_holds": {"sum"}}
+
+
+def test_per_trial_path_calls_no_wrapped_reduction():
+    source = (PACKAGE / "threshold.py").read_text()
+    assert PER_TRIAL_FUNCTIONS <= {node.name for node in ast.parse(source).body
+                                   if isinstance(node, ast.FunctionDef)}
+    assert wrapped_reductions(source, PER_TRIAL_FUNCTIONS) == {}
 
 
 # a family's storage, its sorted uint64 array, has one home, families: no

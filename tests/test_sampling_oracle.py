@@ -76,6 +76,39 @@ def test_sampling_pass_matches_reference(n, k):
                     reference_star_survives(graph, expected, centre)
 
 
+def reference_unblocked(graph, adjacency):
+    """Per vertex, bit x-1 set iff x is not in it and it has no retained edge to S_x."""
+    return [sum(1 << x for x in range(graph.params.n) if not (mask >> x) & 1
+                and not adjacency[f] & graph.star_vertex_masks[x])
+            for f, mask in enumerate(graph.vertices)]
+
+
+@pytest.mark.parametrize("n,k", [(12, 2), (14, 2), (10, 3), (9, 4)])
+def test_block_loop_matches_reference(n, k, monkeypatch):
+    # every ORACLE_PARAMS graph fits one default block; these runs cut it into
+    # blocks of one row (1, degree - 1 and degree slots) and of three rows
+    params = GroundParams(n, k)
+    graph = build_graph(params)
+    degree = params.kneser_degree
+    for slots, rows in [(1, 1), (degree - 1, 1), (degree, 1), (3 * degree + 1, 3),
+                        (threshold.SLOT_BLOCK, graph.vertex_count)]:
+        monkeypatch.setattr(threshold, "SLOT_BLOCK", slots)
+        monkeypatch.setattr(threshold, "_CONTEXTS", {})
+        ctx = threshold._context(params)
+        assert len(ctx.blocks) == -(-graph.vertex_count // rows)
+        for p in (0.3, 0.5):
+            tp = ThresholdParams(params, p, 1, 1000 * n + k)
+            for t in range(2):
+                uniforms = trial_uniforms(tp, t)
+                sample = sample_subgraph(tp, t, uniforms)
+                expected = reference_adjacency(graph, uniforms, p)
+                assert sample.unblocked.tolist() == reference_unblocked(graph, expected)
+                assert count_superstars(sample) == reference_superstars(graph, expected)
+                for centre in range(1, n + 1):
+                    assert star_survives(sample, centre) == \
+                        reference_star_survives(graph, expected, centre)
+
+
 @pytest.mark.parametrize("n,k", ORACLE_PARAMS)
 def test_endpoints_are_distinct_ordered_pairs(n, k, monkeypatch):
     # graphs.edge_rows adds each (row, column) bit instead of ORing it in,

@@ -116,6 +116,27 @@ def test_trial_uniforms_is_a_fresh_philox_stream():
         assert np.array_equal(uniforms, fresh(seed, t)), (seed, t)
 
 
+def test_kept_philox_state_is_keyed_per_draw(monkeypatch):
+    # draws under two seeds, interleaved, and under a second (n,k) whose
+    # context replaces the first, which is then rebuilt with a state of its own
+    def fresh(tp, t):
+        key = np.array([tp.master_seed % 2**64, t % 2**64], dtype=np.uint64)
+        edges = tp.params.slice_size * tp.params.kneser_degree // 2
+        return np.random.Generator(np.random.Philox(key=key)).random(edges)
+
+    monkeypatch.setattr(threshold, "_CONTEXTS", {})
+    a, b = ThresholdParams(P12, 0.5, 1, 1961), ThresholdParams(P12, 0.5, 1, -7885)
+    c = ThresholdParams(P5, 0.5, 1, 1961)
+    order = [(a, 0), (b, 0), (a, 1), (b, -1), (c, 0), (c, 1), (a, 2), (b, 2), (a, 2)]
+    first = threshold._context(P12)
+    for tp, t in order:
+        uniforms = trial_uniforms(tp, t)
+        assert np.array_equal(uniforms, fresh(tp, t)), (tp.master_seed, t)
+        key = threshold._context(tp.params).rng.bit_generator.state["state"]["key"]
+        assert key.tolist() == [tp.master_seed % 2**64, t % 2**64]
+    assert threshold._context(P12) is not first  # rebuilt after P5's context
+
+
 def test_sample_mean_retained_within_binomial_ci():
     trials = 2000
     tp = ThresholdParams(P5, 0.5, trials, 7)
