@@ -4,7 +4,8 @@ Each trial gets its own counter-based RNG stream keyed by
 (master_seed, trial_index), so results are reproducible and independent of
 how trials are scheduled across workers; the per-(n,k) context keeps one
 Philox and one state dict, whose key each trial writes.  A sample draws one
-uniform per edge of K(n,k) and keeps the mask of retained edges.  K(n,k) is
+raw Philox word w per edge of K(n,k) and keeps the edges whose double
+(w >> 11) * 2^-53, numpy's, lies below p, by one integer compare.  K(n,k) is
 regular, so a slot table filled once per (n,k) from graphs' disjointness pass
 over families.slice_masks, with no graph built, lists each vertex's incident
 edges and the element masks across them, and one gather-and-reduce pass over
@@ -19,7 +20,7 @@ listed only then; a star is its incumbent, so it looks only for a set one
 larger; only graphs turns vertex masks into bits and bytes.  EKR is monotone
 in p under this coupling, so a trial walks its p values ascending: a search
 proving EKR settles every larger p, and a refuting witness, mapped back to the
-sample's vertex order, every p up to its least edge uniform.  Analytic
+sample's vertex order, every p up to its least edge word's double.  Analytic
 evaluators work in log-space: exponents reach C(n-1,k-1) and overflow doubles.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from multiprocessing import get_all_start_methods, get_context
 
@@ -41,7 +43,7 @@ from .mis import max_independent_set_masks
 DEFAULT_EPSILON = 0.1
 # _SampleContext keeps, per vertex and incident edge, an int32 edge id and the
 # uint64 element mask across that edge, and two int32 endpoints per edge: 61 MB
-# for K(64,2)'s 1.9M edges.  A trial draws one double per edge (15 MB there)
+# for K(64,2)'s 1.9M edges.  A trial draws one uint64 word per edge (15 MB there)
 # and ORs SLOT_BLOCK slots at a time.  In a fresh process (ru_maxrss) at
 # K(64,2) the context build peaks at +65 MB and one trial at +82 MB, which
 # listing its retained edges for a search does not raise.  Refuse more edges.
@@ -55,7 +57,7 @@ WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 THRESHOLD_WIDTH = 0.02  # find_threshold stops at a p bracket this narrow
 WORKER_GUARD = 64  # most worker processes one estimate may start
 CI_MIN_TRIALS = 30
-_ZERO4 = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
+_ZERO4 = (0, 0, 0, 0)  # a fresh Philox's counter and buffer
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,9 @@ class ThresholdParams:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0,1], got {self.p}")
+        if not (isinstance(self.p, numbers.Real) and 0.0 <= self.p <= 1.0):
+            raise DomainError(f"p must lie in [0,1], got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))  # numpy floats, Fractions
         for name in ("trials", "master_seed"):  # numpy integers become int
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.trials < 1:
@@ -78,7 +81,7 @@ class ThresholdParams:
 
 class _SampleContext:
     """Per-(n,k) data shared by all trials: the slot table in row blocks, and
-    the trials' Philox with the one state dict that each trial re-keys.
+    the trials' bare Philox with the one state dict that each trial re-keys.
 
     K(n,k) is C(n-k,k)-regular, so its incidences fill an (nv, degree) slot
     table: row f lists f's neighbours in index order, slot_edge holds the id
@@ -89,6 +92,7 @@ class _SampleContext:
 
     def __init__(self, params: GroundParams) -> None:
         require_graph(params)
+        self.params = params  # _context's key, matched by identity first
         nv = self.nv = params.slice_size
         degree = params.kneser_degree
         self.edge_count = nv * degree // 2
@@ -130,21 +134,21 @@ class _SampleContext:
                              self.blocked[lo:lo + step]) for lo in range(0, nv, step))
         # a trial writes its key and assigns state; the setter copies key, counter
         # and buffer (4: empty), so no two draws share state
-        self.key = np.zeros(2, dtype=np.uint64)
+        self.key = [0, 0]  # ints: the setter reads them faster than numpy scalars
         self.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": self.key},
                       "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self.rng = np.random.Generator(np.random.Philox(0))
+        self.philox = np.random.Philox(0)
 
 
 _CONTEXTS: dict[GroundParams, _SampleContext] = {}  # the most recent (n,k) only
 
 
 def _context(params: GroundParams) -> _SampleContext:
-    ctx = _CONTEXTS.get(params)
-    if ctx is None:
-        _CONTEXTS.clear()  # drop the previous context before building this one
-        ctx = _SampleContext(params)
-        _CONTEXTS[params] = ctx
+    for ctx in _CONTEXTS.values():  # at most one; the same object needs no hash
+        if ctx.params is params or ctx.params == params:
+            return ctx
+    _CONTEXTS.clear()  # drop the previous context before building this one
+    ctx = _CONTEXTS[params] = _SampleContext(params)
     return ctx
 
 
@@ -175,31 +179,36 @@ class EdgeSample:
 
 
 def trial_uniforms(tp: ThresholdParams, trial_index: int) -> np.ndarray:
-    """The trial's uniform draws, one per K(n,k) edge (for coupled sampling).
+    """The trial's draws, uniform uint64 words, one per K(n,k) edge.
 
-    They are the stream of a Philox keyed by (master_seed, trial_index), each
-    mod 2^64, from counter zero: the pair is written into the key of the
+    They are the raw stream of a Philox keyed by (master_seed, trial_index),
+    each mod 2^64, from counter zero: the pair is written into the key of the
     context's state dict, whose counter is zero and buffer empty, and the
     context's one Philox is set to it.
     """
     trial_index = integer("trial_index", trial_index)
     ctx = _context(tp.params)
     ctx.key[0], ctx.key[1] = tp.master_seed & (2**64 - 1), trial_index & (2**64 - 1)
-    ctx.rng.bit_generator.state = ctx.state
-    return ctx.rng.random(ctx.edge_count)
+    ctx.philox.state = ctx.state
+    return ctx.philox.random_raw(ctx.edge_count)
 
 
 def sample_subgraph(tp: ThresholdParams, trial_index: int,
                     uniforms: np.ndarray | None = None) -> EdgeSample:
     """Retain each Kneser edge independently with probability p.
 
-    Passing the same `uniforms` with a larger p yields a coupled supersample
-    (retained(p) is a subset of retained(p')).
+    `uniforms`, trial_uniforms' if not given, holds one uint64 word per edge:
+    edge e is kept iff (uniforms[e] >> 11) * 2^-53 < p, that is, iff uniforms[e]
+    < ceil(p * 2^53) * 2^11, p * 2^53 being exact.  Passing the same `uniforms`
+    with a larger p yields a coupled supersample (retained(p) within retained(p')).
     """
     ctx = _context(tp.params)
     if uniforms is None:
         uniforms = trial_uniforms(tp, trial_index)
-    keep = uniforms < tp.p
+    elif getattr(uniforms, "dtype", None) != np.uint64 or uniforms.shape != (ctx.edge_count,):
+        raise DomainError(f"uniforms must be {ctx.edge_count} uint64 words, one per edge, "
+                          f"got {np.asarray(uniforms).dtype} {np.shape(uniforms)}")
+    keep = np.less(uniforms, math.ceil(tp.p * 2**53) << 11)  # 2^64 at p = 1: all kept
     # per vertex, the OR of its retained neighbours' element masks, reduced
     # one block of slots at a time so that the temporaries stay small
     for masks, edges, blocked in ctx.blocks:
@@ -293,9 +302,10 @@ def _decide_trial(args: tuple) -> tuple[float, float, list[int]]:
             raise GuardError(f"trial {t} at p={tp.p} aborted ({exc})") from exc
         if ekr.holds:
             holds_from = tp.p
-        else:  # the witness stays independent up to its least edge uniform
+        else:  # the witness stays independent up to its least edge word's double
             inside = vertex_bits(ekr.witness, ctx.nv)
-            fails_upto = uniforms[inside[ctx.u] & inside[ctx.v]].min(initial=1.0)
+            words = uniforms[inside[ctx.u] & inside[ctx.v]]
+            fails_upto = (int(words.min()) >> 11) * 2**-53 if len(words) else 1.0
     return fails_upto, holds_from, xs
 
 

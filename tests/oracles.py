@@ -129,6 +129,12 @@ def recursive_enumeration(adjacency: Sequence[int], alpha: int) -> list[int]:
     return sorted(found)
 
 
+def word_double(word) -> float:
+    """The double numpy's Generator.random makes of a raw 64-bit word w:
+    its top 53 bits, (w >> 11) * 2^-53, in [0, 1)."""
+    return (int(word) >> 11) * 2**-53
+
+
 def edge_count(graph: KneserGraph) -> int:
     """Edges of a built graph, from its adjacency rows."""
     return sum(a.bit_count() for a in graph.adjacency) // 2

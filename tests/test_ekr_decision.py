@@ -24,7 +24,7 @@ from kneserlab.threshold import (
     estimate_probability,
     sample_subgraph,
 )
-from oracles import brute_force_maximum
+from oracles import brute_force_maximum, word_double
 
 SEED = 1961
 
@@ -266,9 +266,12 @@ def test_one_edge_short_of_the_full_graph_is_searched(monkeypatch):
         return real(adjacency, **kwargs)
 
     monkeypatch.setattr(threshold, "max_independent_set_masks", search)
-    tp = ThresholdParams(GroundParams(5, 2), 1.0, 1, SEED)
+    # p = 1 - 2^-53 keeps every word but the largest, whose double is p
+    tp = ThresholdParams(GroundParams(5, 2), 1 - 2**-53, 1, SEED)
     uniforms = threshold.trial_uniforms(tp, 0)
-    uniforms[7] = 1.0  # p = 1 keeps every edge but this one
+    assert max(uniforms.tolist()) < 2**64 - 1
+    uniforms[7] = 2**64 - 1  # so every edge is kept but this one
+    assert word_double(uniforms[7]) == tp.p
     sample = sample_subgraph(tp, 0, uniforms)
     assert np.count_nonzero(sample.keep) == 14 and count_superstars(sample) == 0
     ekr_holds(sample)

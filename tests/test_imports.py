@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports from the
 package only the modules pinned for it, and every public definition and
 constant of the package is read by some code other than its own; threshold's
-per-trial functions call none of numpy's wrapped reductions."""
+per-trial functions call none of numpy's wrapped reductions, and no module
+but families constructs a numpy Generator."""
 
 import ast
 from collections import Counter
@@ -85,6 +86,32 @@ def test_only_families_walks_the_slice_by_ints():
     assert "enumerate_masks" in called_names("m = list(families.enumerate_masks(5, 2))\n")
     assert {p.stem for p in PACKAGE.glob("*.py")
             if "enumerate_masks" in called_names(p.read_text())} <= {"families"}
+
+
+# a trial's draws are the raw words of its Philox, a stream numpy keeps fixed
+# across releases, and not a Generator method's, which it may change: only
+# families constructs a Generator, for random_family's shuffle
+GENERATOR_CALLS = {"Generator", "default_rng"}
+
+
+def generator_calls(source: str) -> set[str]:
+    """The GENERATOR_CALLS that source makes, as a function or a method."""
+    return called_names(source) & GENERATOR_CALLS
+
+
+def test_generator_calls_finds_every_form():
+    source = ("import numpy as np\nfrom numpy.random import Generator\n"
+              "a = np.random.Generator(np.random.Philox(3))\nb = Generator(bits)\n"
+              "c = np.random.default_rng(7)\n")
+    assert generator_calls(source) == GENERATOR_CALLS
+    # a bare bit generator, its raw words, and a Generator named but not made
+    assert generator_calls("p = np.random.Philox(0)\nw = p.random_raw(4)\n"
+                           "g: np.random.Generator = None\nh = isinstance(g, Generator)\n") == set()
+
+
+def test_only_families_constructs_a_generator():
+    assert {p.stem for p in PACKAGE.glob("*.py")
+            if generator_calls(p.read_text())} == {"families"}
 
 
 # the per-trial functions of threshold reduce through the ufuncs and

@@ -24,7 +24,8 @@ from kneserlab.threshold import (
     star_survives,
     trial_uniforms,
 )
-from oracles import brute_force_maximum, edge_count, export_edges, reference_edges
+from oracles import (brute_force_maximum, edge_count, export_edges, reference_edges,
+                     word_double)
 
 ORACLE_PARAMS = [(5, 2), (12, 2), (14, 2), (10, 3), (9, 4), (6, 3), (8, 4)]
 ORACLE_PS = [0.0, 0.3, 0.5, 1.0]
@@ -33,7 +34,7 @@ ORACLE_PS = [0.0, 0.3, 0.5, 1.0]
 def reference_adjacency(graph, uniforms, p):
     adjacency = [0] * graph.vertex_count
     for (u, v), x in zip(reference_edges(graph), uniforms):
-        if x < p:
+        if word_double(x) < p:
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
     return tuple(adjacency)
@@ -307,7 +308,7 @@ def test_sample_memory_is_packed_at_15_7():
     # (one bit per vertex pair) takes 5.2 MB
     packed = nv * ((nv + 7) // 8)
     assert peak < 3 * packed < nv * nv, (peak, packed)
-    assert np.count_nonzero(sample.keep) == sum(uniforms < 0.5)
+    assert np.count_nonzero(sample.keep) == sum(word_double(w) < 0.5 for w in uniforms)
 
 
 def test_adjacency_is_packed_on_first_use_at_15_7():

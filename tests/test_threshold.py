@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kneserlab.threshold import (
     trial_uniforms,
     wilson_interval,
 )
-from oracles import brute_force_maximum
+from oracles import brute_force_maximum, word_double
 
 P12 = GroundParams(12, 2)
 P5 = GroundParams(5, 2)
@@ -101,11 +102,16 @@ def test_sample_reproducible_and_trialwise_distinct():
 
 
 def test_trial_uniforms_is_a_fresh_philox_stream():
-    # the one re-keyed Philox must give, draw after draw, the stream of a
-    # Generator(Philox) freshly keyed by (seed mod 2^64, trial mod 2^64)
+    # the one re-keyed Philox must give, draw after draw, the raw stream of a
+    # Philox freshly keyed by (seed mod 2^64, trial mod 2^64); mapped to
+    # doubles, those words are Generator(Philox).random's stream, the draws
+    # that sampling compared with p before it read the words
     def fresh(seed, t):
         key = np.array([seed % 2**64, t % 2**64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).random(1485)
+        words = np.random.Philox(key=key).random_raw(1485)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(1485)
+        assert [word_double(w) for w in words] == doubles.tolist()
+        return words
 
     draws = [(seed, t) for seed in (0, 1961, -1, -7885, 2**64 + 3, 2**70 - 1)
              for t in (0, 1, 2**64 + 1)]
@@ -113,6 +119,7 @@ def test_trial_uniforms_is_a_fresh_philox_stream():
     kept = [(seed, t, trial_uniforms(ThresholdParams(P12, 0.5, 1, seed), t))
             for seed, t in draws]
     for seed, t, uniforms in kept:  # later draws leave earlier arrays intact
+        assert uniforms.dtype == np.uint64
         assert np.array_equal(uniforms, fresh(seed, t)), (seed, t)
 
 
@@ -122,7 +129,7 @@ def test_kept_philox_state_is_keyed_per_draw(monkeypatch):
     def fresh(tp, t):
         key = np.array([tp.master_seed % 2**64, t % 2**64], dtype=np.uint64)
         edges = tp.params.slice_size * tp.params.kneser_degree // 2
-        return np.random.Generator(np.random.Philox(key=key)).random(edges)
+        return np.random.Philox(key=key).random_raw(edges)
 
     monkeypatch.setattr(threshold, "_CONTEXTS", {})
     a, b = ThresholdParams(P12, 0.5, 1, 1961), ThresholdParams(P12, 0.5, 1, -7885)
@@ -132,7 +139,7 @@ def test_kept_philox_state_is_keyed_per_draw(monkeypatch):
     for tp, t in order:
         uniforms = trial_uniforms(tp, t)
         assert np.array_equal(uniforms, fresh(tp, t)), (tp.master_seed, t)
-        key = threshold._context(tp.params).rng.bit_generator.state["state"]["key"]
+        key = threshold._context(tp.params).philox.state["state"]["key"]
         assert key.tolist() == [tp.master_seed % 2**64, t % 2**64]
     assert threshold._context(P12) is not first  # rebuilt after P5's context
 
@@ -246,6 +253,60 @@ def test_threshold_params_read_numpy_integers_as_int():
     assert json.dumps(estimate_probability(tp)) == want
     rows = estimate_probabilities(P12, [0.5], np.int64(30), np.int64(7))
     assert json.dumps(rows) == f"[{want}]"
+
+
+def test_threshold_params_read_p_as_a_float(monkeypatch):
+    # a float32 p times 2^53 would stay float32 and round, so the word
+    # threshold reads the float that ThresholdParams keeps
+    for p in (np.float32(0.7), np.float16(0.5), Fraction(1, 2), np.float64(0.5), 1):
+        tp = ThresholdParams(P12, p, 30, 1)
+        assert type(tp.p) is float and tp.p == float(p)
+        rows = estimate_probabilities(P12, [p], 30, 1)
+        assert type(rows[0]["p"]) is float
+        assert json.dumps(rows) == json.dumps(estimate_probabilities(P12, [float(p)], 30, 1))
+    tp = ThresholdParams(P5, np.float32(0.7), 1, 3)
+    uniforms = trial_uniforms(tp, 0)
+    assert sample_subgraph(tp, 0, uniforms).keep.tolist() == [
+        word_double(w) < float(np.float32(0.7)) for w in uniforms]
+    monkeypatch.setattr(threshold, "THRESHOLD_WIDTH", 0.1)
+    rep = find_threshold(GroundParams(8, 2), trials=30, seed=5)
+    assert all(type(e["p"]) is float for e in rep["evaluations"])
+    json.dumps(rep)
+
+
+@pytest.mark.parametrize("p", ["0.5", None, 0.5 + 0j, b"0.5", -0.1, 1.5, math.nan])
+def test_p_that_is_not_a_real_in_the_unit_interval_is_a_domain_error(p):
+    with pytest.raises(DomainError, match="^p must lie in"):
+        ThresholdParams(P12, p, 30, 1)
+    with pytest.raises(DomainError, match="^p must lie in"):
+        estimate_probabilities(P12, [0.5, p], 30, 1)
+
+
+def test_word_threshold_matches_the_double_compare_at_its_edges():
+    # T = ceil(p 2^53) 2^11 is the least word whose double is not below p; a
+    # threshold from floor, or a compare by <=, moves some word across it
+    ps = [0.0, 2**-53, math.nextafter(0.5, 0), 0.5, 1 - 2**-53, 1.0]
+    edges = P5.slice_size * P5.kneser_degree // 2
+    for p in ps:
+        t = math.ceil(p * 2**53) * 2**11
+        words = [w for w in (t - 1, t, t + 1, 0, 2**64 - 1) if 0 <= w < 2**64]
+        uniforms = np.array((words * edges)[:edges], dtype=np.uint64)
+        keep = sample_subgraph(ThresholdParams(P5, p, 1, 0), 0, uniforms).keep
+        assert keep.tolist() == [word_double(w) < p for w in uniforms], p
+
+
+@pytest.mark.parametrize("uniforms", [
+    np.zeros(14, dtype=np.uint64),  # one short
+    np.zeros(16, dtype=np.uint64),  # one long: it sampled, and then .edges failed
+    np.zeros((15, 1), dtype=np.uint64),
+    np.zeros(15),  # doubles, which would compare against an integer threshold
+    np.zeros(15, dtype=np.int64),
+    [0] * 15,
+])
+def test_sample_subgraph_checks_the_words_it_is_handed(uniforms):
+    tp = ThresholdParams(P5, 0.5, 1, 0)
+    with pytest.raises(DomainError, match="^uniforms must be 15 uint64 words"):
+        sample_subgraph(tp, 0, uniforms)
 
 
 def test_repeated_p_gets_a_row_of_its_own():
