@@ -125,8 +125,7 @@ def _emit_csv(rows: list[dict], stream, *, seed: int | None = None) -> None:
                         else str(row.get(c, "")) for c in cols)
 
 
-def _cmd_stats(args) -> dict:
-    params = GroundParams(args.n, args.k)
+def _cmd_stats(args, params) -> dict:
     family = build_family(params, args.family)
     cfg = RemovalConfig(args.ell, args.c_const)
     stats = family_stats(family, cfg.ell)
@@ -137,8 +136,7 @@ def _cmd_stats(args) -> dict:
     return payload
 
 
-def _cmd_spectrum(args) -> dict:
-    params = GroundParams(args.n, args.k)
+def _cmd_spectrum(args, params) -> dict:
     payload: dict = {
         "n": args.n,
         "k": args.k,
@@ -156,8 +154,7 @@ def _cmd_spectrum(args) -> dict:
     return payload
 
 
-def _cmd_removal(args) -> dict | list:
-    params = GroundParams(args.n, args.k)
+def _cmd_removal(args, params) -> dict | list:
     family = build_family(params, args.family)
     cfg = RemovalConfig(args.ell, args.c_const)
     report = removal_bound_check(family, cfg)
@@ -172,12 +169,11 @@ def _cmd_removal(args) -> dict | list:
     return payload
 
 
-def _cmd_ekr(args) -> dict:
-    return verify_ekr(GroundParams(args.n, args.k))
+def _cmd_ekr(args, params) -> dict:
+    return verify_ekr(params)
 
 
-def _cmd_baranyai(args) -> dict:
-    params = GroundParams(args.n, args.k)
+def _cmd_baranyai(args, params) -> dict:
     partition = baranyai_partition(params)
     buf = io.StringIO()
     export_partition(partition, buf)
@@ -193,8 +189,7 @@ def _cmd_baranyai(args) -> dict:
     return payload
 
 
-def _cmd_simulate(args) -> list:
-    params = GroundParams(args.n, args.k)
+def _cmd_simulate(args, params) -> list:
     try:
         ps = [float(tok) for tok in str(args.p).split(",") if tok]
     except ValueError:
@@ -208,13 +203,11 @@ def _cmd_simulate(args) -> list:
             for p, est in zip(ps, ests)]
 
 
-def _cmd_threshold(args) -> dict:
-    params = GroundParams(args.n, args.k)
+def _cmd_threshold(args, params) -> dict:
     return find_threshold(params, args.trials, args.seed, workers=args.workers)
 
 
-def _cmd_bounds(args) -> dict:
-    params = GroundParams(args.n, args.k)
+def _cmd_bounds(args, params) -> dict:
     report = analytic_bounds(params, args.zeta, args.i, args.j,
                              c_const=args.c_const, epsilon=args.epsilon)
     return report.to_json_dict()
@@ -248,7 +241,7 @@ def main(argv=None) -> int:
     fmt = args.format or ("csv" if args.command == "simulate" else "json")
     try:
         with _open_out(args.out) as stream:
-            result = _COMMANDS[args.command](args)
+            result = _COMMANDS[args.command](args, GroundParams(args.n, args.k))
             if args.out:
                 stream.truncate(0)
             if seed is not None:

@@ -297,6 +297,8 @@ def build_family(params: GroundParams, spec: str) -> SetFamily:
     Accepted forms: star:<i> | antistar:<i> | union:<i1,...,is> |
     complement-of:<spec> | random:<m>:<seed> | file:<path>.
     """
+    if not isinstance(spec, str):
+        raise DomainError(f"family spec must be a string, got {spec!r}")
     m = _SPEC_RE.match(spec.strip())
     if not m:
         raise DomainError(f"unrecognised family spec {spec!r}")

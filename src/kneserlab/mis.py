@@ -20,11 +20,11 @@ vertex covered early gives it a high index.  The search's tables hold
 vertex v at index v + 1, the bit length of 1 << v, so a mask's highest
 vertex is read at its bit_length(), with no subtraction.
 
-max_independent_set_masks is the one entry point: optimisation from a greedy
-incumbent with an optional early-exit target (a set size to look for, or a
-certified bound on alpha); threshold.ekr_holds, on sampled subgraphs, is its
-one package caller.  The node cap, NODE_CAP, raises instead of returning an
-approximation.
+max_independent_set_masks is the one entry point: optimisation from the
+caller's incumbent, else a greedy one, with an optional early-exit target (a
+set size to look for, or a certified bound on alpha).  threshold.ekr_holds,
+its one package caller, passes a star, so it runs no greedy pass.  The node
+cap, NODE_CAP, raises instead of returning an approximation.
 """
 
 from __future__ import annotations
@@ -131,20 +131,18 @@ def max_independent_set_masks(
     adjacency: Sequence[int],
     *,
     stop_at: int | None = None,
-    initial: int = 0,
+    initial: int | None = None,
 ) -> tuple[int, int, int]:
     """Exact maximum independent set; returns (size, witness_mask, node_count).
 
     stop_at: return as soon as an independent set of this size is found
     (the reported witness is then of size >= stop_at, not necessarily maximum).
-    initial: a known independent set used as the starting incumbent.
+    initial: a known independent set, the starting incumbent; without one the
+    search starts from greedy_independent_set.
     """
     nv = len(adjacency)
-    best_mask = initial
-    best = initial.bit_count()
-    greedy = greedy_independent_set(adjacency)
-    if greedy.bit_count() > best:
-        best, best_mask = greedy.bit_count(), greedy
+    best_mask = greedy_independent_set(adjacency) if initial is None else initial
+    best = best_mask.bit_count()
     # stop once the incumbent reaches goal; nv + 1 is never reached
     goal = nv + 1 if stop_at is None else stop_at
     if best >= goal:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,8 +54,8 @@ class RemovalConfig:
         object.__setattr__(self, "ell", integer("ell", self.ell))
         if self.ell < 1:
             raise DomainError(f"l must be a positive integer, got {self.ell}")
-        if not self.c_const > 1:
-            raise DomainError(f"c_const must exceed 1, got {self.c_const}")
+        if not (isinstance(self.c_const, numbers.Real) and self.c_const > 1):
+            raise DomainError(f"c_const must exceed 1, got {self.c_const!r}")
         if self.c_const == math.inf:
             raise DomainError(f"c_const must be finite, got {self.c_const}")
 
@@ -130,7 +131,9 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
 
     Ties break to the lexicographically smallest S.  Guarded by C(n,l).
     """
-    params = family.params
+    params, ell = family.params, integer("ell", ell)
+    if ell < 0:
+        raise DomainError(f"ell must be nonnegative, got {ell}")
     if ell > params.n:
         raise DomainError(f"l={ell} exceeds n={params.n}")
     if math.comb(params.n, ell) > CENTER_ENUM_GUARD:

@@ -313,6 +313,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes must lie in 0..{trials}, got {successes}")
     z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -331,6 +333,7 @@ def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
     # trials and seed as ThresholdParams reads them; an empty p list checks them too
     head = tps[0] if tps else ThresholdParams(params, 0.0, trials, seed)
     trials, seed = head.trials, head.master_seed
+    workers = integer("workers", workers)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     if workers > WORKER_GUARD:
@@ -489,8 +492,8 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     if n <= 2 * k:
         raise DomainError(f"analytic bounds need n > 2k, got n={n} k={k}")
     for name, value in (("zeta", zeta), ("c_const", c_const), ("epsilon", epsilon)):
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value}")
+        if not (isinstance(value, numbers.Real) and value > 0):
+            raise DomainError(f"{name} must be positive, got {value!r}")
         if value == math.inf:
             raise DomainError(f"{name} must be finite, got {value}")
     crit = critical_probabilities(params)

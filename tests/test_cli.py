@@ -549,12 +549,21 @@ def test_out_path_that_cannot_be_opened_fails_before_the_command(
     from kneserlab import cli
 
     ran = []
-    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: ran.append(args))
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args, params: ran.append(args))
     path = tmp_path / "missing" / "out.csv" if case == "missing directory" else tmp_path
     code, out, err = run_cli(capsys, "simulate", "--n", "12", "--k", "2", "--p", "0.5",
                              "--out", str(path))
     assert one_error_line(code, out, err, path), err
     assert ran == []
+
+
+def test_out_path_is_checked_before_n_and_k(tmp_path, capsys):
+    # main builds the GroundParams once, after opening --out
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "ekr", "--n", "1", "--k", "2", "--out", str(path))
+    assert one_error_line(code, out, err, path), err
+    code, out, err = run_cli(capsys, "ekr", "--n", "1", "--k", "2")
+    assert (code, out, err) == (1, "", "error: need 1 <= k <= n, got n=1 k=2\n")
 
 
 def test_out_file_is_emptied_only_after_the_command_succeeds(tmp_path, capsys):

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kneserlab import threshold
+from kneserlab import mis, threshold
 from kneserlab.families import GroundParams
 from kneserlab.graphs import build_graph, vertex_mask
 from kneserlab.mis import NODE_CAP, max_independent_set_masks
@@ -144,6 +144,20 @@ def test_search_starts_from_the_star(monkeypatch):
         ekr_holds(sample_subgraph(tp, t))
     assert seen
     assert set(seen) == {(params.star_size + 1, params.star_size, True)}
+
+
+def test_ekr_search_runs_no_greedy_pass(monkeypatch):
+    # the star incumbent is the search's start, so no greedy set is built
+    params, ps = GroundParams(14, 2), [0.5, 0.6, 0.7]
+    want = estimate_probabilities(params, ps, 30, SEED)
+    nodes = searched_nodes(monkeypatch)
+
+    def greedy(adjacency):
+        raise AssertionError("ekr_holds built a greedy set")
+
+    monkeypatch.setattr(mis, "greedy_independent_set", greedy)
+    assert estimate_probabilities(params, ps, 30, SEED) == want
+    assert len(nodes) > 0
 
 
 @pytest.mark.parametrize("n,k", [(12, 2), (14, 2), (9, 3)])

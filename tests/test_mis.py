@@ -133,12 +133,12 @@ def descending_greedy(adjacency):
     return taken
 
 
-def recursive_search(adjacency, stop_at=None, initial=0):
+def recursive_search(adjacency, stop_at=None, initial=None):
     """The solver's search written recursively on the caller's labelling,
-    each cover from its highest vertex and each spill from its lowest:
-    (size, witness, node count)."""
-    greedy = descending_greedy(adjacency)
-    best_mask = greedy if greedy.bit_count() > initial.bit_count() else initial
+    from the caller's incumbent, else the descending greedy, each cover from
+    its highest vertex and each spill from its lowest: (size, witness, node
+    count)."""
+    best_mask = descending_greedy(adjacency) if initial is None else initial
     best = best_mask.bit_count()
     goal = stop_at if stop_at is not None else len(adjacency) + 1
     if best >= goal:
@@ -209,6 +209,23 @@ def test_star_style_decision_from_a_planted_incumbent(seed):
     result = max_independent_set_masks(adjacency, stop_at=alpha, initial=smaller)
     assert result == recursive_search(adjacency, alpha, smaller)
     assert result[0] == alpha and result[1] in sols
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_incumbent_smaller_than_the_greedy_set_is_the_start(seed, monkeypatch):
+    # the caller's incumbent replaces the greedy start, even a smaller one:
+    # no greedy pass runs, and a target the greedy set meets is searched for
+    adjacency = random_graph(18 + seed, [0.2, 0.35][seed % 2], 900 + seed)
+    greedy = greedy_independent_set(adjacency)
+    alpha = recursive_search(adjacency)[0]
+    monkeypatch.setattr(mis, "greedy_independent_set", None)  # a call would raise
+    for initial in (0, greedy & -greedy):
+        assert initial.bit_count() < greedy.bit_count()
+        for stop_at in (None, alpha, greedy.bit_count()):
+            result = max_independent_set_masks(adjacency, stop_at=stop_at, initial=initial)
+            assert result == recursive_search(adjacency, stop_at, initial)
+            assert result[2] > 0 and is_independent(result[1], adjacency)
+        assert result[0] >= greedy.bit_count()
 
 
 def test_targets_and_incumbent_against_oracle():
