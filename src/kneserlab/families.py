@@ -8,13 +8,16 @@ one sorted, read-only uint64 array, on which the member checks, membership,
 equality and the subset-count table run; Python ints are made only on demand.
 C([n],k) in that order has one producer, slice_masks, which alone guards its
 size; the constructors cut their arrays from it.  A valid file in save_family's
-shape is parsed in bulk, any fault by lines.  Integers pass through integer.
+shape is parsed in bulk, any fault by lines.  Every module reads its integer
+and real arguments, and checks their ranges, through integer and real, which
+name the field at fault.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
@@ -40,12 +43,31 @@ SUBSET_TABLE_GUARD = 1 << 22
 MASK64 = (1 << 64) - 1
 
 
-def integer(name: str, value) -> int:
-    """value, an int or numpy integer, as an int; else DomainError naming it."""
+def integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value, an int or numpy integer, as an int in lo..hi, or at least lo if
+    hi is None (a hi needs a lo); else DomainError naming it."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= value <= hi:
+        raise DomainError(f"{name} {value} out of range {lo}..{hi}")
+    if lo is not None and value < lo:
+        raise DomainError(f"{name} must be at least {lo}, got {value}")
+    return value
+
+
+def real(name: str, value, above: float) -> float:
+    """value, a real, as a float that is finite and above `above`; else
+    DomainError naming it.  The float is checked, so a real that rounds to
+    `above`, or that overflows, is refused."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int or Fraction beyond the doubles
+        number = math.inf
+    if not above < number < math.inf:
+        raise DomainError(f"{name} must be a finite real above {above}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -92,9 +114,7 @@ class GroundParams:
 def mask_from_elements(elements: Sequence[int], n: int) -> int:
     mask = 0
     for e in elements:
-        e = integer("element", e)
-        if not (1 <= e <= n):
-            raise DomainError(f"element {e} out of range 1..{n}")
+        e = integer("element", e, 1, n)
         bit = 1 << (e - 1)
         if mask & bit:
             raise DomainError(f"repeated element {e}")
@@ -244,18 +264,14 @@ class SetFamily:
 
 def star(params: GroundParams, centre: int) -> SetFamily:
     """All k-subsets of [n] containing the fixed element `centre`."""
-    centre = integer("centre", centre)
-    if not (1 <= centre <= params.n):
-        raise DomainError(f"star centre {centre} out of range 1..{params.n}")
+    centre = integer("centre", centre, 1, params.n)
     masks = _avoiding(params.n, centre, params.k - 1) | np.uint64(1 << (centre - 1))
     return SetFamily._from_sorted(params, masks)  # adding the centre keeps the order
 
 
 def antistar(params: GroundParams, avoided: int) -> SetFamily:
     """All k-subsets of [n] avoiding the fixed element `avoided`."""
-    avoided = integer("avoided", avoided)
-    if not (1 <= avoided <= params.n):
-        raise DomainError(f"anti-star element {avoided} out of range 1..{params.n}")
+    avoided = integer("avoided", avoided, 1, params.n)
     return SetFamily._from_sorted(params, _avoiding(params.n, avoided, params.k))
 
 
@@ -275,12 +291,8 @@ def union_of_stars(params: GroundParams, centres: Sequence[int]) -> SetFamily:
 
 def random_family(params: GroundParams, m: int, seed: int) -> SetFamily:
     """m distinct k-sets sampled without replacement via a seeded shuffle."""
-    m, seed = integer("m", m), integer("seed", seed)
     total = params.slice_size
-    if m < 0:
-        raise DomainError(f"random family size must be non-negative, got {m}")
-    if m > total:
-        raise DomainError(f"requested {m} sets but C({params.n},{params.k}) = {total}")
+    m, seed = integer("m", m, 0, total), integer("seed", seed)
     full = slice_masks(params.n, params.k)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     order = rng.permutation(total)
@@ -578,9 +590,7 @@ def excess_ratio(params: GroundParams, ell: int, size: int, dp: int) -> tuple[in
     """((2l-1) alpha + 2 beta) k/(n-2k), the excess of a family of size members
     with dp disjoint pairs at l, as (numerator, positive denominator) over
     C(n-1,k-1) C(n-k-1,k-1) (n-2k): the one definition of the excess."""
-    ell = integer("ell", ell)
-    if ell < 1:
-        raise DomainError(f"l must be a positive integer, got {ell}")
+    ell = integer("ell", ell, 1)
     a, b, star, cross = _alpha_beta(params, ell, size, dp)
     return ((2 * ell - 1) * a * cross + 2 * b) * params.k, star * cross * (params.n - 2 * params.k)
 
@@ -638,9 +648,7 @@ class FamilyStats:
 
 def family_stats(family: SetFamily, ell: int) -> FamilyStats:
     """Exact alpha and beta for a family at a given l (requires n > 2k)."""
-    ell = integer("ell", ell)
-    if ell < 1:
-        raise DomainError(f"l must be a positive integer, got {ell}")
+    ell = integer("ell", ell, 1)
     params = family.params
     params.require_gap("family_stats")
     size = len(family)

@@ -24,7 +24,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import DomainError, GuardError, SearchBudgetExceeded
-from .families import GroundParams, SetFamily, elements_from_mask, slice_masks
+from .families import GroundParams, SetFamily, elements_from_mask, real, slice_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
@@ -242,7 +242,7 @@ def verify_ekr(params: GroundParams) -> dict:
 
 def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
     """Numeric eigenvalues of K(n,k) vs (-1)^i C(n-k-i,k-i) with multiplicities."""
-    nv = params.slice_size
+    nv, tol = params.slice_size, real("tol", tol, 0)
     if nv > SPECTRUM_GUARD:
         raise GuardError(f"spectrum check guarded to C(n,k) <= {SPECTRUM_GUARD}")
     dense = np.array([vertex_bits(row, nv) for row in build_graph(params).adjacency],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +28,7 @@ from .families import (
     excess_ratio,
     family_stats,
     integer,
+    real,
     recent_family_memo,
     subset_counts,
 )
@@ -51,13 +51,8 @@ class RemovalConfig:
     c_const: float = DEFAULT_C_CONST
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ell", integer("ell", self.ell))
-        if self.ell < 1:
-            raise DomainError(f"l must be a positive integer, got {self.ell}")
-        if not (isinstance(self.c_const, numbers.Real) and self.c_const > 1):
-            raise DomainError(f"c_const must exceed 1, got {self.c_const!r}")
-        if self.c_const == math.inf:
-            raise DomainError(f"c_const must be finite, got {self.c_const}")
+        object.__setattr__(self, "ell", integer("ell", self.ell, 1))
+        object.__setattr__(self, "c_const", real("c_const", self.c_const, 1))
 
 
 def union_size(params, s: int) -> int:
@@ -131,11 +126,7 @@ def nearest_union_exact(family: SetFamily, ell: int) -> tuple[tuple[int, ...], i
 
     Ties break to the lexicographically smallest S.  Guarded by C(n,l).
     """
-    params, ell = family.params, integer("ell", ell)
-    if ell < 0:
-        raise DomainError(f"ell must be nonnegative, got {ell}")
-    if ell > params.n:
-        raise DomainError(f"l={ell} exceeds n={params.n}")
+    params, ell = family.params, integer("ell", ell, 0, family.params.n)
     if math.comb(params.n, ell) > CENTER_ENUM_GUARD:
         raise GuardError(f"C({params.n},{ell}) centre sets exceed the guard")
     (miss, best), _ = _extreme_sets(family, ell)
@@ -358,7 +349,7 @@ def calibrate_constant(entries: Iterable[tuple[FamilyStats, int]],
     the largest of these.  Returns inf when a qualifying entry has base <= 0
     and dist > floor * base: no C satisfies it while it qualifies.
     """
-    c_star = floor
+    c_star = floor = real("floor", floor, 1)
     for stats, dist in entries:
         if not stats.removal_precondition_met(floor):
             continue

@@ -26,19 +26,15 @@ from .families import (GroundParams, SetFamily, degree_profile, disjoint_pairs, 
 
 def kneser_eigenvalue(params: GroundParams, i: int) -> int:
     """lambda_i = (-1)^i * C(n-k-i, k-i) for 0 <= i <= k."""
-    n, k, i = params.n, params.k, integer("i", i)
+    n, k, i = params.n, params.k, integer("i", i, 0, params.k)
     if n < 2 * k:
         raise DomainError(f"Kneser eigenvalues need n >= 2k, got n={n} k={k}")
-    if not (0 <= i <= k):
-        raise DomainError(f"eigenvalue index {i} out of range 0..{k}")
     return (-1) ** i * math.comb(n - k - i, k - i)
 
 
 def eigenvalue_multiplicity(params: GroundParams, i: int) -> int:
     """dim of the i-th eigenspace: C(n,i) - C(n,i-1); gives 1 and n-1 for i=0,1."""
-    i = integer("i", i)
-    if not (0 <= i <= params.k):
-        raise DomainError(f"eigenvalue index {i} out of range 0..{params.k}")
+    i = integer("i", i, 0, params.k)
     below = math.comb(params.n, i - 1) if i >= 1 else 0
     return math.comb(params.n, i) - below
 

@@ -35,7 +35,7 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 
 from .errors import DomainError, GuardError
-from .families import GroundParams, integer, slice_masks
+from .families import GroundParams, integer, real, slice_masks
 from .graphs import (edge_rows, neighbour_blocks, ratio_bound, require_graph, row_bytes,
                      vertex_bits, vertex_mask)
 from .mis import max_independent_set_masks
@@ -73,10 +73,8 @@ class ThresholdParams:
         if not (isinstance(self.p, numbers.Real) and 0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0,1], got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))  # numpy floats, Fractions
-        for name in ("trials", "master_seed"):  # numpy integers become int
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", integer("trials", self.trials, 1))
+        object.__setattr__(self, "master_seed", integer("master_seed", self.master_seed))
 
 
 class _SampleContext:
@@ -225,9 +223,7 @@ def count_superstars(sample: EdgeSample) -> int:
 def star_survives(sample: EdgeSample, centre: int) -> bool:
     """True iff the star at `centre` is maximal independent in the sample
     (it admits no superstar extension)."""
-    n, centre = sample.params.n, integer("centre", centre)
-    if not (1 <= centre <= n):
-        raise DomainError(f"centre {centre} out of range 1..{n}")
+    centre = integer("centre", centre, 1, sample.params.n)
     return not np.count_nonzero(sample.unblocked & np.uint64(1 << (centre - 1)))
 
 
@@ -311,10 +307,8 @@ def _decide_trial(args: tuple) -> tuple[float, float, list[int]]:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise DomainError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise DomainError(f"successes must lie in 0..{trials}, got {successes}")
+    trials = integer("trials", trials, 1)
+    successes = integer("successes", successes, 0, trials)
     z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -330,12 +324,9 @@ def _estimate(params: GroundParams, ps: list[float], trials: int, seed: int,
     in trial order; updates brackets, which an empty list opens for every
     trial.  Checks every input before any trial."""
     tps = [ThresholdParams(params, p, trials, seed) for p in ps]
-    # trials and seed as ThresholdParams reads them; an empty p list checks them too
-    head = tps[0] if tps else ThresholdParams(params, 0.0, trials, seed)
-    trials, seed = head.trials, head.master_seed
-    workers = integer("workers", workers)
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    # as ThresholdParams reads them, also for an empty p list
+    trials, seed = integer("trials", trials, 1), integer("master_seed", seed)
+    workers = integer("workers", workers, 1)
     if workers > WORKER_GUARD:
         raise GuardError(f"workers guarded to {WORKER_GUARD}, got {workers}")
     if trials < CI_MIN_TRIALS:
@@ -489,13 +480,9 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     All in log-space.
     """
     n, k = params.n, params.k
-    if n <= 2 * k:
-        raise DomainError(f"analytic bounds need n > 2k, got n={n} k={k}")
-    for name, value in (("zeta", zeta), ("c_const", c_const), ("epsilon", epsilon)):
-        if not (isinstance(value, numbers.Real) and value > 0):
-            raise DomainError(f"{name} must be positive, got {value!r}")
-        if value == math.inf:
-            raise DomainError(f"{name} must be finite, got {value}")
+    params.require_gap("analytic_bounds")
+    zeta, c_const, epsilon = (real("zeta", zeta, 0), real("c_const", c_const, 0),
+                              real("epsilon", epsilon, 0))
     crit = critical_probabilities(params)
     p_c = crit["p_c"]
     p = zeta * p_c
@@ -505,15 +492,9 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     big = math.comb(n - 1, k)
     log_nbig = math.log(n) + math.log(big)
 
-    i, j = integer("i", i), integer("j", j)
-    if i < 0 or i > star:
-        raise DomainError(f"i must lie in 0..C(n-1,k-1)={star}, got {i}")
-    if j < 0:
-        raise DomainError(f"j must be nonnegative, got {j}")
-    j_cap = i * params.kneser_degree
-    if i >= 1 and j > j_cap:
-        # for i = 0 the count is identically zero (empty A forces empty B)
-        raise DomainError(f"j must lie in 0..i*C(n-k,k)={j_cap}, got {j}")
+    i = integer("i", i, 0, star)
+    # for i = 0 the count is identically zero (empty A forces empty B)
+    j = integer("j", j, 0, i * params.kneser_degree if i else None)
 
     log1mp = math.log1p(-p_eff) if p_eff < 1.0 else -math.inf
 

@@ -572,7 +572,7 @@ def test_out_file_is_emptied_only_after_the_command_succeeds(tmp_path, capsys):
     before = path.read_text()
     code, _, err = run_cli(capsys, "stats", "--n", "9", "--k", "2", "--family",
                            f"file:{path}", "--l", "0", "--out", str(path))
-    assert code == 1 and "l must be a positive integer" in err
+    assert code == 1 and "ell must be at least 1" in err
     assert path.read_text() == before
     code, out, _ = run_cli(capsys, "stats", "--n", "9", "--k", "2", "--family",
                            f"file:{path}", "--out", str(path))  # reads it, then replaces it

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, imports from the
 package only the modules pinned for it, and every public definition and
 constant of the package is read by some code other than its own; threshold's
-per-trial functions call none of numpy's wrapped reductions, and no module
-but families constructs a numpy Generator."""
+per-trial functions call none of numpy's wrapped reductions, no module but
+families constructs a numpy Generator, and no module but families words a
+range fault or, but for threshold's p, reads the numbers module."""
 
 import ast
 from collections import Counter
@@ -150,6 +151,49 @@ def test_per_trial_path_calls_no_wrapped_reduction():
     assert PER_TRIAL_FUNCTIONS <= {node.name for node in ast.parse(source).body
                                    if isinstance(node, ast.FunctionDef)}
     assert wrapped_reductions(source, PER_TRIAL_FUNCTIONS) == {}
+
+
+# which values a field takes, and how a fault is worded, has one home,
+# families: its integer and real check every range and name the field, and
+# no other module words a range fault or, but for threshold's p, reads numbers
+RANGE_PHRASES = {"out of range", "must be at least"}
+
+
+def input_checks(source: str) -> set[str]:
+    """The RANGE_PHRASES in the literal text of a DomainError that source
+    builds, as a function or an attribute, and "numbers" if it imports that."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "DomainError" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            text = [c.value for arg in node.args for c in ast.walk(arg)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            found |= {phrase for phrase in RANGE_PHRASES if any(phrase in t for t in text)}
+        elif isinstance(node, ast.Import):
+            found |= {"numbers"} & {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.add("numbers")
+    return found
+
+
+def test_input_checks_finds_every_form():
+    source = ("import numbers\n"
+              "def f(v):\n    if v < 0:\n        raise DomainError(f'v {v} out of range 0..3')\n"
+              "    raise errors.DomainError(f'ell must ' f'be at least 1, got {v}')\n")
+    assert input_checks(source) == RANGE_PHRASES | {"numbers"}
+    assert input_checks("from numbers import Real\n") == {"numbers"}
+    # another error, another wording, a phrase outside an error, other modules
+    assert input_checks("raise ValueError('x out of range')\n"
+                        "raise DomainError(f'need at least {CI_MIN_TRIALS} trials')\n"
+                        "m = 'must be at least'\nimport numpy as np\n"
+                        "from .families import numbers_of\n") == set()
+
+
+def test_only_families_checks_a_range():
+    checks = {p.stem: input_checks(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {stem for stem, found in checks.items() if found & RANGE_PHRASES} == {"families"}
+    assert {stem for stem, found in checks.items() if "numbers" in found} <= {
+        "families", "threshold"}
 
 
 # a family's storage, its sorted uint64 array, has one home, families: no
