@@ -105,6 +105,11 @@ class GroundParams:
         """C(n-k-1,k-1): sets of a star disjoint from a fixed set avoiding the centre."""
         return math.comb(self.n - self.k - 1, self.k - 1)
 
+    def require_graph(self, op: str) -> None:
+        """Raise unless n >= 2k (needed by K(n,k), its spectrum and its samples)."""
+        if self.n < 2 * self.k:
+            raise DomainError(f"{op} needs n >= 2k, got n={self.n} k={self.k}")
+
     def require_gap(self, op: str) -> None:
         """Raise unless n > 2k (needed by spectral and removal operations)."""
         if self.n <= 2 * self.k:

@@ -91,11 +91,6 @@ class KneserGraph:
         return SetFamily(self.params, tuple(self.vertices[v] for v in picked))
 
 
-def require_graph(params: GroundParams) -> None:
-    if params.n < 2 * params.k:
-        raise DomainError(f"Kneser graph needs n >= 2k, got n={params.n} k={params.k}")
-
-
 def disjoint_blocks(masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, disj) per block of rows, disj[i, j] True iff masks[i0 + i] & masks[j]
     is 0, from at most BLOCK_BYTES of uint64 ANDs (and one row at least).  The
@@ -116,7 +111,7 @@ def neighbour_blocks(masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 
 def build_graph(params: GroundParams) -> KneserGraph:
     """Materialise K(n,k); requires n >= 2k and C(n,k) <= BUILD_GUARD."""
-    require_graph(params)
+    params.require_graph("build_graph")
     n, k = params.n, params.k
     nv = params.slice_size
     if nv > BUILD_GUARD:
@@ -452,8 +447,8 @@ def extremal_subgraph(params: GroundParams) -> dict:
     partition C([n],k): alpha is their number, C(n-1,k-1), and a set's degree
     its class size less one, (n-k)/k, with (n-k)/(2k) * C(n,k) edges.
     """
+    params.require_graph("extremal_subgraph")
     sizes = [len(fam) for fam in baranyai_partition(params).classes]
-    require_graph(params)
     n, k = params.n, params.k
     return {
         "alpha": len(sizes),

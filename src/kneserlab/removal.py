@@ -160,9 +160,8 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     the bound check runs none.
     """
     params = family.params
-    n, k = params.n, params.k
-    if not (n >= 2 * k and k >= 2):
-        raise DomainError("centre-set check needs n >= 2k >= 4")
+    n, k = params.n, integer("k", params.k, 2)
+    params.require_gap("center_set_check")
     dec = decompose_affine(family)
     eps_in = dec.f2_norm_sq
     root = math.sqrt(max(eps_in, 0.0))

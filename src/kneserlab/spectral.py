@@ -19,17 +19,15 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
 from .families import (GroundParams, SetFamily, degree_profile, disjoint_pairs, excess_ratio,
                        integer, recent_family_memo)
 
 
 def kneser_eigenvalue(params: GroundParams, i: int) -> int:
     """lambda_i = (-1)^i * C(n-k-i, k-i) for 0 <= i <= k."""
-    n, k, i = params.n, params.k, integer("i", i, 0, params.k)
-    if n < 2 * k:
-        raise DomainError(f"Kneser eigenvalues need n >= 2k, got n={n} k={k}")
-    return (-1) ** i * math.comb(n - k - i, k - i)
+    i = integer("i", i, 0, params.k)
+    params.require_graph("kneser_eigenvalue")
+    return (-1) ** i * math.comb(params.n - params.k - i, params.k - i)
 
 
 def eigenvalue_multiplicity(params: GroundParams, i: int) -> int:

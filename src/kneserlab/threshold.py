@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .families import GroundParams, integer, real, slice_masks
-from .graphs import (edge_rows, neighbour_blocks, ratio_bound, require_graph, row_bytes,
-                     vertex_bits, vertex_mask)
+from .graphs import (edge_rows, neighbour_blocks, ratio_bound, row_bytes, vertex_bits,
+                     vertex_mask)
 from .mis import max_independent_set_masks
 
 DEFAULT_EPSILON = 0.1
@@ -89,7 +89,7 @@ class _SampleContext:
     """
 
     def __init__(self, params: GroundParams) -> None:
-        require_graph(params)
+        params.require_graph("sample_subgraph")
         self.params = params  # _context's key, matched by identity first
         nv = self.nv = params.slice_size
         degree = params.kneser_degree
@@ -301,7 +301,12 @@ def _decide_trial(args: tuple) -> tuple[float, float, list[int]]:
         else:  # the witness stays independent up to its least edge word's double
             inside = vertex_bits(ekr.witness, ctx.nv)
             words = uniforms[inside[ctx.u] & inside[ctx.v]]
-            fails_upto = (int(words.min()) >> 11) * 2**-53 if len(words) else 1.0
+            least = int(words.min()) if len(words) else -1  # -1: no edge inside
+            # by EKR, C(n-1,k-1)+1 k-sets hold an edge of K(n,k), and none may be kept
+            if (np.count_nonzero(inside) != tp.params.star_size + 1
+                    or least < math.ceil(tp.p * 2**53) << 11):
+                raise AssertionError(f"trial {t} at p={tp.p}: the witness refutes nothing")
+            fails_upto = (least >> 11) * 2**-53
     return fails_upto, holds_from, xs
 
 
@@ -430,9 +435,7 @@ def find_threshold(params: GroundParams, trials: int, seed: int, *,
 # ── analytic bound evaluators (log-space) ────────────────────────────────
 
 def _log_comb(a: float, b: float) -> float:
-    """log C(a,b) via lgamma; 0 when b in {0,a}, -inf when out of range."""
-    if b < 0 or b > a:
-        return -math.inf
+    """log C(a,b) via lgamma, for 0 <= b <= a; 0 when b in {0,a}."""
     return (math.lgamma(a + 1.0) - math.lgamma(b + 1.0)
             - math.lgamma(a - b + 1.0))
 
@@ -480,7 +483,6 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     All in log-space.
     """
     n, k = params.n, params.k
-    params.require_gap("analytic_bounds")
     zeta, c_const, epsilon = (real("zeta", zeta, 0), real("c_const", c_const, 0),
                               real("epsilon", epsilon, 0))
     crit = critical_probabilities(params)
@@ -495,18 +497,19 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     i = integer("i", i, 0, star)
     # for i = 0 the count is identically zero (empty A forces empty B)
     j = integer("j", j, 0, i * params.kneser_degree if i else None)
+    near, far_den = 0.5 * epsilon * cross, 400.0 * c_const * c_const * n
+    if near == math.inf:
+        raise DomainError(f"epsilon {epsilon!r} overflows the near cutoff, epsilon C(n-k-1,k-1)/2")
+    if far_den == 0.0:  # as does C(n-1,k-1) / (400 C) at a smaller C
+        raise DomainError(f"c_const {c_const!r} underflows 400 C^2 n to 0")
 
     log1mp = math.log1p(-p_eff) if p_eff < 1.0 else -math.inf
 
     # exact E[X] = n C(n-1,k) (1-p)^C(n-k-1,k-1)
     log_ex = log_nbig + cross * log1mp
     # one-star failure probability (1 - (1-p)^cross)^C(n-1,k)
-    inner = cross * log1mp
-    if inner == -math.inf:
-        log_lower = 0.0
-    else:
-        eim = -math.expm1(inner)  # 1 - (1-p)^cross
-        log_lower = big * math.log(eim) if eim > 0 else -math.inf
+    eim = -math.expm1(cross * log1mp)  # 1 - (1-p)^cross, 1.0 at p = 1
+    log_lower = big * math.log(eim) if eim > 0 else -math.inf
     log_first_moment_bound = (1.0 - zeta) * log_nbig
     if i >= 1:
         log_eq2 = (math.log(k) + 2.0 + 2.0 * math.log(big) - math.log(n - k)
@@ -515,9 +518,8 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     else:
         log_eq2 = math.inf  # the moderate-range sum starts at i = 1
     log_far_family_bound = star * (math.log(n) + 1.0 - math.log(k)
-                      - zeta * (n - 2 * k) / (400.0 * c_const * c_const * n)
-                      * log_nbig)
-    near_cutoff = math.ceil(0.5 * epsilon * cross)
+                      - zeta * (n - 2 * k) / far_den * log_nbig)
+    near_cutoff = math.ceil(near)
     far_cutoff = math.ceil(star / (400.0 * c_const))
 
     # maximal_family_bound = n C(star,i) C(i*deg, j) (j p)^i (1-p)^(j (cross - i))
@@ -534,11 +536,7 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
                  + (j * (cross - i) * log1mp if cross != i else 0.0))
 
     def safe_exp(x: float) -> float:
-        if x == -math.inf:
-            return 0.0
-        if x > 700.0:
-            return math.inf
-        return math.exp(x)
+        return math.inf if x > 700.0 else math.exp(x)  # exp(-inf) is 0.0
 
     return BoundReport(
         p_c=p_c,

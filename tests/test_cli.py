@@ -60,7 +60,7 @@ def test_bounds_payload(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--zeta", "nan"), ("--zeta", "inf"), ("--c-const", "0"), ("--c-const", "nan"),
-    ("--epsilon", "nan"), ("--epsilon", "0"),
+    ("--epsilon", "nan"), ("--epsilon", "0"), ("--epsilon", "1e308"), ("--c-const", "1e-320"),
 ])
 def test_bounds_refuses_bad_parameters(capsys, flag, value):
     code, out, err = run_cli(capsys, "bounds", "--n", "12", "--k", "2", flag, value)
@@ -415,7 +415,7 @@ def test_simulate_validation_errors(capsys, p, message):
 
 @pytest.mark.parametrize("argv,code,message", [
     ("removal --n 5 --k 1 --family star:1", 1,
-     "error: centre-set check needs n >= 2k >= 4\n"),
+     "error: k must be at least 2, got 1\n"),
     ("removal --n 64 --k 2 --family random:10:1 --l 3", 2,
      "guard: centre-set search over 8303633 sets exceeds the guard\n"),
 ])

@@ -196,6 +196,52 @@ def test_only_families_checks_a_range():
         "families", "threshold"}
 
 
+# the rules n >= 2k (K(n,k), its spectrum, its samples) and n > 2k (the
+# removal side) have one home, GroundParams.require_graph and require_gap:
+# no other module raises DomainError under an if that compares with 2k
+
+
+def _is_two_k(node: ast.AST) -> bool:
+    """node is 2 * k, 2 * params.k or 2 * self.k, and no larger expression."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and "k" in (getattr(node.right, "id", None), getattr(node.right, "attr", None)))
+
+
+def _raises_domain_error(body: list[ast.stmt]) -> bool:
+    calls = [r.exc for stmt in body for r in ast.walk(stmt)
+             if isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)]
+    return any("DomainError" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+               for c in calls)
+
+
+def two_k_checks(source: str) -> int:
+    """The ifs of source whose test compares some operand with exactly 2k
+    and whose body raises DomainError."""
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.If)
+               and any(isinstance(c, ast.Compare) and any(map(_is_two_k, [c.left, *c.comparators]))
+                       for c in ast.walk(node.test))
+               and _raises_domain_error(node.body))
+
+
+def test_two_k_checks_finds_every_form():
+    source = ("if n < 2 * k:\n    raise DomainError('a')\n"
+              "if not (n >= 2 * params.k and k >= 2):\n    raise errors.DomainError('b')\n"
+              "if 2 * self.k >= self.n:\n    log()\n    raise DomainError(f'{n}')\n")
+    assert two_k_checks(source) == 3
+    # 2k+2, 2k l^2, another error, no raise, a raise outside the if's body
+    assert two_k_checks("if n < 2 * k + 2:\n    raise DomainError('c')\n"
+                        "if n <= 2 * k * ell * ell:\n    raise DomainError('d')\n"
+                        "if n == 2 * k:\n    raise GuardError('e')\n"
+                        "if n > 2 * k:\n    x = DomainError\n"
+                        "if n < 2 * k:\n    pass\nelse:\n    raise DomainError('f')\n"
+                        "if n < 3 * k or n < 2 * j:\n    raise DomainError('g')\n") == 0
+
+
+def test_only_families_states_the_2k_rules():
+    assert {p.stem for p in PACKAGE.glob("*.py") if two_k_checks(p.read_text())} == {"families"}
+
+
 # a family's storage, its sorted uint64 array, has one home, families: no
 # other module reads the array attribute or holds an array as a family unchecked
 FAMILY_STORAGE_NAMES = {"_array", "_from_sorted"}
@@ -230,7 +276,7 @@ PACKAGE_IMPORTS = {
     "graphs": {"errors", "families", "spectral"},
     "mis": {"errors"},
     "removal": {"errors", "families", "spectral"},
-    "spectral": {"errors", "families"},
+    "spectral": {"families"},
     "threshold": {"errors", "families", "graphs", "mis"},
 }
 

@@ -39,10 +39,11 @@ MALFORMED = [
     ("spectrum_cross_check", lambda t: spectrum_cross_check(P, tol=t), ("x",), "tol"),
     ("RemovalConfig", lambda c: RemovalConfig(1, c), (*NOT_REALS, NO_DOUBLE), "c_const"),
     ("analytic_bounds", lambda z: analytic_bounds(P, z, 1, 1), NOT_REALS, "zeta"),
-    ("analytic_bounds", lambda c: analytic_bounds(P, 1.1, 1, 1, c_const=c), NOT_REALS,
-     "c_const"),
-    ("analytic_bounds", lambda e: analytic_bounds(P, 1.1, 1, 1, epsilon=e), NOT_REALS,
-     "epsilon"),
+    # 400 C^2 n underflows to 0 at C = 1e-320, and epsilon C(9,1) / 2 overflows at 1e308
+    ("analytic_bounds", lambda c: analytic_bounds(P, 1.1, 1, 1, c_const=c),
+     (*NOT_REALS, 1e-320), "c_const"),
+    ("analytic_bounds", lambda e: analytic_bounds(P, 1.1, 1, 1, epsilon=e),
+     (*NOT_REALS, 1e308), "epsilon"),
     ("build_family", lambda spec: build_family(P, spec), (None, 5, b"star:1"), "family spec"),
 ]
 CASES = [pytest.param(call, value, field, id=f"{name} {field}={value!r:.24}")  # NO_DOUBLE cut

@@ -13,6 +13,7 @@ from kneserlab import threshold
 from kneserlab.errors import DomainError, GuardError
 from kneserlab.families import GroundParams
 from kneserlab.threshold import (
+    EkrSampleResult,
     ThresholdParams,
     count_superstars,
     ekr_holds,
@@ -248,6 +249,36 @@ def test_bisection_draws_only_for_trials_it_samples(monkeypatch):
     for drawn, sampled in calls:
         assert set(drawn) == sampled and max(drawn.values()) == 1
     assert sum(len(drawn) for drawn, _ in calls) < 200 * len(calls)
+
+
+def _less_one_vertex(sample, witness):
+    return witness & (witness - 1)  # its lowest vertex dropped
+
+
+def _with_a_kept_edge(sample, witness):
+    # a retained edge's ends in place of members, at the same size
+    u, v = sample.edges
+    a, b = int(u[0]), int(v[0])
+    others = [x for x in range(sample.params.slice_size) if witness >> x & 1 and x not in (a, b)]
+    return sum(1 << x for x in others[:sample.params.star_size - 1]) | 1 << a | 1 << b
+
+
+@pytest.mark.parametrize("spoil", [_less_one_vertex, _with_a_kept_edge])
+def test_a_false_refutation_is_refused(monkeypatch, spoil):
+    real_ekr = threshold.ekr_holds
+    spoiled = []
+
+    def ekr(sample):
+        result = real_ekr(sample)
+        if result.holds:
+            return result
+        spoiled.append(spoil(sample, result.witness))
+        return EkrSampleResult(holds=False, witness=spoiled[-1])
+
+    monkeypatch.setattr(threshold, "ekr_holds", ekr)
+    with pytest.raises(AssertionError, match=r"^trial \d+ at p=0\.\d+: the witness"):
+        estimate_probabilities(GroundParams(12, 2), [0.5, 0.6, 0.7], TRIALS, SEED)
+    assert len(spoiled) == 1
 
 
 def raised(call):

@@ -382,6 +382,15 @@ def test_analytic_bounds_t0_t1():
     assert rep.far_cutoff == math.ceil(math.comb(11, 1) / 800)
 
 
+def test_analytic_bounds_at_p_one():
+    # zeta = 20 puts p_eff at 1 at (12,2): (1-p)^cross is 0, so E[X] is 0 and
+    # a star fails with probability 1; i = 0 with j >= 1 counts no family
+    rep = analytic_bounds(P12, 20.0, 0, 1)
+    assert rep.p_effective == 1.0 and rep.lower_bound_prob == 1.0
+    assert rep.ex_exact == 0.0 and rep.log_ex == -math.inf
+    assert rep.maximal_family_bound == 0.0
+
+
 def test_analytic_bounds_domain_errors():
     with pytest.raises(DomainError):
         analytic_bounds(P12, 1.0, math.comb(11, 1) + 1, 1)
