@@ -193,67 +193,43 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     )
 
 
-def _case_label(report: CenterSetReport, ell: int) -> str:
-    s = len(report.best_s)
-    if report.branch == "direct":
-        if s == ell:
-            return "(vi)"
-        return "(i)" if s < ell else "(ii)"
-    if s == 0:
-        return "(iii)"
-    return "(v)" if s == 1 else "(iv)"
-
-
 def case_classify(family: SetFamily, cfg: RemovalConfig) -> str:
-    """Which of the six approximant cases the best centre set realises."""
-    return _case_label(center_set_check(family, cfg), cfg.ell)
+    """Which of the six approximant cases the best centre set realises: the
+    case of case_table's realised row."""
+    return next(row["case"] for row in case_table(family, cfg) if row["realized"])
 
 
 def case_table(family: SetFamily, cfg: RemovalConfig) -> list[dict]:
-    """One diagnostic row per candidate case: sizes against the proof windows.
-
-    The size window for the approximant is (l +- 1/4) C(n-1,k-1); the union
-    lower estimate for case (ii) uses the (l + 1/2) multiplier.  Case (v)
-    additionally reports the disjoint-pair threshold.
+    """One diagnostic row per approximant case of the proof: its size against
+    the window (l +- 1/4) C(n-1,k-1), and whether center_set_check's best S
+    realises it.  Each row holds its rule: on the direct branch (i), (ii) and
+    (vi) are |S| below, above and equal to l; on the complement branch (iii),
+    (v) and (iv) are |S| = 0, 1 and >= 2.  Case (ii) also reports the union
+    lower estimate (l + 1/2) C(n-1,k-1), case (v) the disjoint-pair threshold.
     """
     params = family.params
-    n, k, ell = params.n, params.k, cfg.ell
-    star = params.star_size
-    lo = (ell - 0.25) * star
-    hi = (ell + 0.25) * star
+    n, k, star = params.n, params.k, params.star_size
     report = center_set_check(family, cfg)
-    realized = _case_label(report, ell)
-    eps = report.eps_in
-    rows = []
-
-    def row(label, description, size_val, extra=None):
-        entry = {
-            "case": label,
-            "approximant": description,
-            "size": size_val,
-            "window_lo": lo,
-            "window_hi": hi,
-            "within_window": lo <= size_val <= hi,
-            "realized": label == realized,
-        }
-        if extra:
-            entry.update(extra)
-        rows.append(entry)
-
-    row("(i)", f"G_s, s <= {ell - 1}", union_size(params, ell - 1))
-    lower_ii = (ell + 0.5) * star
-    row("(ii)", f"G_s, s >= {ell + 1}", union_size(params, ell + 1),
-        {"proof_lower_estimate": lower_ii})
-    row("(iii)", "complement of G_0", params.slice_size)
+    ell = integer("ell", cfg.ell, 1, n - 1)
+    s, direct = len(report.best_s), report.branch == "direct"
     s_iv = max(2, report.s_bound)
-    row("(iv)", f"complement of G_s, s >= 2 (at s={s_iv})", math.comb(n - s_iv, k))
-    dp_f = disjoint_pairs(family)
-    dp_threshold = (0.5 - 2 * (cfg.c_const * eps)) * math.comb(n - 1, k) \
+    dp_threshold = (0.5 - 2 * (cfg.c_const * report.eps_in)) * math.comb(n - 1, k) \
         * math.comb(n - k - 1, k)  # C eps first: 2 C may overflow where eps = 0
-    row("(v)", "complement of G_1 (anti-star)", math.comb(n - 1, k),
-        {"dp_family": dp_f, "dp_lower_threshold": dp_threshold})
-    row("(vi)", f"G_{ell}", union_size(params, ell))
-    return rows
+    cases = [  # (case, approximant, size, realised, extra columns)
+        ("(i)", f"G_s, s <= {ell - 1}", union_size(params, ell - 1), direct and s < ell, {}),
+        ("(ii)", f"G_s, s >= {ell + 1}", union_size(params, ell + 1), direct and s > ell,
+         {"proof_lower_estimate": (ell + 0.5) * star}),
+        ("(iii)", "complement of G_0", params.slice_size, not direct and s == 0, {}),
+        ("(iv)", f"complement of G_s, s >= 2 (at s={s_iv})", math.comb(n - s_iv, k),
+         not direct and s >= 2, {}),
+        ("(v)", "complement of G_1 (anti-star)", math.comb(n - 1, k), not direct and s == 1,
+         {"dp_family": disjoint_pairs(family), "dp_lower_threshold": dp_threshold}),
+        ("(vi)", f"G_{ell}", union_size(params, ell), direct and s == ell, {}),
+    ]
+    lo, hi = (ell - 0.25) * star, (ell + 0.25) * star
+    return [{"case": case, "approximant": approximant, "size": size, "window_lo": lo,
+             "window_hi": hi, "within_window": lo <= size <= hi, "realized": realized, **extra}
+            for case, approximant, size, realized, extra in cases]
 
 
 @dataclass(frozen=True)

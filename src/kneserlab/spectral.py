@@ -46,7 +46,6 @@ class SpectralDecomposition:
     slice, sum_i x_i == k, is absorbed into a0).
     """
 
-    params: GroundParams
     f0: float
     affine_coeffs: tuple[float, ...]
     f1_norm_sq: float
@@ -91,7 +90,6 @@ def decompose_affine(family: SetFamily) -> SpectralDecomposition:
     f2_f = f2_num / f1_den
     residual = abs(f0_f - f0_f * f0_f - f1_f - f2_f)
     return SpectralDecomposition(
-        params=params,
         f0=f0_f,
         affine_coeffs=(f0_f, *(b * (n - 1) / a_den for b in b_num)),
         f1_norm_sq=f1_f,

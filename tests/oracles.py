@@ -345,7 +345,6 @@ def decompose_affine_fraction(family: SetFamily) -> SpectralDecomposition:
     f2 = mean - mean * mean - f1
     f0_f, f1_f, f2_f = float(mean), float(f1), float(f2)
     return SpectralDecomposition(
-        params=params,
         f0=f0_f,
         affine_coeffs=tuple(float(a) for a in coeffs),
         f1_norm_sq=f1_f,
@@ -408,6 +407,20 @@ def center_set_verdicts_fraction(family: SetFamily, report: CenterSetReport,
         dist = params.slice_size - dist
     return (Fraction(dist, params.slice_size) <= Fraction(c_const) * eps,
             eps < Fraction(params.k, 128 * params.n), float(eps))
+
+
+def case_label(report: CenterSetReport, ell: int) -> str:
+    """The approximant case that a centre-set report's best S realises: on the
+    direct branch (vi) at |S| = l, else (i) below l and (ii) above; on the
+    complement branch (iii) at |S| = 0, (v) at 1 and (iv) from 2 on."""
+    s = len(report.best_s)
+    if report.branch == "direct":
+        if s == ell:
+            return "(vi)"
+        return "(i)" if s < ell else "(ii)"
+    if s == 0:
+        return "(iii)"
+    return "(v)" if s == 1 else "(iv)"
 
 
 def affine_residual_exact(family: SetFamily) -> Fraction:

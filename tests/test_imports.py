@@ -2,8 +2,9 @@
 package only the modules pinned for it, and every public definition and
 constant of the package is read by some code other than its own; threshold's
 per-trial functions call none of numpy's wrapped reductions, no module but
-families constructs a numpy Generator, and no module but families words a
-range fault or, but for threshold's p, reads the numbers module."""
+families constructs a numpy Generator, no module but families words a
+range fault or, but for threshold's p, reads the numbers module, and each of
+the removal lemma's six case labels is written once."""
 
 import ast
 from collections import Counter
@@ -240,6 +241,30 @@ def test_two_k_checks_finds_every_form():
 
 def test_only_families_states_the_2k_rules():
     assert {p.stem for p in PACKAGE.glob("*.py") if two_k_checks(p.read_text())} == {"families"}
+
+
+# the removal lemma's six approximant cases have one home, the rows of
+# removal.case_table: each row holds its label, and no other code writes one
+CASE_LABELS = ("(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)")
+
+
+def case_labels(sources) -> Counter:
+    """How often each of CASE_LABELS is a whole string constant in the
+    sources; a longer string, a docstring among them, that holds one does not count."""
+    return Counter(node.value for source in sources for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and node.value in CASE_LABELS)
+
+
+def test_case_labels_finds_every_form():
+    source = ('def f(s):\n    """(i) below l, else (ii)."""\n    return "(i)" if s else "(ii)"\n'
+              'ROWS = [("(iii)", 1), ("(iv) at s", 2)]\n')
+    assert case_labels([source, 'x = {"(i)": 1}\n']) == Counter(
+        {"(i)": 2, "(ii)": 1, "(iii)": 1})
+
+
+def test_each_case_label_is_written_once():
+    assert case_labels(p.read_text() for p in PACKAGE.glob("*.py")) == Counter(
+        dict.fromkeys(CASE_LABELS, 1))
 
 
 # a family's storage, its sorted uint64 array, has one home, families: no

@@ -9,14 +9,15 @@ import pytest
 from kneserlab.errors import DomainError
 from kneserlab.families import GroundParams, build_family
 from kneserlab.graphs import spectrum_cross_check
-from kneserlab.removal import (RemovalConfig, calibrate_constant, nearest_union_exact,
-                               removal_bound_check)
+from kneserlab.removal import (RemovalConfig, calibrate_constant, case_classify, case_table,
+                               nearest_union_exact, removal_bound_check)
 from kneserlab.spectral import eigenvalue_multiplicity, kneser_eigenvalue
 from kneserlab.threshold import (ThresholdParams, analytic_bounds, estimate_probabilities,
                                  estimate_probability, find_threshold, wilson_interval)
 
 P = GroundParams(12, 2)
 STAR = build_family(GroundParams(7, 3), "star:1")
+STAR_10 = build_family(GroundParams(10, 2), "star:1")
 NOT_INTEGERS = (1.5, 2.0, "2")
 NOT_REALS = (None, "1.5", 1.5 + 0j)
 NO_DOUBLE = 10**400  # a finite real above every double
@@ -32,6 +33,9 @@ MALFORMED = [
     ("kneser_eigenvalue", lambda i: kneser_eigenvalue(P, i), (1.0, "1"), "i"),
     ("eigenvalue_multiplicity", lambda i: eigenvalue_multiplicity(P, i), (1.0, "1"), "i"),
     ("nearest_union_exact", lambda ell: nearest_union_exact(STAR, ell), (-1, 1.0), "ell"),
+    # at l = n the case table's (ii) row, G_s at s = l + 1, has no size
+    ("case_table", lambda ell: case_table(STAR_10, RemovalConfig(ell)), (10,), "ell"),
+    ("case_classify", lambda ell: case_classify(STAR_10, RemovalConfig(ell)), (10,), "ell"),
     ("wilson_interval", lambda s: wilson_interval(s, 2), (3, -1, 1.5), "successes"),
     ("wilson_interval", lambda t: wilson_interval(1, t), (2.5, "2"), "trials"),
     ("calibrate_constant", lambda f: calibrate_constant([], floor=f), ("x", 0.5, NO_DOUBLE),

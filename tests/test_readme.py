@@ -1,5 +1,6 @@
 """The README's command-line examples, and `stats` and `spectrum` on a few
-families, print pinned bytes: the sha256 of each command's stdout."""
+families, print pinned bytes: the sha256 of each command's stdout; its
+library example prints a pinned line."""
 
 import hashlib
 import random
@@ -98,6 +99,12 @@ PINS = {  # the sha256 of each command line's stdout
     "kneserlab spectrum --n 12 --k 4 --family file:random.txt --l 2":
         "d8abe60298fcaba46fb890138d204d143b38591541509b163dffc94a782215c0",
 }
+
+
+def test_library_example_prints_its_line(capsys):
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", README.read_text(), re.S)
+    exec(block.group(1), {})
+    assert capsys.readouterr().out == "-227/23 379/7 227 5432.571428571428 True\n"
 
 
 def test_every_readme_command_is_pinned():

@@ -31,7 +31,7 @@ from kneserlab.removal import (
     union_size,
 )
 from kneserlab.spectral import residual_bound_check
-from oracles import nearest_union_heuristic, union_distance
+from oracles import case_label, nearest_union_heuristic, union_distance
 
 
 def exhaustive_union_oracle(family, ell):
@@ -323,13 +323,41 @@ def test_a_second_scan_at_one_key_builds_no_centre_table(monkeypatch):
             table[0] = 1
 
 
+# (n, k, family, l, the case its best centre set realises): every case once
+CASE_EXAMPLES = [
+    (5, 2, "star:1", 1, "(vi)"),
+    (5, 2, "antistar:5", 1, "(v)"),
+    (10, 2, "union:1,2", 1, "(ii)"),
+    (10, 2, "star:1", 2, "(i)"),
+    (10, 2, "complement-of:random:0:1", 1, "(iii)"),
+    (10, 2, "random:20:3", 1, "(iv)"),
+    (10, 2, "union:1,2", 2, "(vi)"),
+]
+
+
 def test_case_classification_examples():
-    assert case_classify(build_family(GroundParams(5, 2), "star:1"),
-                         RemovalConfig(1, 2.0)) == "(vi)"
-    assert case_classify(build_family(GroundParams(5, 2), "antistar:5"),
-                         RemovalConfig(1, 2.0)) == "(v)"
-    assert case_classify(build_family(GroundParams(10, 2), "union:1,2"),
-                         RemovalConfig(2, 2.0)) == "(vi)"
+    assert {case for *_, case in CASE_EXAMPLES} == {
+        "(i)", "(ii)", "(iii)", "(iv)", "(v)", "(vi)"}
+    for n, k, spec, ell, case in CASE_EXAMPLES:
+        fam, cfg = build_family(GroundParams(n, k), spec), RemovalConfig(ell, 2.0)
+        assert case_classify(fam, cfg) == case, (n, k, spec, ell)
+        assert [r["case"] for r in case_table(fam, cfg) if r["realized"]] == [case]
+
+
+def test_case_classify_matches_the_oracle():
+    # 40 seeded random families at each (n,k), l = 1 and 2: they realise
+    # (i)-(iv) and (vi); CASE_EXAMPLES covers (v)
+    seen = set()
+    for n, k in ((10, 2), (12, 3), (14, 3)):
+        params = GroundParams(n, k)
+        for seed in range(40):
+            fam = build_family(params, f"random:{1 + 7919 * seed % params.slice_size}:{seed}")
+            for ell in (1, 2):
+                cfg = RemovalConfig(ell, 2.0)
+                label = case_classify(fam, cfg)
+                assert label == case_label(center_set_check(fam, cfg), ell), (n, k, seed, ell)
+                seen.add(label)
+    assert seen == {"(i)", "(ii)", "(iii)", "(iv)", "(vi)"}
 
 
 def test_case_table_rows():
