@@ -185,7 +185,7 @@ def _cmd_baranyai(args, params) -> dict:
         "classes": buf.getvalue().splitlines(),
     }
     if not args.partition_only:
-        payload["extremal"] = extremal_subgraph(params)
+        payload["extremal"] = extremal_subgraph(partition)
     return payload
 
 
@@ -208,9 +208,8 @@ def _cmd_threshold(args, params) -> dict:
 
 
 def _cmd_bounds(args, params) -> dict:
-    report = analytic_bounds(params, args.zeta, args.i, args.j,
-                             c_const=args.c_const, epsilon=args.epsilon)
-    return report.to_json_dict()
+    return analytic_bounds(params, args.zeta, args.i, args.j,
+                           c_const=args.c_const, epsilon=args.epsilon)
 
 
 _COMMANDS = {

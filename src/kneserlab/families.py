@@ -128,6 +128,8 @@ def mask_from_elements(elements: Sequence[int], n: int) -> int:
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
+    """The elements of [n] in a set mask (bit x-1 for element x), ascending."""
+    mask = integer("mask", mask, 0)
     out = []
     while mask:
         low = mask & -mask
@@ -634,7 +636,7 @@ class FamilyStats:
     def removal_precondition_met(self, c_const: float) -> bool:
         """max(2l|alpha|, |beta|) <= (n-2k) / ((20C)^2 n), exactly in integers."""
         num, den = self.precondition_limit
-        p, q = c_const.as_integer_ratio()  # Fraction(c_const), exactly
+        p, q = real("c_const", c_const, 1).as_integer_ratio()  # Fraction(C), exactly
         return p * p * den <= num * q * q
 
     def to_json_dict(self) -> dict:

@@ -15,7 +15,6 @@ K(2k,k), refused when their count exceeds the solution cap.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -24,13 +23,14 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import DomainError, GuardError, SearchBudgetExceeded
-from .families import GroundParams, SetFamily, elements_from_mask, real, slice_masks
+from .families import GroundParams, SetFamily, elements_from_mask, slice_masks
 from .spectral import eigenvalue_multiplicity, kneser_eigenvalue
 
 BUILD_GUARD = 50_000
 BLOCK_BYTES = 256 << 10  # uint64 ANDed per block of disjoint_blocks
 SPECTRUM_GUARD = 500
 SOLUTION_CAP = 1_000_000
+SPECTRUM_TOL = 1e-6  # largest eigenvalue deviation spectrum_cross_check accepts
 _BIT8 = np.array([1 << i for i in range(8)], dtype=np.uint8)  # bit i of a byte
 
 
@@ -235,9 +235,9 @@ def verify_ekr(params: GroundParams) -> dict:
 
 # ── spectrum cross-check ─────────────────────────────────────────────────
 
-def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
+def spectrum_cross_check(params: GroundParams) -> dict:
     """Numeric eigenvalues of K(n,k) vs (-1)^i C(n-k-i,k-i) with multiplicities."""
-    nv, tol = params.slice_size, real("tol", tol, 0)
+    nv = params.slice_size
     if nv > SPECTRUM_GUARD:
         raise GuardError(f"spectrum check guarded to C(n,k) <= {SPECTRUM_GUARD}")
     dense = np.array([vertex_bits(row, nv) for row in build_graph(params).adjacency],
@@ -254,7 +254,7 @@ def spectrum_cross_check(params: GroundParams, *, tol: float = 1e-6) -> dict:
     return {
         "n": params.n,
         "k": params.k,
-        "ok": max_dev <= tol,
+        "ok": max_dev <= SPECTRUM_TOL,
         "max_deviation": max_dev,
         "lambda1_multiplicity": eigenvalue_multiplicity(params, 1),
         "spectrum": sorted(pairs.items()),
@@ -332,6 +332,9 @@ class BaranyaiPartition:
     params: GroundParams
     classes: tuple[SetFamily, ...]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         params = self.params
         n, k = params.n, params.k
@@ -357,7 +360,6 @@ class BaranyaiPartition:
             raise AssertionError("classes do not cover C([n],k)")
 
 
-@functools.lru_cache(maxsize=1)
 def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     """Constructive Baranyai partition by one integral flow per element.
 
@@ -365,8 +367,7 @@ def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     extend exactly one slot, and each partial set S must absorb the element in
     exactly C(n-m-1, k-|S|-1) of its occurrences; the fractional solution
     sends (k-|S|)/(n-m) per slot, and an integral flow of the same value
-    always exists.  The most recent partition is kept, so the `baranyai`
-    command and extremal_subgraph share one construction.
+    always exists.
     """
     n, k = params.n, params.k
     if n % k != 0:
@@ -374,10 +375,8 @@ def baranyai_partition(params: GroundParams) -> BaranyaiPartition:
     if params.slice_size > BUILD_GUARD:
         raise GuardError("slice too large for Baranyai construction")
     classes = _baranyai_flow(n, k)
-    partition = BaranyaiPartition(
+    return BaranyaiPartition(
         params, tuple(SetFamily.from_masks(params, cls) for cls in classes))
-    partition.validate()
-    return partition
 
 
 def _baranyai_flow(n: int, k: int) -> list[list[int]]:
@@ -440,15 +439,16 @@ def export_partition(partition: BaranyaiPartition, stream: IO[str]) -> None:
                               for m in fam.members) + "\n")
 
 
-def extremal_subgraph(params: GroundParams) -> dict:
-    """Clique-union subgraph of K(n,k) from the validated Baranyai partition.
+def extremal_subgraph(partition: BaranyaiPartition) -> dict:
+    """Clique-union subgraph of K(n,k) from a Baranyai partition (validated).
 
     Each class is a perfect matching, so a clique of K(n,k), and the classes
     partition C([n],k): alpha is their number, C(n-1,k-1), and a set's degree
     its class size less one, (n-k)/k, with (n-k)/(2k) * C(n,k) edges.
     """
+    params = partition.params
     params.require_graph("extremal_subgraph")
-    sizes = [len(fam) for fam in baranyai_partition(params).classes]
+    sizes = [len(fam) for fam in partition.classes]
     n, k = params.n, params.k
     return {
         "alpha": len(sizes),

@@ -41,6 +41,7 @@ CENTER_SET_SEARCH_GUARD = 2_000_000
 MISS_CHUNK = 1 << 14
 
 DEFAULT_C_CONST = 2.0
+CALIBRATION_FLOOR = 1.000001  # the least C that calibrate_constant returns
 
 
 @dataclass(frozen=True)
@@ -149,16 +150,21 @@ class CenterSetReport:
         return asdict(self)
 
 
-@recent_family_memo
 def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     """Search for a small centre set S with f or 1-f close to max_{i in S} x_i.
 
     s_bound = max(1, ceil(C n sqrt(eps)/k)); all centre sets of size
     0..s_bound are tried on both branches; holds = (closeness <= C * eps),
-    decided in integers.  The report for the most recent (family, cfg) is
-    memoised, so the case table, case_classify and the CLI share one search;
-    the bound check runs none.
+    decided in integers.  The search reads only C from cfg, and its report
+    for the most recent (family, C) is memoised, so the case table,
+    case_classify and the CLI share one search at every l; the bound check
+    runs none.
     """
+    return _center_set_search(family, cfg.c_const)
+
+
+@recent_family_memo
+def _center_set_search(family: SetFamily, c_const: float) -> CenterSetReport:
     params = family.params
     n, k = params.n, integer("k", params.k, 2)
     params.require_gap("center_set_check")
@@ -166,7 +172,7 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
     eps_in = dec.f2_norm_sq
     root = math.sqrt(max(eps_in, 0.0))
     # C n may overflow to inf, and inf * 0 is NaN; ceil(min(x, n)) = min(ceil(x), n)
-    s_bound = max(1, math.ceil(min(cfg.c_const * n * root / k, n))) if root else 1
+    s_bound = max(1, math.ceil(min(c_const * n * root / k, n))) if root else 1
     total_candidates = sum(math.comb(n, s) for s in range(s_bound + 1))
     if total_candidates > CENTER_SET_SEARCH_GUARD:
         raise GuardError(
@@ -181,7 +187,7 @@ def center_set_check(family: SetFamily, cfg: RemovalConfig) -> CenterSetReport:
                        (size + math.comb(n - s, k) - 2 * most, 1, s, complement)]
     dist, rank, s, combo = min(candidates)
     eps, eps_den = dec.f2_norm_sq_exact.as_integer_ratio()
-    c, c_den = cfg.c_const.as_integer_ratio()  # Fraction(c_const), exactly
+    c, c_den = c_const.as_integer_ratio()  # Fraction(c_const), exactly
     return CenterSetReport(
         eps_in=eps_in,
         s_bound=s_bound,
@@ -312,10 +318,9 @@ def _precondition_breakpoint(stats: FamilyStats) -> float:
     return _ceil_double(Fraction(root + 1, 1 << 52))
 
 
-def calibrate_constant(entries: Iterable[tuple[FamilyStats, int]],
-                       floor: float = 1.000001) -> float:
-    """The least double C >= floor at which dist <= C * base exactly for every
-    entry whose preconditions C meets.
+def calibrate_constant(entries: Iterable[tuple[FamilyStats, int]]) -> float:
+    """The least double C >= CALIBRATION_FLOOR at which dist <= C * base
+    exactly for every entry whose preconditions C meets.
 
     entries: (stats, exact nearest-union distance).  An entry that fails the
     preconditions at the floor fails them at every larger C.  One that meets
@@ -324,7 +329,7 @@ def calibrate_constant(entries: Iterable[tuple[FamilyStats, int]],
     the largest of these.  Returns inf when a qualifying entry has base <= 0
     and dist > floor * base: no C satisfies it while it qualifies.
     """
-    c_star = floor = real("floor", floor, 1)
+    c_star = floor = CALIBRATION_FLOOR
     for stats, dist in entries:
         if not stats.removal_precondition_met(floor):
             continue

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
@@ -440,38 +440,9 @@ def _log_comb(a: float, b: float) -> float:
             - math.lgamma(a - b + 1.0))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    p_c: float
-    p_0: float
-    zeta: float
-    p: float
-    p_effective: float
-    ex_exact: float
-    log_ex: float
-    lower_bound_prob: float
-    first_moment_bound: float
-    log_first_moment_bound: float
-    near_star_base: float
-    log_near_star_base: float
-    far_family_bound: float
-    log_far_family_bound: float
-    near_cutoff: int
-    far_cutoff: int
-    maximal_family_bound: float
-    log_maximal_family_bound: float
-    i: int
-    j: int
-    c_const: float
-    epsilon: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
                     c_const: float = 2.0,
-                    epsilon: float = DEFAULT_EPSILON) -> BoundReport:
+                    epsilon: float = DEFAULT_EPSILON) -> dict:
     """Evaluate the union-bound machinery at p = zeta * p_c.
 
     first_moment_bound = (n C(n-1,k))^(1-zeta) caps the expected superstar
@@ -480,7 +451,7 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     all families of star size; maximal_family_bound caps the expected number
     of maximal independent families at distance pattern (i,j) from a star;
     near_cutoff/far_cutoff are the boundaries of the three distance ranges.
-    All in log-space.
+    All in log-space.  The dict's key order is the `bounds` CSV header.
     """
     n, k = params.n, params.k
     zeta, c_const, epsilon = (real("zeta", zeta, 0), real("c_const", c_const, 0),
@@ -538,27 +509,27 @@ def analytic_bounds(params: GroundParams, zeta: float, i: int, j: int, *,
     def safe_exp(x: float) -> float:
         return math.inf if x > 700.0 else math.exp(x)  # exp(-inf) is 0.0
 
-    return BoundReport(
-        p_c=p_c,
-        p_0=crit["p_0"],
-        zeta=zeta,
-        p=p,
-        p_effective=p_eff,
-        ex_exact=safe_exp(log_ex),
-        log_ex=log_ex,
-        lower_bound_prob=safe_exp(log_lower),
-        first_moment_bound=safe_exp(log_first_moment_bound),
-        log_first_moment_bound=log_first_moment_bound,
-        near_star_base=safe_exp(log_eq2),
-        log_near_star_base=log_eq2,
-        far_family_bound=safe_exp(log_far_family_bound),
-        log_far_family_bound=log_far_family_bound,
-        near_cutoff=near_cutoff,
-        far_cutoff=far_cutoff,
-        maximal_family_bound=safe_exp(log_z),
-        log_maximal_family_bound=log_z,
-        i=i,
-        j=j,
-        c_const=c_const,
-        epsilon=epsilon,
-    )
+    return {
+        "p_c": p_c,
+        "p_0": crit["p_0"],
+        "zeta": zeta,
+        "p": p,
+        "p_effective": p_eff,
+        "ex_exact": safe_exp(log_ex),
+        "log_ex": log_ex,
+        "lower_bound_prob": safe_exp(log_lower),
+        "first_moment_bound": safe_exp(log_first_moment_bound),
+        "log_first_moment_bound": log_first_moment_bound,
+        "near_star_base": safe_exp(log_eq2),
+        "log_near_star_base": log_eq2,
+        "far_family_bound": safe_exp(log_far_family_bound),
+        "log_far_family_bound": log_far_family_bound,
+        "near_cutoff": near_cutoff,
+        "far_cutoff": far_cutoff,
+        "maximal_family_bound": safe_exp(log_z),
+        "log_maximal_family_bound": log_z,
+        "i": i,
+        "j": j,
+        "c_const": c_const,
+        "epsilon": epsilon,
+    }

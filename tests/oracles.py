@@ -22,7 +22,7 @@ from kneserlab.families import (
     elements_from_mask,
     mask_from_elements,
 )
-from kneserlab.graphs import KneserGraph, baranyai_partition
+from kneserlab.graphs import BaranyaiPartition, KneserGraph
 from kneserlab.mis import max_independent_set_masks
 from kneserlab.removal import CenterSetReport, RemovalReport
 from kneserlab.spectral import ResidualBoundReport, SpectralDecomposition
@@ -255,14 +255,15 @@ def baranyai_backtrack(n: int, k: int) -> list[list[int]]:
     return classes
 
 
-def clique_union_extremal(params: GroundParams) -> dict:
-    """extremal_subgraph by search: the Baranyai classes as cliques of an
+def clique_union_extremal(partition: BaranyaiPartition) -> dict:
+    """extremal_subgraph by search: the partition's classes as cliques of an
     adjacency over K(n,k)'s vertex order, alpha from the MIS engine, and the
     degrees and edges counted off the adjacency."""
+    params = partition.params
     n, k = params.n, params.k
     index = {mask: i for i, mask in enumerate(gosper_masks(n, k))}
     adjacency = [0] * len(index)
-    for fam in baranyai_partition(params).classes:
+    for fam in partition.classes:
         cm = 0
         for m in fam.members:
             cm |= 1 << index[m]

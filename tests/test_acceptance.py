@@ -34,6 +34,7 @@ from kneserlab.graphs import (
     spectrum_cross_check,
 )
 from kneserlab.removal import (
+    CALIBRATION_FLOOR,
     calibrate_constant,
     nearest_union_exact,
     removal_bound_base,
@@ -140,7 +141,7 @@ def test_criterion_2_spectrum_identity():
     worst = 0.0
     failures = []
     for n, k in cases:
-        rep = spectrum_cross_check(GroundParams(n, k), tol=1e-6)
+        rep = spectrum_cross_check(GroundParams(n, k))
         worst = max(worst, rep["max_deviation"])
         if not rep["ok"] or rep["lambda1_multiplicity"] != n - 1:
             failures.append((n, k))
@@ -234,14 +235,13 @@ def antistar_oracle_distance(n: int, k: int) -> int:
 
 def test_criterion_6_removal_calibration():
     entries = []
-    floor = 1.000001
     for fam in residual_sweep():
         params = fam.params
         for ell in (1, 2):
             if params.n <= 2 * params.k * ell * ell:
                 continue
             stats = family_stats(fam, ell)
-            if not stats.removal_precondition_met(floor):
+            if not stats.removal_precondition_met(CALIBRATION_FLOOR):
                 continue
             entries.append((stats, nearest_union_exact(fam, ell)[1]))
     # a non-vacuous l = 2 series: n > 8k needs n >= 17 at k = 2
@@ -263,7 +263,7 @@ def test_criterion_6_removal_calibration():
         foreign = next(m for m in enumerate_masks(n, 3) if not m & 1)
         added = SetFamily.from_masks(params, list(star.members) + [foreign])
         entries.append((family_stats(added, 1), nearest_union_exact(added, 1)[1]))
-    c_star = calibrate_constant(entries, floor=floor)
+    c_star = calibrate_constant(entries)
     finite = math.isfinite(c_star)
     violations = 0
     qualifying = 0
@@ -348,7 +348,7 @@ def test_criterion_9_baranyai():
             baranyai_partition(GroundParams(n, k)).validate()
         except (AssertionError, GuardError) as exc:
             failures.append((n, k, str(exc)))
-    stats = extremal_subgraph(GroundParams(6, 2))
+    stats = extremal_subgraph(baranyai_partition(GroundParams(6, 2)))
     extremal_ok = (stats["alpha"] == 5 and stats["degree"] == 2
                    and stats["regular"] and stats["edges"] == 15
                    and stats["edges"] == stats["expected_edges"])

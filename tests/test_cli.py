@@ -81,6 +81,17 @@ def test_bounds_zero_exponent_term_is_one(capsys):
     assert payload["maximal_family_bound"] == pytest.approx(math.exp(expected), rel=1e-9)
 
 
+def test_bounds_csv_pinned_output(capsys):
+    # the CSV header is the report's key order, which the JSON pins, with
+    # their keys sorted, never see; byte-for-byte output of the dataclass
+    # report that the dict replaced
+    code, out, _ = run_cli(capsys, "bounds", "--n", "12", "--k", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("p_c,p_0,zeta,p,p_effective,ex_exact,")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "83844527ea179423bd69eb3851baa7ccb247515c87225e2c00ac440e420884ac"
+
+
 def test_spectrum_payload(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--n", "5", "--k", "2",
                            "--family", "star:1")
@@ -175,7 +186,6 @@ def test_baranyai_builds_one_partition_and_no_graph(capsys, monkeypatch):
 
     monkeypatch.setattr(graphs, "_baranyai_flow", flow)
     monkeypatch.setattr(graphs, "build_graph", no_build)
-    graphs.baranyai_partition.cache_clear()
     code, out, _ = run_cli(capsys, "baranyai", "--n", "12", "--k", "3")
     assert code == 0 and flows == [(12, 3)]
     assert json.loads(out)["extremal"] == {"alpha": 55, "degree": 3, "regular": True,
@@ -187,9 +197,6 @@ def test_baranyai_builds_one_partition_and_no_graph(capsys, monkeypatch):
 
 def test_baranyai_long_augmenting_paths(capsys):
     # an augmenting path here is longer than Python's recursion limit
-    from kneserlab import graphs
-
-    graphs.baranyai_partition.cache_clear()
     code, out, _ = run_cli(capsys, "baranyai", "--n", "20", "--k", "5", "--partition-only")
     payload = json.loads(out)
     assert code == 0 and payload["num_classes"] == len(payload["classes"]) == math.comb(19, 4)
@@ -439,7 +446,7 @@ def test_removal_runs_one_centre_set_search(capsys, monkeypatch):
     real = removal.decompose_affine
     monkeypatch.setattr(removal, "decompose_affine",
                         lambda family: calls.append(1) or real(family))
-    removal.center_set_check.cache_clear()
+    removal._center_set_search.cache_clear()
     code, out, _ = run_cli(capsys, "removal", "--n", "12", "--k", "2",
                            "--family", "random:30:4", "--l", "1")
     assert code == 0
@@ -454,9 +461,9 @@ def test_two_loads_of_one_file_share_one_table_and_one_search(capsys, monkeypatc
 
     path = tmp_path / "fam.txt"
     save_family(build_family(GroundParams(20, 3), "random:400:7"), path)
-    removal.center_set_check.cache_clear()
+    removal._center_set_search.cache_clear()
     calls = []
-    for memoised in (families._subset_table, removal.center_set_check):
+    for memoised in (families._subset_table, removal._center_set_search):
         monkeypatch.setattr(memoised, "__wrapped__",
                             lambda *a, run=memoised.__wrapped__, name=memoised.__name__:
                             calls.append(name) or run(*a))
@@ -466,7 +473,7 @@ def test_two_loads_of_one_file_share_one_table_and_one_search(capsys, monkeypatc
     outs = [run_cli(capsys, "removal", "--n", "20", "--k", "3", "--l", "1",
                     "--family", f"file:{path}") for _ in range(2)]
     assert outs[0] == outs[1] and outs[0][0] == 0
-    assert calls.count("_subset_table") == calls.count("center_set_check") == 1
+    assert calls.count("_subset_table") == calls.count("_center_set_search") == 1
     assert calls.count("compare") <= 1
 
 

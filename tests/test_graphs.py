@@ -335,7 +335,6 @@ def test_baranyai_partition_valid(n, k):
 def test_baranyai_partition_with_long_augmenting_paths():
     # at (20,5) an augmenting path passes Python's recursion limit, so the
     # flow's DFS must not recurse
-    baranyai_partition.cache_clear()
     partition = baranyai_partition(GroundParams(20, 5))
     partition.validate()
     assert len(partition.classes) == math.comb(19, 4)
@@ -357,12 +356,12 @@ def test_baranyai_backtracking_fallback_agrees_on_shape():
 
 
 def test_extremal_subgraph_examples():
-    stats = extremal_subgraph(GroundParams(6, 2))
+    stats = extremal_subgraph(baranyai_partition(GroundParams(6, 2)))
     assert (stats["alpha"], stats["degree"], stats["edges"]) == (5, 2, 15)
     assert stats["regular"] and stats["edges"] == stats["expected_edges"]
-    stats = extremal_subgraph(GroundParams(4, 2))
+    stats = extremal_subgraph(baranyai_partition(GroundParams(4, 2)))
     assert (stats["alpha"], stats["degree"], stats["edges"]) == (3, 1, 3)
-    stats = extremal_subgraph(GroundParams(6, 3))
+    stats = extremal_subgraph(baranyai_partition(GroundParams(6, 3)))
     assert (stats["alpha"], stats["degree"], stats["edges"]) == (10, 1, 10)
 
 
@@ -373,22 +372,19 @@ EXTREMAL_CASES = [(n, k) for k in range(1, 8) for n in range(2 * k, 41, k)
 def test_extremal_subgraph_matches_the_clique_union_search():
     # the partition's classes taken as cliques, searched, give the counts
     # that extremal_subgraph reads off the class sizes
-    mismatches = [(n, k) for n, k in EXTREMAL_CASES
-                  if extremal_subgraph(GroundParams(n, k)) != clique_union_extremal(GroundParams(n, k))]
+    partitions = [baranyai_partition(GroundParams(n, k)) for n, k in EXTREMAL_CASES]
+    mismatches = [p.params for p in partitions
+                  if extremal_subgraph(p) != clique_union_extremal(p)]
     assert len(EXTREMAL_CASES) == 75 and mismatches == []
 
 
 def test_extremal_subgraph_refuses_an_invalid_partition(monkeypatch):
     # {1,2} and {1,3} in one class: no clique union, so validate() raises
-    # before any count is read
+    # before extremal_subgraph can read any count
     bad = [[0b0011, 0b0101], [0b1100, 0b1010], [0b1001, 0b0110]]
     monkeypatch.setattr(graphs, "_baranyai_flow", lambda n, k: bad)
-    baranyai_partition.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="class members overlap"):
-            extremal_subgraph(GroundParams(4, 2))
-    finally:
-        baranyai_partition.cache_clear()
+    with pytest.raises(AssertionError, match="class members overlap"):
+        extremal_subgraph(baranyai_partition(GroundParams(4, 2)))
 
 
 def test_exports():

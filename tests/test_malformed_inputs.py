@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kneserlab.errors import DomainError
-from kneserlab.families import GroundParams, build_family
-from kneserlab.graphs import spectrum_cross_check
-from kneserlab.removal import (RemovalConfig, calibrate_constant, case_classify, case_table,
-                               nearest_union_exact, removal_bound_check)
+from kneserlab.families import GroundParams, build_family, elements_from_mask, family_stats
+from kneserlab.removal import (RemovalConfig, case_classify, case_table, nearest_union_exact,
+                               removal_bound_check)
 from kneserlab.spectral import eigenvalue_multiplicity, kneser_eigenvalue
 from kneserlab.threshold import (ThresholdParams, analytic_bounds, estimate_probabilities,
                                  estimate_probability, find_threshold, wilson_interval)
@@ -38,10 +37,10 @@ MALFORMED = [
     ("case_classify", lambda ell: case_classify(STAR_10, RemovalConfig(ell)), (10,), "ell"),
     ("wilson_interval", lambda s: wilson_interval(s, 2), (3, -1, 1.5), "successes"),
     ("wilson_interval", lambda t: wilson_interval(1, t), (2.5, "2"), "trials"),
-    ("calibrate_constant", lambda f: calibrate_constant([], floor=f), ("x", 0.5, NO_DOUBLE),
-     "floor"),
-    ("spectrum_cross_check", lambda t: spectrum_cross_check(P, tol=t), ("x",), "tol"),
+    ("elements_from_mask", elements_from_mask, (-1, 1.5, "3"), "mask"),
     ("RemovalConfig", lambda c: RemovalConfig(1, c), (*NOT_REALS, NO_DOUBLE), "c_const"),
+    ("removal_precondition_met", family_stats(STAR, 1).removal_precondition_met,
+     (*NOT_REALS, float("nan"), float("inf")), "c_const"),
     ("analytic_bounds", lambda z: analytic_bounds(P, z, 1, 1), NOT_REALS, "zeta"),
     # 400 C^2 n underflows to 0 at C = 1e-320, and epsilon C(9,1) / 2 overflows at 1e308
     ("analytic_bounds", lambda c: analytic_bounds(P, 1.1, 1, 1, c_const=c),
@@ -68,8 +67,6 @@ def test_reports_built_from_numpy_floats_dump():
     # each real is kept as the float it reads as, so the reports dump
     removal = removal_bound_check(STAR, RemovalConfig(1, np.float32(2.0))).to_json_dict()
     bounds = analytic_bounds(P, np.float32(1.1), 1, 1, c_const=np.float64(2),
-                             epsilon=np.float32(0.1)).to_json_dict()
+                             epsilon=np.float32(0.1))
     assert json.loads(json.dumps(removal))["c_const"] == 2.0
     assert json.loads(json.dumps(bounds))["zeta"] == float(np.float32(1.1))
-    floor = calibrate_constant([], floor=np.float32(1.5))
-    assert type(floor) is float and floor == 1.5

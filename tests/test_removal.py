@@ -20,6 +20,7 @@ from kneserlab.families import (
     sym_diff_size,
 )
 from kneserlab.removal import (
+    CALIBRATION_FLOOR,
     RemovalConfig,
     calibrate_constant,
     case_classify,
@@ -221,12 +222,13 @@ def test_removal_bound_check_runs_no_centre_set_search(monkeypatch, n, k, spec):
     from kneserlab import removal
 
     calls = []
-    real_decompose, real_search = removal.decompose_affine, center_set_check.__wrapped__
+    search = removal._center_set_search
+    real_decompose, real_search = removal.decompose_affine, search.__wrapped__
     monkeypatch.setattr(removal, "decompose_affine",
                         lambda family: calls.append("decompose") or real_decompose(family))
-    monkeypatch.setattr(center_set_check, "__wrapped__",
+    monkeypatch.setattr(search, "__wrapped__",
                         lambda *a: calls.append("search") or real_search(*a))
-    center_set_check.cache_clear()
+    search.cache_clear()
     removal_bound_check(build_family(GroundParams(n, k), spec), RemovalConfig(1, 2.0))
     assert calls == []
 
@@ -260,20 +262,34 @@ def test_center_set_search_runs_again_for_a_family_one_member_apart(monkeypatch)
     outside = next(m for m in enumerate_masks(12, 2) if m not in fam)
     other = SetFamily.from_masks(params, fam.members[1:] + (outside,))
     cfg = RemovalConfig(1, 2.0)
-    center_set_check.cache_clear()
+    removal._center_set_search.cache_clear()
     searches = []
-    search = center_set_check.__wrapped__
-    monkeypatch.setattr(removal.center_set_check, "__wrapped__",
+    search = removal._center_set_search.__wrapped__
+    monkeypatch.setattr(removal._center_set_search, "__wrapped__",
                         lambda f, c: searches.append((f, c)) or search(f, c))
     first, second = center_set_check(fam, cfg), center_set_check(other, cfg)
-    assert searches == [(fam, cfg), (other, cfg)]
+    assert searches == [(fam, 2.0), (other, 2.0)]
     assert second.eps_in != first.eps_in
     assert center_set_check(other, cfg) is second
     looser = RemovalConfig(1, 3.0)
-    assert center_set_check(other, looser) == search(other, looser)
-    assert searches[2:] == [(other, looser)]
-    center_set_check.cache_clear()
-    assert search(other, cfg) == second
+    assert center_set_check(other, looser) == search(other, 3.0)
+    assert searches[2:] == [(other, 3.0)]
+    removal._center_set_search.cache_clear()
+    assert search(other, 2.0) == second
+
+
+def test_center_set_search_is_shared_across_l(monkeypatch):
+    # the search reads C and never l, so l = 1, 2, 1 at one C run one search
+    from kneserlab import removal
+
+    calls = []
+    real = removal.decompose_affine
+    monkeypatch.setattr(removal, "decompose_affine",
+                        lambda family: calls.append(1) or real(family))
+    removal._center_set_search.cache_clear()
+    fam = build_family(GroundParams(12, 2), "random:30:4")
+    reports = [center_set_check(fam, RemovalConfig(ell)) for ell in (1, 2, 1)]
+    assert len(calls) == 1 and reports[0] is reports[1] is reports[2]
 
 
 def test_center_set_requires_k_at_least_2():
@@ -407,7 +423,7 @@ def test_calibrate_constant_on_star_perturbations():
             entries.append((stats, nearest_union_exact(fam, 1)[1]))
     c_star = calibrate_constant(entries)
     assert math.isfinite(c_star)
-    cfg_c = max(c_star, 1.000001)
+    cfg_c = max(c_star, CALIBRATION_FLOOR)
     for stats, dist in entries:
         if stats.removal_precondition_met(cfg_c):
             assert dist <= Fraction(cfg_c) * removal_bound_base(stats)
@@ -444,12 +460,12 @@ def random_entries(rng):
 def test_calibrate_constant_is_exact_and_least():
     # the float bisection this replaced returned a C below some qualifying
     # entry's exact ratio dist/base on 11 of these 200 sets
-    floor = 1.000001
+    floor = CALIBRATION_FLOOR
     rng = random.Random(1)
     kinds = Counter()
     for _ in range(200):
         entries = random_entries(rng)
-        c_star = calibrate_constant(entries, floor=floor)
+        c_star = calibrate_constant(entries)
         if math.isinf(c_star):
             assert any(stats.removal_precondition_met(floor)
                        and removal_bound_base(stats) <= 0 < dist

@@ -357,13 +357,13 @@ def test_find_threshold_decreases_with_n(monkeypatch):
 
 def test_analytic_bounds_examples():
     rep = analytic_bounds(P12, 1.0, 1, 1)
-    assert rep.first_moment_bound == pytest.approx(1.0)
+    assert rep["first_moment_bound"] == pytest.approx(1.0)
     rep = analytic_bounds(P12, 2.0, 1, 1)
-    assert rep.first_moment_bound == pytest.approx(1 / 660)
+    assert rep["first_moment_bound"] == pytest.approx(1 / 660)
     rep = analytic_bounds(P12, 1.0, 0, 5)
-    assert rep.maximal_family_bound == 0.0
+    assert rep["maximal_family_bound"] == 0.0
     rep = analytic_bounds(P12, 1.0, 0, 0)
-    assert rep.maximal_family_bound == pytest.approx(12.0)
+    assert rep["maximal_family_bound"] == pytest.approx(12.0)
 
 
 def test_analytic_bounds_exact_expectation_field():
@@ -371,24 +371,24 @@ def test_analytic_bounds_exact_expectation_field():
     crit = critical_probabilities(P12)
     zeta = 0.5 / crit["p_c"]
     rep = analytic_bounds(P12, zeta, 1, 1)
-    assert rep.p == pytest.approx(0.5)
-    assert rep.ex_exact == pytest.approx(660 * 2 ** -9, rel=1e-9)
-    assert rep.lower_bound_prob == pytest.approx((1 - 0.5 ** 9) ** 55, rel=1e-9)
+    assert rep["p"] == pytest.approx(0.5)
+    assert rep["ex_exact"] == pytest.approx(660 * 2 ** -9, rel=1e-9)
+    assert rep["lower_bound_prob"] == pytest.approx((1 - 0.5 ** 9) ** 55, rel=1e-9)
 
 
 def test_analytic_bounds_t0_t1():
     rep = analytic_bounds(P12, 1.1, 1, 1, c_const=2.0, epsilon=0.1)
-    assert rep.near_cutoff == math.ceil(0.05 * math.comb(9, 1))
-    assert rep.far_cutoff == math.ceil(math.comb(11, 1) / 800)
+    assert rep["near_cutoff"] == math.ceil(0.05 * math.comb(9, 1))
+    assert rep["far_cutoff"] == math.ceil(math.comb(11, 1) / 800)
 
 
 def test_analytic_bounds_at_p_one():
     # zeta = 20 puts p_eff at 1 at (12,2): (1-p)^cross is 0, so E[X] is 0 and
     # a star fails with probability 1; i = 0 with j >= 1 counts no family
     rep = analytic_bounds(P12, 20.0, 0, 1)
-    assert rep.p_effective == 1.0 and rep.lower_bound_prob == 1.0
-    assert rep.ex_exact == 0.0 and rep.log_ex == -math.inf
-    assert rep.maximal_family_bound == 0.0
+    assert rep["p_effective"] == 1.0 and rep["lower_bound_prob"] == 1.0
+    assert rep["ex_exact"] == 0.0 and rep["log_ex"] == -math.inf
+    assert rep["maximal_family_bound"] == 0.0
 
 
 def test_analytic_bounds_domain_errors():
@@ -411,15 +411,14 @@ def test_non_integer_i_or_j_is_a_domain_error(i, j, field):
 
 def test_analytic_bounds_read_numpy_integers_as_int():
     rep = analytic_bounds(P12, 1.1, np.int64(1), np.uint16(2))
-    assert (type(rep.i), type(rep.j)) == (int, int)
-    want = analytic_bounds(P12, 1.1, 1, 2).to_json_dict()
-    assert json.dumps(rep.to_json_dict()) == json.dumps(want)
+    assert (type(rep["i"]), type(rep["j"])) == (int, int)
+    want = analytic_bounds(P12, 1.1, 1, 2)
+    assert json.dumps(rep) == json.dumps(want)
 
 
 def test_bound_report_json_serialisable():
     import json
 
-    rep = analytic_bounds(P12, 1.5, 2, 3)
-    payload = rep.to_json_dict()
+    payload = analytic_bounds(P12, 1.5, 2, 3)
     json.dumps(payload)
     assert payload["near_cutoff"] >= 1 and payload["far_cutoff"] >= 1
